@@ -4,9 +4,9 @@ Runs ``perfbench/run.py`` ``--runs`` times per workload, each with its
 own ``--seed``, one after another, and writes every run's figures plus a
 per-metric summary to ``--out``::
 
-    python3 perfbench/calibrate.py --runs 10 --out perfbench/results/set-1.json
-    python3 perfbench/calibrate.py --runs 10 --out perfbench/results/set-2.json \\
-        --seed-base 100 --against perfbench/results/set-1.json
+    python3 perfbench/calibrate.py --runs 10 --out perfbench/results/set-a.json
+    python3 perfbench/calibrate.py --runs 10 --out perfbench/results/set-b.json \\
+        --seed-base 100 --against perfbench/results/set-a.json
 
 For every end-to-end metric the summary gives the median and the spread:
 the distance between the first and third quartile of the runs
@@ -97,9 +97,9 @@ def main(argv: list[str] | None = None) -> int:
                 "attempted": result["attempted"],
                 "failed": result["failed"],
                 **{k: v["value"] for k, v in result["metrics"].items()},
-                "op_s_samples": record["op_s_samples"],
+                "rep_s_samples": record["rep_s_samples"],
                 "setup_s_samples": record["setup_s_samples"],
-                "host_probe_s_samples": record["host_probe_s_samples"],
+                "flow_s": record["flow_s"],
             })
             print(workload, seed, {k: round(v["value"], 4)
                                    for k, v in result["metrics"].items()},

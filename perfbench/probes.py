@@ -25,42 +25,43 @@ from collections import Counter
 
 #: Which end-to-end metric each layer should move, on which workload --
 #: written down before measuring, so a later change that claims a gain on
-#: one layer can be held to it.  ``op_s`` is the wall time of one
-#: repetition of the workload's operation (see ``perfbench/run.py``).
+#: one layer can be held to it.  ``op_s`` is the time of one repetition
+#: of the workload's operation (see ``perfbench/run.py``); on ``paper``
+#: it is the sum of the printed ``eval_s``, ``lint_s`` and ``verify_s``.
 #: Counts and ratios carry their layer's prefix and move with it
 #: (``runtime.instructions`` with ``runtime.run``, ``verify.explored``
 #: with ``verify.explore``, ``fleet.memo.hit_rate`` with the memo).
 LAYERS: dict[str, str] = {
-    "runtime.run": "op_s on fleet-jittered and paper-eval; not fleet-uniform",
-    "runtime.machine_init": "op_s on fleet-jittered and paper-eval",
-    "runtime.step": "op_s on paper-verify",
-    "runtime.snapshot.capture": "op_s on paper-verify",
-    "runtime.snapshot.restore": "op_s on paper-verify",
-    "fleet.expand": "op_s, peak_rss_mb on fleet-uniform; small on fleet-jittered",
-    "energy.derive_seed": "op_s on fleet-uniform; small on fleet-jittered",
-    "fleet.vector": "op_s, peak_rss_mb on fleet-uniform (cohorts, waves)",
-    "fleet.fold": "op_s on fleet-uniform",
-    "fleet.memo.get": "op_s on fleet-jittered (misses) and fleet-uniform (hits)",
+    "runtime.run": "op_s on fleet-jittered, paper (eval_s)",
+    "runtime.machine_init": "op_s on fleet-jittered, paper (eval_s)",
+    "runtime.step": "op_s on paper (verify_s)",
+    "runtime.snapshot.capture": "op_s on paper (verify_s)",
+    "runtime.snapshot.restore": "op_s on paper (verify_s)",
+    "fleet.expand": "op_s, peak_rss_mb on fleet-jittered (small share)",
+    "energy.derive_seed": "op_s on fleet-jittered (small share)",
+    "fleet.vector": "op_s, peak_rss_mb on fleet-jittered (cohorts, waves)",
+    "fleet.fold": "op_s on fleet-jittered (small share)",
+    "fleet.memo.get": "op_s on fleet-jittered (lookups)",
     "fleet.memo.put": "op_s on fleet-jittered (memo writes)",
     "fleet.nv_encode": "op_s on fleet-jittered (miss post-state keys)",
-    "core.cache": "op_s of the paper flows (build keys: source hash, pipeline)",
-    "lang.parse": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "core.compile": "op_s on paper-lint most; setup_s on the fleets",
-    "lang.validate": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "ir.lower": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "ir.verify": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "analysis.taint": "op_s on paper-lint most (runs twice per build)",
-    "analysis.policies": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "core.shape_atomics": "op_s on paper-lint (atomics builds)",
-    "core.infer_regions": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "core.war_omegas": "op_s on paper-lint most; paper-verify, paper-eval less",
-    "core.check": "op_s on paper-lint most; paper-verify, paper-eval less",
+    "core.cache": "op_s on paper (build keys: source hash, pipeline)",
+    "lang.parse": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "core.compile": "op_s on paper (lint_s most); setup_s on fleet-jittered",
+    "lang.validate": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "ir.lower": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "ir.verify": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "analysis.taint": "op_s on paper (lint_s most; runs twice per build)",
+    "analysis.policies": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "core.shape_atomics": "op_s on paper (lint_s: atomics builds)",
+    "core.infer_regions": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "core.war_omegas": "op_s on paper (lint_s most; verify_s, eval_s less)",
+    "core.check": "op_s on paper (lint_s most; verify_s, eval_s less)",
     "ir.opt.checks": "op_s of any flow building an -opt config (none today)",
-    "analysis.staleness": "op_s on paper-lint",
-    "eval.campaign": "op_s on paper-eval (job set-up outside the engine)",
-    "verify.program": "op_s on paper-verify (minimization, forensics replay)",
-    "verify.explore": "op_s on paper-verify (frontier, forks, pruning)",
-    "verify.digest": "op_s on paper-verify",
+    "analysis.staleness": "op_s on paper (lint_s)",
+    "eval.campaign": "op_s on paper (eval_s: job set-up outside the engine)",
+    "verify.program": "op_s on paper (verify_s: minimization, forensics)",
+    "verify.explore": "op_s on paper (verify_s: frontier, forks, pruning)",
+    "verify.digest": "op_s on paper (verify_s)",
     "unattributed": "benchmark glue and unwrapped code inside the flows",
 }
 

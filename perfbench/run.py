@@ -2,42 +2,52 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload fleet-jittered --seed 0 --seconds 10 --trace 0
-    python3 perfbench/run.py --workload paper-lint --seed 0 --seconds 10 --trace 1
+    python3 perfbench/run.py --workload fleet-jittered --seed 0 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload paper --seed 0 --seconds 40 --trace 1
 
 Workloads are defined (and their choice explained) in
 ``perfbench/workloads.py``; the per-layer wrap points and which
 end-to-end metric each layer should move are in ``perfbench/probes.py``.
 
+Each repetition of a workload's operation is cut into *pieces* -- a
+sub-fleet run, a campaign job or the compiles between jobs, a lint leg, a
+verify leg -- that each take at most about 0.5 s and together cover the whole
+repetition.  The operation is repeated for ``--seconds`` and every piece
+keeps its fastest time over the repetitions (every repetition does
+identical work piece for piece).  On a shared host other tenants' load
+slows the program in bursts.  On a 2-core x86_64 VM, a fixed
+pure-Python loop timed in 5 ms pieces read 10-40% above its fastest
+time at the median.  Yet its fastest time in each 10-s window of a
+minute moved by under 2%, against 10-20% for the fastest 0.5-2 s
+stretch.  So short pieces' fastest times add up to a steady figure for
+the repetition.
+
 ``--trace 0`` measures the end-to-end metrics with tracing off:
 
 * ``setup_s`` -- process start to the start of the timed body (imports,
-  input build, ``precompile_fleet`` for the fleets, one warm-up);
-  the median of this process's set-up and two more set-up-only child
-  processes;
-* ``op_s`` -- wall time of the fastest repetition of the workload's
-  operation, repeated for ``--seconds`` (a fleet run, the eval tables,
-  the lint matrix, the verify legs).  The fastest, not the median: on a
-  shared host other tenants' load arrives in bursts that slow whole
-  repetitions; over the two ten-seed sets in ``perfbench/results/`` the
-  largest spread across runs was 0.10 for the fastest repetition and
-  0.23 for the median.  The median, quartiles and every sample are
-  printed and recorded as well;
+  input build, ``precompile_fleet`` for the fleets, warm-up); the
+  fastest of :data:`SETUPS` set-ups: this process's own and set-up-only
+  child processes started one at a time between timed repetitions,
+  spread over the run (the median is printed too).  The fastest, because
+  set-up is one 0.3-0.8 s stretch (mostly imports) that cannot be cut
+  into pieces, and the set-ups within one run vary by up to 1.9x;
+* ``op_s`` -- one repetition of the workload's operation: the sum, over
+  its pieces, of each piece's fastest time (the median repetition's
+  total is printed too);
 * ``peak_rss_mb`` -- peak resident memory of this process, read right
   after the timed body (before the oracles run).
 
-The human-readable lines also give ``devices_per_s`` for the fleets and
-``error_rate``: operations that raised or whose output differs from the
-oracle, over operations attempted.  The final JSON line carries the
+The human-readable lines also give ``devices_per_s`` for the fleets,
+``eval_s``/``lint_s``/``verify_s`` (each flow's pieces) for ``paper``,
+and ``error_rate``: operations that raised or whose output differs from
+the oracle, over operations attempted.  The final JSON line carries the
 same as ``attempted``/``failed``.
 
-``--trace 1`` times the body untraced for half of ``--seconds``, then
-runs the same number of repetitions with every wrap point installed, and
-prints the per-layer table (self time per operation, calls, share) whose
-rows add up to the traced wall time, plus ``trace.overhead`` (fastest
-traced over fastest untraced repetition).  A fixed pure-Python loop
-timed after every repetition (``host_probe``) is recorded with the
-samples, so a slow host shows in the record.
+``--trace 1`` alternates untraced repetitions with repetitions that run
+with every wrap point installed, for ``--seconds`` in all, and prints the
+per-layer table (self time per repetition, calls, share) whose rows add
+up to the traced wall time, plus ``trace.overhead`` (traced over
+untraced ``op_s``).
 
 Every run prints, before the last line, one ``record`` JSON line with the
 host facts (cores, Python, numpy) and the workload seeds, so a comparison
@@ -64,9 +74,9 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-RECORD_SCHEMA = "perfbench-1"
-#: set-up-only child processes per run, besides this process's own set-up
-SETUP_CHILDREN = 2
+RECORD_SCHEMA = "perfbench-2"
+#: set-up samples per run: this process's own plus ``SETUPS - 1`` children
+SETUPS = 9
 MIN_REPS = 3
 
 
@@ -81,56 +91,79 @@ def host_facts() -> dict:
     }
 
 
-def host_probe() -> float:
-    """Seconds of a fixed pure-Python loop: the host's speed right now,
-    independent of the code under test (recorded, not a metric)."""
-    started = time.perf_counter()
-    total = 0
-    for i in range(200_000):
-        total += i * i
-    return time.perf_counter() - started
+class Laps:
+    """The pieces of one repetition.
+
+    The workload calls the instance with the flow a piece belongs to as
+    soon as the piece ends; every interval between two calls (the first
+    from the start of the repetition) is one piece.
+    """
+
+    def __init__(self) -> None:
+        self.flows: list[str] = []
+        self.seconds: list[float] = []
+        self._last = time.perf_counter()
+
+    def __call__(self, flow: str) -> None:
+        now = time.perf_counter()
+        self.seconds.append(now - self._last)
+        self.flows.append(flow)
+        self._last = now
 
 
-def repeat(workload, seconds: float = 0.0, reps: int = 0):
-    """Time repetitions of ``workload.op``: exactly ``reps`` of them, or
-    as many as start within ``seconds`` (at least :data:`MIN_REPS`).
-    Returns (op seconds, outputs, host-probe seconds), one per repetition."""
-    times: list[float] = []
+def repeat(workload, seconds: float = 0.0, reps: int = 0, between=None):
+    """Run ``workload.op``: exactly ``reps`` times, or until the timed
+    repetitions add up to ``seconds`` (at least :data:`MIN_REPS`).
+    ``between(timed_so_far)`` runs after every repetition, untimed.
+    Returns the :class:`Laps` and the outputs of every repetition."""
+    laps_list: list[Laps] = []
     outputs: list[list] = []
-    probes: list[float] = []
-    deadline = time.perf_counter() + seconds
+    timed = 0.0
 
     def more() -> bool:
         if reps:
-            return len(times) < reps
-        return len(times) < MIN_REPS or time.perf_counter() < deadline
+            return len(laps_list) < reps
+        return len(laps_list) < MIN_REPS or timed < seconds
 
     while more():
         gc.collect()  # no garbage from the previous repetition
-        started = time.perf_counter()
-        outputs.append(workload.op())
-        times.append(time.perf_counter() - started)
-        probes.append(host_probe())
-    return times, outputs, probes
+        laps = Laps()
+        outputs.append(workload.op(laps))
+        laps_list.append(laps)
+        timed += sum(laps.seconds)
+        if between is not None:
+            between(timed)
+    return laps_list, outputs
 
 
-def child_setups(args) -> list[float]:
-    """Set-up seconds of :data:`SETUP_CHILDREN` fresh processes, in turn."""
-    samples = []
-    for _ in range(SETUP_CHILDREN):
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()),
-             "--workload", args.workload, "--seed", str(args.seed),
-             "--setup-only"],
-            capture_output=True,
-            text=True,
-            timeout=150,
-            cwd=ROOT,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"set-up child failed:\n{proc.stderr}")
-        samples.append(json.loads(proc.stdout.splitlines()[-1])["setup_s"])
-    return samples
+def fastest(laps_list: list[Laps]) -> tuple[float, dict]:
+    """(sum over pieces of each piece's fastest time, the same per flow).
+
+    Only repetitions cut into the same pieces as the first are compared;
+    one whose operation raised part-way may not be (it counts as failed).
+    """
+    shape = laps_list[0].flows
+    columns = zip(*(laps.seconds for laps in laps_list if laps.flows == shape))
+    flows: dict[str, float] = {}
+    for flow, best in zip(shape, map(min, columns)):
+        flows[flow] = flows.get(flow, 0.0) + best
+    return sum(flows.values()), flows
+
+
+def child_setup(args) -> float:
+    """Set-up seconds of one fresh set-up-only process."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()),
+         "--workload", args.workload, "--seed", str(args.seed),
+         "--setup-only"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"set-up child failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])["setup_s"]
 
 
 def count_failures(outputs: list[list], reference: list) -> tuple[int, int]:
@@ -144,13 +177,6 @@ def count_failures(outputs: list[list], reference: list) -> tuple[int, int]:
     return attempted, failed
 
 
-def quartiles(values: list[float]) -> tuple[float, float]:
-    if len(values) < 2:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q1, q3
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="repository benchmark")
     parser.add_argument("--workload", required=True)
@@ -158,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0,
         help="workload seed: the fleet seed and the eval seed (default 0)",
     )
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true",
                         help=argparse.SUPPRESS)
@@ -197,69 +223,90 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace:
         return traced_run(args, workload, record)
 
-    times, outputs, probes = repeat(workload, seconds=args.seconds)
+    setups = [setup_s]
+
+    def spread_setups(timed: float) -> None:
+        # Child k starts once k/SETUPS of the timed seconds have passed.
+        while len(setups) < SETUPS and timed >= len(setups) * args.seconds / SETUPS:
+            setups.append(child_setup(args))
+
+    laps_list, outputs = repeat(workload, seconds=args.seconds,
+                                between=spread_setups)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    setups = [setup_s, *child_setups(args)]
+    while len(setups) < SETUPS:
+        setups.append(child_setup(args))
     attempted, failed = count_failures(outputs, workload.reference())
 
-    op_s = min(times)
-    q1, q3 = quartiles(times)
+    op_s, flows = fastest(laps_list)
+    totals = [sum(laps.seconds) for laps in laps_list]
     metrics = {
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (min(setups), "s"),
         "op_s": (op_s, "s"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
-    print(f"  setup_s      {metrics['setup_s'][0]:.6f} s  median of "
-          f"{len(setups)} set-ups: {', '.join(f'{s:.4f}' for s in setups)}")
-    print(f"  op_s         {op_s:.6f} s  fastest of {len(times)} repetitions; "
-          f"median {statistics.median(times):.4f} q1 {q1:.4f} q3 {q3:.4f} "
-          f"max {max(times):.4f}")
+    print(f"  setup_s      {min(setups):.6f} s  fastest of {len(setups)} "
+          f"set-ups (median {statistics.median(setups):.4f}): "
+          f"{', '.join(f'{s:.4f}' for s in setups)}")
+    print(f"  op_s         {op_s:.6f} s  fastest pieces of {len(totals)} "
+          f"repetitions, {len(laps_list[0].seconds)} pieces each; repetition "
+          f"median {statistics.median(totals):.4f} min {min(totals):.4f} "
+          f"max {max(totals):.4f}")
     print(f"  peak_rss_mb  {peak_rss_mb:.1f} MB")
     print(f"  error_rate   {failed / attempted:g}  "
           f"({failed} of {attempted} operations failed)")
-    for line in workload.describe(op_s):
+    for line in workload.describe(op_s, flows):
         print(f"  {line}")
-    record.update(reps=len(times), op_s_samples=times, setup_s_samples=setups,
-                  host_probe_s_samples=probes)
+    record.update(reps=len(totals), pieces=len(laps_list[0].seconds),
+                  flow_s=flows, rep_s_samples=totals, setup_s_samples=setups)
     return finish(record, attempted, failed, metrics)
 
 
 def traced_run(args, workload, record: dict) -> int:
     from perfbench.probes import LAYERS, Tracer
 
-    untraced, outputs, _ = repeat(workload, seconds=args.seconds / 2)
     tracer = Tracer()
-    tracer.install()
-    try:
-        traced, traced_outputs, _ = repeat(workload, reps=len(untraced))
-    finally:
-        tracer.restore()
-    attempted, failed = count_failures(
-        outputs + traced_outputs, workload.reference()
-    )
+    untraced: list[Laps] = []
+    traced: list[Laps] = []
+    outputs: list[list] = []
+    # Untraced and traced repetitions alternate, so both see the same
+    # host load and their ratio is the tracing overhead alone.
+    while len(traced) < MIN_REPS or sum(
+        sum(laps.seconds) for laps in untraced + traced
+    ) < args.seconds:
+        laps_list, outs = repeat(workload, reps=1)
+        untraced += laps_list
+        outputs += outs
+        tracer.install()
+        try:
+            laps_list, outs = repeat(workload, reps=1)
+        finally:
+            tracer.restore()
+        traced += laps_list
+        outputs += outs
+    attempted, failed = count_failures(outputs, workload.reference())
 
-    wall = sum(traced)
-    ops = len(traced)
-    print(f"  traced wall {wall:.4f} s over {ops} repetitions; "
-          f"trace.overhead {min(traced) / min(untraced):.3f} "
-          f"(fastest {min(traced):.4f} s traced / "
-          f"{min(untraced):.4f} s untraced)")
-    print(f"  {'layer':<26}{'calls/op':>12}{'self_s/op':>12}{'share':>8}"
+    overhead = fastest(traced)[0] / fastest(untraced)[0]
+    totals = [sum(laps.seconds) for laps in traced]
+    wall = sum(totals)
+    reps = len(traced)
+    print(f"  traced wall {wall:.4f} s over {reps} repetitions; "
+          f"trace.overhead {overhead:.3f} (op_s traced / untraced)")
+    print(f"  {'layer':<26}{'calls/rep':>12}{'self_s/rep':>12}{'share':>8}"
           "  should move")
-    rows = tracer.table(wall, ops)
+    rows = tracer.table(wall, reps)
     for row in rows:
         print(f"  {row['layer']:<26}{row['calls']:>12.1f}"
               f"{row['self_s']:>12.6f}{row['share']:>8.1%}"
               f"  {LAYERS.get(row['layer'], '')}")
     print(f"  {'total':<26}{'':>12}{sum(r['self_s'] for r in rows):>12.6f}"
-          f"{sum(r['share'] for r in rows):>8.1%}  = traced wall per op "
-          f"{wall / ops:.6f} s")
+          f"{sum(r['share'] for r in rows):>8.1%}  = traced wall per "
+          f"repetition {wall / reps:.6f} s")
     for name, value in sorted(tracer.counts.items()):
-        print(f"  count {name} = {value / ops:g} per op")
-    record.update(reps=ops, op_s_samples=untraced, traced_op_s_samples=traced)
-    memo = getattr(workload, "memo", {})
+        print(f"  count {name} = {value / reps:g} per repetition")
+    record.update(reps=reps, rep_s_samples=[sum(la.seconds) for la in untraced],
+                  traced_rep_s_samples=totals)
     metrics = tracer.metrics(
-        wall, ops, min(traced) / min(untraced), memo.get("hit_rate", 0.0)
+        wall, reps, overhead, getattr(workload, "hit_rate", 0.0)
     )
     return finish(record, attempted, failed, metrics)
 

@@ -4,32 +4,43 @@ Every workload runs in one single-threaded process.  A workload builds
 its inputs from the run's seed in :meth:`setup`, which also warms up
 (lazy imports, engine decode) so the first timed repetition pays none of
 that; the set-up cost is reported as ``setup_s``.  :meth:`op` is one
-timed repetition and returns one output per *operation* -- one fleet
-run, one eval table, one lint leg, one verify leg -- and
-:meth:`reference` returns what each output must equal, computed by an
-independent oracle (serial fleet executor, reference engine, golden
-verdict file, known verdicts).  An operation that raises yields an
-``error:`` string, which never equals its reference.
+timed repetition.  It calls ``lap(flow)`` after every *piece* of its
+work -- a sub-fleet run, a campaign job, a lint leg, a verify leg -- so
+the runner can time each piece on its own (see ``perfbench/run.py``), and
+returns one output per *operation*: one fleet run, one eval table, one
+lint leg, one verify leg.  :meth:`reference` returns what each output
+must equal, computed by an independent oracle (serial fleet executor,
+reference engine, golden verdict file, known verdicts).  An operation
+that raises yields an ``error:`` string, which never equals its
+reference.
 
-Why these workloads (each paired with one that bypasses its mechanism):
+Why these workloads:
 
-* ``fleet-jittered`` -- heterogeneous, miss-bound fleet: about 82% of
+* ``fleet-jittered`` -- heterogeneous, miss-bound fleet: about 83% of
   activations miss the memo, so the interpreter loop is the product.
-  Engine and memo-write changes show here.
-* ``fleet-uniform`` -- homogeneous, hit-bound fleet at 200k devices:
-  5 misses in 1M activations, so spec expansion, seed derivation and
-  cohort formation own the time.  Per-device-cost and memory changes
-  show here; engine changes must not.
-* ``paper-eval``, ``paper-lint``, ``paper-verify`` -- what a user runs
-  to reproduce and check the paper: the ``repro eval`` tables, the
-  6-app x 3-config staleness lint matrix, and bounded model checking of
-  legs with known verdicts.  Each repetition starts from an empty
-  compile cache, because compiling is part of the flow's work.  Compile,
-  short campaign activations, the staleness analysis and the explorer
-  do real work here; the fleet layers do none.
+  Engine and memo-write changes show here; the compile, analysis and
+  verifier layers do no work here.
+* ``paper`` -- what a user runs to reproduce and check the paper: the
+  ``repro eval`` tables, the 6-app x 3-config staleness lint matrix,
+  and bounded model checking of legs with known verdicts, each flow from
+  an empty compile cache, because compiling is part of its work.
+  Compile, short campaign activations, the staleness analysis and the
+  explorer do real work here; the fleet layers do none.
 
-Not covered (all off by default): ``--memo-dir`` persistence,
-checkpoint resume, and the sharded and multiprocess executors.
+The fleet is timed as several smaller fleets rather than one large one:
+a piece of about 0.2 s is short enough that its fastest time over a run
+is steady on a shared host, where a one-second fleet run's is not.  Each
+sub-fleet is a full ``run_fleet`` (spec expansion, cohorts, memo,
+aggregation), and the memo hit rate of 100-device fleets is that of one
+500-device fleet (about 17%).
+
+Not covered: a hit-bound homogeneous fleet, where spec expansion, seed
+derivation and cohort formation own the time.  A ``fleet-uniform``
+workload of 200k identical devices was tried; on a shared 2-core x86_64
+VM its figures moved by 30% between a busy and a quiet spell, past the
+25% bound.  Also not covered, all off by default: ``--memo-dir``
+persistence, checkpoint resume, and the sharded and multiprocess
+executors.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_LINT = ROOT / "tests" / "golden" / "lint_verdicts.json"
 LINT_CONFIGS = ("ocelot", "jit", "atomics")
+EVAL_TABLES = 7
 
 #: (app, config, max_activations, max_failures, prune) -> expected
 #: (verdict kind, violation as [policy, kind, "func:label"] or None).
@@ -74,64 +86,34 @@ def attempt(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# Fleets
+# The fleet
 
 
-class _Fleet:
-    name = ""
-    devices = 0
-    warmup_devices = 0
+class FleetJittered:
+    """``examples/fleet_jittered.json`` scaled up: tire/ocelot devices
+    with per-device harvest jitter 0.5 sharing one environment, run as
+    :attr:`subfleets` fleets of :attr:`devices` devices each."""
+
+    name = "fleet-jittered"
+    subfleets = 5
+    devices = 100
+    warmup_devices = 40
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.seeds = {"fleet_seed": seed}
-        self.ops_per_rep = 1
-        self.memo: dict = {}
+        # Sub-fleet i of seed s has fleet seed s * subfleets + i, so runs
+        # with different seeds never share a sub-fleet.
+        self.fleet_seeds = [seed * self.subfleets + i for i in range(self.subfleets)]
+        self.seeds = {"fleet_seeds": self.fleet_seeds}
+        self.memo: list[dict] = []
 
-    def spec(self, devices: int):
-        raise NotImplementedError
-
-    def setup(self) -> None:
-        from repro.fleet import precompile_fleet, run_fleet
-
-        self.full = self.spec(self.devices)
-        precompile_fleet(self.full)
-        run_fleet(self.spec(self.warmup_devices), "vector")
-
-    def _run(self) -> str:
-        from repro.fleet import aggregate_fingerprint, run_fleet
-
-        result = run_fleet(self.full, "vector")
-        self.memo = result.memo
-        return aggregate_fingerprint(result)
-
-    def op(self) -> list:
-        return [attempt(self._run)]
-
-    def describe(self, op_s: float) -> list[str]:
-        return [
-            f"devices_per_s {self.devices / op_s:.1f} devices/s "
-            f"({self.devices} devices)",
-            f"memo hit_rate {self.memo.get('hit_rate', 0.0):.6f} "
-            f"(hits {self.memo.get('hits')}, misses {self.memo.get('misses')})",
-        ]
-
-
-class FleetJittered(_Fleet):
-    """``examples/fleet_jittered.json`` scaled up: tire/ocelot devices
-    with per-device harvest jitter 0.5 sharing one environment."""
-
-    name = "fleet-jittered"
-    devices = 500
-    warmup_devices = 40
-
-    def spec(self, devices: int):
+    def spec(self, devices: int, fleet_seed: int):
         from repro.eval.campaign import SupplySpec
         from repro.fleet import DeviceClass, FleetSpec
 
         return FleetSpec(
             name="perfbench-fleet-jittered",
-            fleet_seed=self.seed,
+            fleet_seed=fleet_seed,
             budget_cycles=25_000,
             classes=(
                 DeviceClass(
@@ -145,96 +127,56 @@ class FleetJittered(_Fleet):
             ),
         )
 
+    def setup(self) -> None:
+        from repro.fleet import precompile_fleet, run_fleet
+
+        self.specs = [self.spec(self.devices, s) for s in self.fleet_seeds]
+        precompile_fleet(self.specs[0])
+        run_fleet(self.spec(self.warmup_devices, self.seed), "vector")
+
+    def _run(self, spec) -> str:
+        from repro.fleet import aggregate_fingerprint, run_fleet
+
+        result = run_fleet(spec, "vector")
+        self.memo.append(result.memo)
+        return aggregate_fingerprint(result)
+
+    def op(self, lap) -> list:
+        self.memo = []
+        out = []
+        for spec in self.specs:
+            out.append(attempt(self._run, spec))
+            lap("fleet")
+        return out
+
     def reference(self) -> list:
         from repro.fleet import SerialFleetExecutor, aggregate_fingerprint, run_fleet
 
-        return [aggregate_fingerprint(run_fleet(self.full, SerialFleetExecutor()))]
+        return [
+            aggregate_fingerprint(run_fleet(spec, SerialFleetExecutor()))
+            for spec in self.specs
+        ]
 
+    @property
+    def hit_rate(self) -> float:
+        """Activations replayed over activations, in the last repetition."""
+        hits = sum(m.get("hits", 0) for m in self.memo)
+        lookups = hits + sum(m.get("misses", 0) for m in self.memo)
+        return hits / lookups if lookups else 0.0
 
-class FleetUniform(_Fleet):
-    """Homogeneous tire/ocelot fleet with deterministic supply: no harvest
-    spread, a degenerate boot band and no jitter, so every device provably
-    repeats device zero whatever the fleet seed."""
-
-    name = "fleet-uniform"
-    devices = 200_000
-    warmup_devices = 1_000
-    #: serial oracle sample; must divide ``devices``
-    sample = 50
-
-    def spec(self, devices: int):
-        from repro.eval.campaign import SupplySpec
-        from repro.fleet import DeviceClass, FleetSpec
-
-        return FleetSpec(
-            name="perfbench-fleet-uniform",
-            fleet_seed=self.seed,
-            budget_cycles=25_000,
-            classes=(
-                DeviceClass(
-                    name="tire-uniform",
-                    app="tire",
-                    config="ocelot",
-                    count=devices,
-                    supply=SupplySpec(
-                        name="rf",
-                        harvest_rate=300,
-                        harvest_spread=1.0,
-                        boot_fraction=(1.0, 1.0),
-                    ),
-                ),
-            ),
-        )
-
-    def reference(self) -> list:
-        """The serial oracle on ``sample`` devices, scaled to the fleet.
-
-        Identical devices make every aggregate counter (all of them are
-        integer sums) exactly ``devices / sample`` times the sample's.
-        """
-        from repro.fleet import (
-            FleetAggregator,
-            SerialFleetExecutor,
-            aggregate_fingerprint,
-            run_fleet,
-        )
-
-        sample = run_fleet(self.spec(self.sample), SerialFleetExecutor())
-        factor = self.devices // self.sample
-        scaled = sample.aggregate.to_dict()
-        for counters in scaled["classes"].values():
-            for key, value in counters.items():
-                if isinstance(value, int):
-                    counters[key] = value * factor
-                elif isinstance(value, list):
-                    counters[key] = [v * factor for v in value]
-        expected = dataclasses.replace(
-            sample,
-            spec=self.full,
-            devices=self.devices,
-            aggregate=FleetAggregator.from_dict(scaled),
-        )
-        return [aggregate_fingerprint(expected)]
+    def describe(self, op_s: float, flows: dict) -> list[str]:
+        total = self.subfleets * self.devices
+        return [
+            f"devices_per_s {total / op_s:.1f} devices/s "
+            f"({self.subfleets} fleets x {self.devices} devices)",
+            f"memo hit_rate {self.hit_rate:.6f} "
+            f"(hits {sum(m.get('hits', 0) for m in self.memo)}, "
+            f"misses {sum(m.get('misses', 0) for m in self.memo)})",
+        ]
 
 
 # ---------------------------------------------------------------------------
-# Paper flows
-
-
-class _Paper:
-    name = ""
-    #: the flow's own name for ``op_s``
-    flow_metric = ""
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-        self.seeds: dict = {}
-
-    def setup(self) -> None:
-        self.op()  # warm-up: lazy imports and first-use decoding
-
-    def describe(self, op_s: float) -> list[str]:
-        return [f"{self.flow_metric} {op_s:.6f} s (op_s of this flow)"]
+# The paper flows
 
 
 def _clear_compile_cache() -> None:
@@ -243,67 +185,73 @@ def _clear_compile_cache() -> None:
     GLOBAL_CACHE.clear()
 
 
-class PaperEval(_Paper):
-    """``repro eval``: every table and figure, measured fresh."""
+class _LappedSerial:
+    """The campaign's serial executor, marking a piece before and after
+    every job (so compiles and aggregation between jobs are pieces too)."""
 
-    name = "paper-eval"
-    flow_metric = "eval_s"
-    ops_per_rep = 7
+    name = "serial"
 
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.seeds = {"eval_seed": seed}
+    def __init__(self, lap) -> None:
+        self.lap = lap
 
-    def _tables(self) -> list:
-        from repro.eval.runner import run_all
-
-        _clear_compile_cache()
-        tables = run_all(seed=self.seed)
-        if len(tables) != self.ops_per_rep:
-            raise RuntimeError(f"expected {self.ops_per_rep} tables")
-        return [table.render_text() for table in tables]
-
-    def op(self) -> list:
-        tables = attempt(self._tables)
-        if isinstance(tables, str):
-            return [tables] * self.ops_per_rep
-        return tables
-
-    def reference(self) -> list:
-        """The same tables with every campaign job on the reference
-        engine (``repro.runtime.executor.Machine``), the semantics oracle
-        the fast engine is parity-tested against."""
+    def run(self, jobs) -> list:
         import repro.eval.campaign as campaign
 
-        fast = campaign.execute_job
-
-        def on_reference(job):
-            return fast(dataclasses.replace(job, engine="reference"))
-
-        campaign.execute_job = on_reference
-        try:
-            return self.op()
-        finally:
-            campaign.execute_job = fast
+        results = []
+        for job in jobs:
+            self.lap("eval")
+            # Looked up at call time, so the oracle's and the tracer's
+            # replacements of ``execute_job`` apply.
+            results.append(campaign.execute_job(job))
+            self.lap("eval")
+        return results
 
 
-class PaperLint(_Paper):
-    """``analyze_staleness`` over every bundled app x ocelot/jit/atomics:
-    the matrix ``tests/golden/lint_verdicts.json`` pins.  Its inputs are
-    fixed, so the seed changes nothing here."""
+class Paper:
+    """The three flows a user runs on the paper, one after another:
 
-    name = "paper-lint"
-    flow_metric = "lint_s"
+    1. ``repro eval``: every table and figure (``run_all``), measured
+       fresh, on the campaign's serial executor;
+    2. ``analyze_staleness`` over every bundled app x ocelot/jit/atomics,
+       the matrix ``tests/golden/lint_verdicts.json`` pins;
+    3. ``verify_program`` over :data:`VERIFY_LEGS`: until every leg has
+       its verdict, compiles, minimization and forensics replay included.
+
+    Only the eval tables depend on the seed (the eval seed); the lint and
+    verify inputs are fixed.
+    """
+
+    name = "paper"
+    flows = ("eval", "lint", "verify")
 
     def __init__(self, seed: int) -> None:
-        super().__init__(seed)
         from repro.apps import BENCHMARKS
 
-        self.legs = [(app, config) for app in sorted(BENCHMARKS)
-                     for config in LINT_CONFIGS]
-        self.ops_per_rep = len(self.legs)
+        self.seed = seed
+        self.seeds = {"eval_seed": seed}
+        self.lint_legs = [(app, config) for app in sorted(BENCHMARKS)
+                          for config in LINT_CONFIGS]
 
-    def _leg(self, app: str, config: str) -> list:
+    def setup(self) -> None:
+        """Warm up every flow's lazy imports on a small piece of each:
+        one campaign table, one lint leg, one counterexample leg (its
+        minimization and forensics)."""
+        from repro.eval.table2 import measure_table2a
+
+        measure_table2a(seed=self.seed)
+        self._lint_leg(*self.lint_legs[0])
+        self._verify_leg(*VERIFY_LEGS[-2][0])
+        _clear_compile_cache()
+
+    def _tables(self, lap) -> list:
+        from repro.eval.runner import run_all
+
+        tables = run_all(seed=self.seed, executor=_LappedSerial(lap))
+        if len(tables) != EVAL_TABLES:
+            raise RuntimeError(f"expected {EVAL_TABLES} tables")
+        return [table.render_text() for table in tables]
+
+    def _lint_leg(self, app: str, config: str) -> list:
         import repro.analysis.staleness as staleness
         from repro.apps import BENCHMARKS
         from repro.core.cache import GLOBAL_CACHE
@@ -323,25 +271,7 @@ class PaperLint(_Paper):
             for v in sorted(report.verdicts, key=lambda v: (str(v.site), v.pid))
         ]
 
-    def op(self) -> list:
-        _clear_compile_cache()
-        return [attempt(self._leg, app, config) for app, config in self.legs]
-
-    def reference(self) -> list:
-        golden = json.loads(GOLDEN_LINT.read_text())
-        return [golden.get(f"{app}/{config}") for app, config in self.legs]
-
-
-class PaperVerify(_Paper):
-    """``verify_program`` over :data:`VERIFY_LEGS`: time until every leg
-    has its verdict, compiles, minimization and forensics replay
-    included.  Its inputs are fixed, so the seed changes nothing here."""
-
-    name = "paper-verify"
-    flow_metric = "verify_s"
-    ops_per_rep = len(VERIFY_LEGS)
-
-    def _leg(self, app, config, activations, failures, prune) -> list:
+    def _verify_leg(self, app, config, activations, failures, prune) -> list:
         import repro.verify as verify
         from repro.apps import BENCHMARKS
         from repro.core.cache import GLOBAL_CACHE
@@ -362,15 +292,51 @@ class PaperVerify(_Paper):
             violation = [violation[0], violation[1], f"{site.func}:{site.label}"]
         return [verdict.kind, violation]
 
-    def op(self) -> list:
+    def _eval(self, lap) -> list:
+        tables = attempt(self._tables, lap)
+        if isinstance(tables, str):
+            return [tables] * EVAL_TABLES
+        return tables
+
+    def op(self, lap) -> list:
         _clear_compile_cache()
-        return [attempt(self._leg, *leg) for leg, _ in VERIFY_LEGS]
+        out = self._eval(lap)
+        lap("eval")
+        _clear_compile_cache()
+        for app, config in self.lint_legs:
+            out.append(attempt(self._lint_leg, app, config))
+            lap("lint")
+        _clear_compile_cache()
+        for leg, _ in VERIFY_LEGS:
+            out.append(attempt(self._verify_leg, *leg))
+            lap("verify")
+        return out
 
     def reference(self) -> list:
-        return [[kind, violation] for _, (kind, violation) in VERIFY_LEGS]
+        """The eval tables with every campaign job on the reference engine
+        (``repro.runtime.executor.Machine``, the semantics oracle the fast
+        engine is parity-tested against), the golden lint verdicts (read
+        only), and the known verify verdicts."""
+        import repro.eval.campaign as campaign
+
+        fast = campaign.execute_job
+
+        def on_reference(job):
+            return fast(dataclasses.replace(job, engine="reference"))
+
+        campaign.execute_job = on_reference
+        try:
+            _clear_compile_cache()
+            tables = self._eval(lambda flow: None)
+        finally:
+            campaign.execute_job = fast
+        golden = json.loads(GOLDEN_LINT.read_text())
+        lint = [golden.get(f"{app}/{config}") for app, config in self.lint_legs]
+        verdicts = [[kind, violation] for _, (kind, violation) in VERIFY_LEGS]
+        return tables + lint + verdicts
+
+    def describe(self, op_s: float, flows: dict) -> list[str]:
+        return [f"{flow}_s {flows.get(flow, 0.0):.6f} s" for flow in self.flows]
 
 
-WORKLOADS = {
-    cls.name: cls
-    for cls in (FleetJittered, FleetUniform, PaperEval, PaperLint, PaperVerify)
-}
+WORKLOADS = {cls.name: cls for cls in (FleetJittered, Paper)}
