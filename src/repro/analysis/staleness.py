@@ -295,8 +295,10 @@ def probe_run(
     The probe is the linter's reachability oracle: a DOOMED verdict is
     only emitted for sites this run actually reaches, which is what
     guarantees the bounded model checker can confirm it with a concrete
-    counterexample.  Runs the reference engine under wall power; cost is
-    one activation, paid only in the lint / ``--emit staleness`` path.
+    counterexample.  Runs the reference engine under wall power,
+    violations-only, so a step's new violations are read without
+    rescanning the whole activation's observations; cost is one
+    activation, paid only in the lint / ``--emit staleness`` path.
     """
     from repro.runtime.engine import ENGINE_REFERENCE, create_machine
     from repro.runtime.executor import ExecError, MachineConfig
@@ -309,7 +311,7 @@ def probe_run(
         ContinuousPower(),
         costs=costs,
         plan=plan,
-        config=MachineConfig(max_cycles=max_cycles),
+        config=MachineConfig(max_cycles=max_cycles, emit_observations=False),
     )
     executed: set[Chain] = set()
     fired: set[tuple[str, Chain]] = set()
@@ -323,7 +325,8 @@ def probe_run(
         if instr.uid in plan.trigger_uids:
             chain = machine._current_chain(instr.uid)
             executed.add(chain)
-        seen = len(machine.trace.violations)
+        # Every event is a violation, so event counts index violations.
+        seen = len(machine.trace.events)
         try:
             machine.step()
         except ExecError:

@@ -53,7 +53,8 @@ from repro.eval.profiles import (
 )
 from repro.eval.report import Table
 from repro.runtime.engine import ENGINE_FAST, ENGINES
-from repro.runtime.harness import run_activations, run_once
+from repro.runtime.executor import MachineConfig
+from repro.runtime.harness import ActivationRecord, run_activations, run_once
 from repro.runtime.supply import (
     ContinuousPower,
     FailurePoint,
@@ -523,6 +524,8 @@ def _execute_job(job: JobSpec) -> JobResult:
 
     if job.mode == MODE_INJECTION:
         plan = compiled.detector_plan()
+        # Only stats and violation counts are kept: run violations-only.
+        config = MachineConfig(emit_observations=False)
         fired = violating = fresh = consistent = reboots = 0
         queries = 0
         for site in sorted(plan.checks):
@@ -530,22 +533,25 @@ def _execute_job(job: JobSpec) -> JobResult:
             supply = ScheduledFailures(
                 [FailurePoint(chain=site)], off_cycles=job.off_cycles
             )
-            result = run_once(
-                compiled, env, supply, costs=costs, plan=plan, engine=job.engine
+            record = ActivationRecord.from_run(
+                0,
+                run_once(
+                    compiled, env, supply, costs=costs, plan=plan,
+                    config=config, engine=job.engine,
+                ),
             )
-            if not result.stats.completed:
+            if not record.completed:
                 raise RuntimeError(f"{job.job_id} stuck at site {site}")
-            queries += result.detector_queries
+            queries += record.detector_queries
             if not supply.all_fired:
                 # The site sits on a path this environment never takes;
                 # no failure was injected, so the run says nothing.
                 continue
             fired += 1
-            reboots += result.stats.reboots
-            kinds = [v.kind for v in result.trace.violations]
-            fresh += kinds.count("fresh")
-            consistent += kinds.count("consistent")
-            if result.stats.violations > 0:
+            reboots += record.reboots
+            fresh += record.fresh_violations
+            consistent += record.consistent_violations
+            if record.violating:
                 violating += 1
         return JobResult(
             **common,

@@ -88,7 +88,7 @@ from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.memostore import MEMO_SCHEMA, MemoStore
 from repro.fleet.spec import DeviceSpec
 from repro.runtime.engine import ENGINE_FAST, create_machine
-from repro.runtime.executor import NVState
+from repro.runtime.executor import MachineConfig, NVState
 from repro.runtime.detector import BitVector
 from repro.runtime.harness import ActivationRecord, ActivationStepper
 from repro.sensors.environment import bind_signal_specs
@@ -359,6 +359,9 @@ class _MissBatch:
 
     __slots__ = ("compiled", "costs", "plan", "engine", "codec")
 
+    #: a record keeps no trace, so every miss runs violations-only
+    _config = MachineConfig(emit_observations=False)
+
     def __init__(self, compiled, costs, plan, engine: str, codec: NVCodec):
         self.compiled = compiled
         self.costs = costs
@@ -376,21 +379,10 @@ class _MissBatch:
             costs=self.costs,
             plan=self.plan,
             nv=materialize_nv(nv_ref),
+            config=self._config,
             start_tau=tau,
         )
-        result = machine.run()
-        kinds = [v.kind for v in result.trace.violations]
-        record = ActivationRecord(
-            index=index,
-            completed=result.stats.completed,
-            violations=result.stats.violations,
-            cycles_on=result.stats.cycles_on,
-            cycles_off=result.stats.cycles_off,
-            reboots=result.stats.reboots,
-            fresh_violations=kinds.count("fresh"),
-            consistent_violations=kinds.count("consistent"),
-            detector_queries=result.detector_queries,
-        )
+        record = ActivationRecord.from_run(index, machine.run())
         return record, machine.tau - tau, self.codec.encode(machine.nv)
 
     def stepper(self, spec, env, supply, nv, start_tau, start_index):

@@ -16,7 +16,7 @@ What is precomputed per instruction at decode time:
 
 * the execution closure (no ``isinstance`` dispatch at run time);
 * the static cycle cost via the build's :class:`CostModel` (only
-  ``work`` amounts and outer region entries stay dynamic);
+  non-literal ``work`` amounts and outer region entries stay dynamic);
 * detector-trigger and bit-position membership (no per-step frozenset
   hashing of :class:`InstrId`);
 * pure expression trees, compiled to nested closures (``work`` amounts,
@@ -515,9 +515,12 @@ def _decode_instr(
             def run_fresh(m, frame):
                 frame.idx += 1
                 value = var_fn(m, frame)
-                m._emit(
-                    obs.FreshDeclObs(tau=m.tau, uid=uid, pid=pid, inputs=value.taint)
-                )
+                if m._config.emit_observations:
+                    m.trace.events.append(
+                        obs.FreshDeclObs(
+                            tau=m.tau, uid=uid, pid=pid, inputs=value.taint
+                        )
+                    )
                 return cyc
 
             return op(run_fresh, cyc)
@@ -528,11 +531,13 @@ def _decode_instr(
         def run_consistent(m, frame):
             frame.idx += 1
             value = var_fn(m, frame)
-            m._emit(
-                obs.ConsistentDeclObs(
-                    tau=m.tau, uid=uid, pid=pid, set_id=set_id, inputs=value.taint
+            if m._config.emit_observations:
+                m.trace.events.append(
+                    obs.ConsistentDeclObs(
+                        tau=m.tau, uid=uid, pid=pid, set_id=set_id,
+                        inputs=value.taint,
+                    )
                 )
-            )
             return cyc
 
         return op(run_consistent, cyc)
@@ -577,7 +582,10 @@ def _decode_instr(
                 len(v) for v in undo_arrays.values()
             )
             m.stats.region_entries += 1
-            m._emit(obs.RegionEnterObs(tau=m.tau, uid=uid, region=region))
+            if m._config.emit_observations:
+                m.trace.events.append(
+                    obs.RegionEnterObs(tau=m.tau, uid=uid, region=region)
+                )
             return cyc + costs.region_entry_cycles(words, omega_words)
 
         return op(run_start, None, estimate_start)
@@ -596,7 +604,10 @@ def _decode_instr(
                 return cyc + inner
             m._atom_ctx = None
             m.stats.region_commits += 1
-            m._emit(obs.RegionExitObs(tau=m.tau, uid=uid, region=ctx.region))
+            if m._config.emit_observations:
+                m.trace.events.append(
+                    obs.RegionExitObs(tau=m.tau, uid=uid, region=ctx.region)
+                )
             return cyc + commit
 
         return op(run_end, cyc)
@@ -608,12 +619,25 @@ def _decode_instr(
         def run_output(m, frame):
             frame.idx += 1
             values = tuple(fn(m, frame).value for fn in arg_fns)
-            m._emit(obs.OutputObs(tau=m.tau, uid=uid, op=op_name, values=values))
+            if m._config.emit_observations:
+                m.trace.events.append(
+                    obs.OutputObs(tau=m.tau, uid=uid, op=op_name, values=values)
+                )
             return cyc
 
         return op(run_output, cyc)
 
     if isinstance(instr, ir.WorkInstr):
+        if type(instr.cycles) is lang_ast.IntLit:
+            # A literal amount is a static cost, like any other op.
+            work_cyc = costs.instr_cycles(instr, work_value=instr.cycles.value)
+
+            def run_static_work(m, frame):
+                frame.idx += 1
+                return work_cyc
+
+            return op(run_static_work, work_cyc)
+
         expr_fn = compile_expr(instr.cycles)
 
         def estimate_work(m):
@@ -982,8 +1006,8 @@ class FastMachine(MachineCore):
             self._power_failure()
 
     # Detector check execution (_run_site_actions), power failure,
-    # reboot, _deref, _write_global, _assert_logged, and _emit are the
-    # shared MachineCore bodies.
+    # reboot, _deref, _write_global, and _assert_logged are the shared
+    # MachineCore bodies.
 
 
 # ---------------------------------------------------------------------------

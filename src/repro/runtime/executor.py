@@ -134,6 +134,16 @@ class NVState:
 class MachineConfig:
     max_cycles: int = 50_000_000
     max_region_restarts: int = 1_000
+    #: False runs *violations-only*: the trace records nothing but
+    #: :class:`~repro.runtime.observations.ViolationObs`, and no other
+    #: observation is even constructed.  Stats, ``tau``, nonvolatile
+    #: state, ``detector_queries`` and the violations themselves are
+    #: identical to a full-trace run (``stats.violations`` counts the
+    #: recorded violations either way).  Consumers that keep only stats
+    #: and violation counts run this way -- fleet executors, campaign
+    #: jobs, the lint probe, the verifier's explorer; ``run``,
+    #: ``trace``, ``explain``, schedule replay and verifier forensics
+    #: keep the full Appendix B stream.
     emit_observations: bool = True
 
 
@@ -145,10 +155,14 @@ class MachineCore:
     :class:`~repro.runtime.engine.FastMachine` differ only in how they
     fetch and execute instructions; everything the Appendix H power
     rules touch -- JIT-LowPower/Atom-LowPower, JIT-Reboot/Atom-Reboot,
-    the undo-log guard, observation emission -- lives here once, so a
-    semantics fix cannot silently reach one engine and not the other.
+    the undo-log guard, detector check execution -- lives here once, so
+    a semantics fix cannot silently reach one engine and not the other.
     Frame classes differ per engine but share ``copy()`` and ``locals``,
     which is all these bodies touch.
+
+    Every emission site in both engines tests
+    ``MachineConfig.emit_observations`` *before* building its event,
+    except violations, which :meth:`_run_site_actions` always records.
     """
 
     # -- mode -----------------------------------------------------------------
@@ -183,8 +197,10 @@ class MachineCore:
             self.stats.cycles_on += ckpt_cycles
             self._jit_ctx = JitContext(frames=copy_stack(self._frames))
             self.stats.jit_checkpoints += 1
-            self._emit(obs.CheckpointObs(tau=self.tau, saved_words=words))
-        self._emit(obs.PowerFailObs(tau=self.tau, mode=mode))
+            if self._config.emit_observations:
+                self.trace.emit(obs.CheckpointObs(tau=self.tau, saved_words=words))
+        if self._config.emit_observations:
+            self.trace.emit(obs.PowerFailObs(tau=self.tau, mode=mode))
         self._reboot()
 
     def _reboot(self) -> None:
@@ -223,7 +239,10 @@ class MachineCore:
         else:
             # Statically initialized context: restart the program.
             self._restart_main()
-        self._emit(obs.RebootObs(tau=self.tau, off_cycles=off, mode=self.mode))
+        if self._config.emit_observations:
+            self.trace.emit(
+                obs.RebootObs(tau=self.tau, off_cycles=off, mode=self.mode)
+            )
 
     # -- memory helpers ---------------------------------------------------------
 
@@ -258,10 +277,6 @@ class MachineCore:
                 "but absent from its omega set (WAR/EMW analysis bug)"
             )
 
-    def _emit(self, event: obs.Obs) -> None:
-        if self._config.emit_observations:
-            self.trace.emit(event)
-
     # -- detector check execution -------------------------------------------------
 
     def _run_site_actions(self, uid: ir.InstrId, actions) -> None:
@@ -275,11 +290,14 @@ class MachineCore:
         derive their missing-set from a cached dominating query, falling
         back to a direct scan when the cache was cleared by a reboot.
         ``detector_queries`` counts bit-vector scans -- the
-        ``checks_executed`` metric the benchmarks gate on.
+        ``checks_executed`` metric the benchmarks gate on.  Violations
+        are recorded even when observations are off (violations-only
+        mode; see :class:`MachineConfig`).
         """
         bits = self.nv.bits.bits
         tau = self.tau
         cache = self._hoist_cache
+        observe = self._config.emit_observations
         for hoist in actions.hoists:
             cache[hoist.hid] = frozenset(
                 c for c in hoist.required if c not in bits
@@ -292,8 +310,8 @@ class MachineCore:
             self.detector_queries += 1
         for op in actions.ops:
             check = op.check
-            if check.kind == "fresh":
-                self._emit(obs.UseObs(tau=tau, uid=uid, pid=check.pid))
+            if observe and check.kind == "fresh":
+                self.trace.emit(obs.UseObs(tau=tau, uid=uid, pid=check.pid))
             mode = op.mode
             if mode == OP_MARKER:
                 continue
@@ -315,12 +333,19 @@ class MachineCore:
                 if op.hid >= 0:
                     cache[op.hid] = frozenset(missing)
             else:
-                missing = tuple(c for c in check.required if c not in bits)
+                required = check.required
+                # The common case -- every required bit set -- is one
+                # C-level subset test; the tuple is built only on a miss.
+                missing = (
+                    ()
+                    if bits.issuperset(required)
+                    else tuple(c for c in required if c not in bits)
+                )
                 self.detector_queries += 1
                 if op.hid >= 0:
                     cache[op.hid] = frozenset(missing)
             if missing:
-                self._emit(
+                self.trace.emit(
                     obs.ViolationObs(
                         tau=tau,
                         uid=uid,
@@ -591,11 +616,12 @@ class Machine(MachineCore):
             frame.locals[instr.dest] = TVal(raw, frozenset({event}))
             if instr.uid in self._bit_uids:
                 self.nv.bits.set(self._current_chain(instr.uid))
-            self._emit(
-                obs.InputObs(
-                    tau=self.tau, uid=instr.uid, channel=instr.channel, value=raw
+            if self._config.emit_observations:
+                self.trace.emit(
+                    obs.InputObs(
+                        tau=self.tau, uid=instr.uid, channel=instr.channel, value=raw
+                    )
                 )
-            )
         elif isinstance(instr, ir.CallInstr):
             self._exec_call(frame, instr)
         elif isinstance(instr, ir.StoreRefInstr):
@@ -627,9 +653,12 @@ class Machine(MachineCore):
             cycles += self._exec_atomic_end(instr)
         elif isinstance(instr, ir.OutputInstr):
             values = tuple(self.eval(a).value for a in instr.args)
-            self._emit(
-                obs.OutputObs(tau=self.tau, uid=instr.uid, op=instr.op, values=values)
-            )
+            if self._config.emit_observations:
+                self.trace.emit(
+                    obs.OutputObs(
+                        tau=self.tau, uid=instr.uid, op=instr.op, values=values
+                    )
+                )
         elif isinstance(instr, ir.WorkInstr):
             amount = (
                 work_value
@@ -694,8 +723,10 @@ class Machine(MachineCore):
 
     def _exec_annot(self, frame: Frame, instr: ir.AnnotInstr) -> None:
         value = self._read_var(frame, instr.var)
+        if not self._config.emit_observations:
+            return
         if instr.kind == lang_ast.AnnotKind.FRESH:
-            self._emit(
+            self.trace.emit(
                 obs.FreshDeclObs(
                     tau=self.tau,
                     uid=instr.uid,
@@ -705,7 +736,7 @@ class Machine(MachineCore):
             )
         else:
             assert instr.set_id is not None
-            self._emit(
+            self.trace.emit(
                 obs.ConsistentDeclObs(
                     tau=self.tau,
                     uid=instr.uid,
@@ -744,7 +775,10 @@ class Machine(MachineCore):
             len(v) for v in undo_arrays.values()
         )
         self.stats.region_entries += 1
-        self._emit(obs.RegionEnterObs(tau=self.tau, uid=instr.uid, region=instr.region))
+        if self._config.emit_observations:
+            self.trace.emit(
+                obs.RegionEnterObs(tau=self.tau, uid=instr.uid, region=instr.region)
+            )
         return self._costs.region_entry_cycles(words, omega_words)
 
     def _exec_atomic_end(self, instr: ir.AtomicEnd) -> int:
@@ -758,7 +792,10 @@ class Machine(MachineCore):
         # Atom-End-Outer: commit; effects become visible.
         self._atom_ctx = None
         self.stats.region_commits += 1
-        self._emit(obs.RegionExitObs(tau=self.tau, uid=instr.uid, region=ctx.region))
+        if self._config.emit_observations:
+            self.trace.emit(
+                obs.RegionExitObs(tau=self.tau, uid=instr.uid, region=ctx.region)
+            )
         return self._costs.region_commit
 
     # -- nonvolatile writes ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ The evaluation needs three run modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.pipeline import CompiledProgram
@@ -92,6 +92,27 @@ class ActivationRecord:
     @property
     def violating(self) -> bool:
         return self.violations > 0
+
+    @classmethod
+    def from_run(cls, index: int, run: RunResult) -> "ActivationRecord":
+        """The record of activation ``index`` from its run result.
+
+        Reads only stats, ``detector_queries`` and the trace's
+        violations, so a violations-only run (``emit_observations=False``)
+        yields the same record as a full-trace one.
+        """
+        kinds = [v.kind for v in run.trace.violations]
+        return cls(
+            index=index,
+            completed=run.stats.completed,
+            violations=run.stats.violations,
+            cycles_on=run.stats.cycles_on,
+            cycles_off=run.stats.cycles_off,
+            reboots=run.stats.reboots,
+            fresh_violations=kinds.count("fresh"),
+            consistent_violations=kinds.count("consistent"),
+            detector_queries=run.detector_queries,
+        )
 
 
 @dataclass
@@ -186,6 +207,9 @@ class ActivationStepper:
     scheduler instead keeps thousands of steppers in a priority queue and
     advances whichever device is earliest in logical time, which is why
     stepping is factored out of the driving loop.
+
+    A record keeps no trace, so every activation runs violations-only
+    (``config.emit_observations`` is overridden to False).
     """
 
     def __init__(
@@ -210,7 +234,7 @@ class ActivationStepper:
         self._plan = _plan_for(compiled, plan)
         self._budget = budget_cycles
         self._max_activations = max_activations
-        self._config = config
+        self._config = replace(config or MachineConfig(), emit_observations=False)
         self._engine = engine
         self.nv = nv or NVState.initial(compiled.module)
         # Mid-stream resume point: the vectorized fleet executor rebuilds
@@ -244,20 +268,8 @@ class ActivationStepper:
             start_tau=self.tau,
             config=self._config,
         )
-        run = machine.run()
+        record = ActivationRecord.from_run(self.index, machine.run())
         self.tau = machine.tau
-        kinds = [v.kind for v in run.trace.violations]
-        record = ActivationRecord(
-            index=self.index,
-            completed=run.stats.completed,
-            violations=run.stats.violations,
-            cycles_on=run.stats.cycles_on,
-            cycles_off=run.stats.cycles_off,
-            reboots=run.stats.reboots,
-            fresh_violations=kinds.count("fresh"),
-            consistent_violations=kinds.count("consistent"),
-            detector_queries=run.detector_queries,
-        )
         self.index += 1
         if not record.completed:
             self._stuck = True

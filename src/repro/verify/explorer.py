@@ -52,7 +52,6 @@ from repro.analysis.availability import ResumeClassification, classify_resume_po
 from repro.core.pipeline import CompiledProgram
 from repro.energy.costs import DEFAULT_COSTS, CostModel
 from repro.ir.instructions import InstrId
-from repro.runtime import observations as obs
 from repro.runtime.detector import DetectorPlan
 from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
 from repro.runtime.executor import ExecError, MachineConfig
@@ -206,21 +205,6 @@ class FixedOffSupply:
         return self.off_cycles
 
 
-class _ViolationSink(list):
-    """An event list that keeps only violations.
-
-    Installed as the explored machine's trace storage so segment runs
-    cost O(violations) memory instead of O(observations); the digest
-    and the verdict never consult non-violation events.
-    """
-
-    __slots__ = ()
-
-    def append(self, event) -> None:
-        if type(event) is obs.ViolationObs:
-            list.append(self, event)
-
-
 @dataclass
 class _Node:
     snapshot: MachineSnapshot
@@ -286,6 +270,8 @@ class Explorer:
     # -- engine adapters -------------------------------------------------------
 
     def _build_machine(self):
+        # Violations-only: the digest and the verdict read nothing else,
+        # so segment runs record O(violations) events, not O(steps).
         machine = create_machine(
             self._engine,
             self._compiled,
@@ -293,7 +279,9 @@ class Explorer:
             FixedOffSupply(off_cycles=self._bounds.off_cycles),
             costs=self._costs,
             plan=self._plan,
-            config=MachineConfig(max_cycles=self._bounds.max_cycles),
+            config=MachineConfig(
+                max_cycles=self._bounds.max_cycles, emit_observations=False
+            ),
         )
         self._name_block = (
             None
@@ -324,8 +312,6 @@ class Explorer:
     def _run(self) -> Verdict:
         bounds = self._bounds
         machine = self._build_machine()
-        sink = _ViolationSink()
-        machine.trace = obs.Trace(events=sink)
         self._visited: dict[bytes, list[tuple[int, int]]] = {}
         self._frontier: list[tuple[int, int, int, _Node]] = []
         self._seq = 0
@@ -348,7 +334,7 @@ class Explorer:
                 self._frontier.clear()
                 break
             node = heapq.heappop(self._frontier)[-1]
-            verdict = self._expand(machine, sink, node)
+            verdict = self._expand(machine, node)
             if verdict is not None:
                 counterexample = verdict
                 if not self._collect_all:
@@ -420,13 +406,15 @@ class Explorer:
         frontier.append((acts_left, fails_left))
         return False
 
-    def _expand(self, machine, sink: _ViolationSink, node: _Node) -> Optional[Verdict]:
+    def _expand(self, machine, node: _Node) -> Optional[Verdict]:
         """Restore ``node``, apply its pending failure, run the segment."""
         bounds = self._bounds
         stats = self.stats
         stats.explored += 1
-        del sink[:]
-        restore_machine(machine, node.snapshot, trace=obs.Trace(events=sink))
+        restore_machine(machine, node.snapshot)
+        # Restoring installs a fresh trace, which in violations-only mode
+        # holds exactly this segment's violations.
+        violations = machine.trace.events
 
         activation = node.activation
         failures = node.failures
@@ -516,7 +504,7 @@ class Explorer:
                         )
                     self._push(child, boost=0 if uid in seed_uids else 1)
 
-            seen_violations = len(sink)
+            seen_violations = len(violations)
             site_chain = chain_of() if self._collect_all else None
             try:
                 machine.step()
@@ -525,8 +513,8 @@ class Explorer:
                 return None
             stats.steps += 1
 
-            if len(sink) > seen_violations:
-                new = sink[seen_violations:]
+            if len(violations) > seen_violations:
+                new = violations[seen_violations:]
                 if self._collect_all:
                     for violation in new:
                         self._fired.add((violation.pid, site_chain))
@@ -608,9 +596,9 @@ def verify_program(
             target=target,
             config=config,
         )
-        # Forensics: the explorer's sink keeps only violation events, so
-        # replay the (minimized) schedule with full observation to join
-        # the detector firing back to the sensor reads that caused it.
+        # Forensics: the explorer runs violations-only, so replay the
+        # (minimized) schedule with full observation to join the
+        # detector firing back to the sensor reads that caused it.
         from repro.telemetry.forensics import explain_traces
         from repro.verify.schedule import replay_schedule
 

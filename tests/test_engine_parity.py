@@ -13,6 +13,12 @@ logical clocks, return values, and final nonvolatile state across:
   scheduled-failure power,
 * repeated-activation streams (shared NV state and supply),
 * whole fleets and campaign jobs run end to end under both engines.
+
+Every run is also repeated violations-only
+(``MachineConfig(emit_observations=False)``, the mode fleets, campaigns,
+the lint probe and the verifier use), and each engine's violations-only
+run must match its full run on stats, clock, nonvolatile state, return
+value, detector queries and violations, with nothing else in its trace.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from repro.runtime.engine import (
     code_for,
     create_machine,
 )
-from repro.runtime.harness import run_activations
+from repro.runtime.executor import MachineConfig, NVState
+from repro.runtime.harness import ActivationRecord, run_activations
 from repro.runtime.supply import (
     ContinuousPower,
     FailurePoint,
@@ -59,23 +66,36 @@ def _gen_env(seed: int) -> Environment:
     )
 
 
+#: ``emit_observations`` values: the full trace, then violations-only
+_MODES = (True, False)
+
+
 def _run_both(compiled, make_env, make_supply, costs=None, plan=None):
-    """Run one activation under each engine; return both outcomes."""
-    outcomes = []
+    """Run one activation per engine and observation mode.
+
+    Returns ``{(engine, emit_observations): (machine, result)}``.
+    """
+    kwargs = {} if costs is None else {"costs": costs}
+    outcomes = {}
     for engine in (ENGINE_REFERENCE, ENGINE_FAST):
-        kwargs = {}
-        if costs is not None:
-            kwargs["costs"] = costs
-        machine = create_machine(
-            engine, compiled, make_env(), make_supply(), plan=plan, **kwargs
-        )
-        result = machine.run()
-        outcomes.append((machine, result))
+        for emit in _MODES:
+            machine = create_machine(
+                engine,
+                compiled,
+                make_env(),
+                make_supply(),
+                plan=plan,
+                config=MachineConfig(emit_observations=emit),
+                **kwargs,
+            )
+            result = machine.run()
+            outcomes[engine, emit] = (machine, result)
     return outcomes
 
 
 def _assert_identical(outcomes, context=""):
-    (ref_machine, ref), (fast_machine, fast) = outcomes
+    ref_machine, ref = outcomes[ENGINE_REFERENCE, True]
+    fast_machine, fast = outcomes[ENGINE_FAST, True]
     assert ref.stats == fast.stats, context
     assert ref.trace.events == fast.trace.events, context
     assert ref.ret == fast.ret, context
@@ -83,6 +103,77 @@ def _assert_identical(outcomes, context=""):
     assert (
         ref_machine.nv.snapshot_values() == fast_machine.nv.snapshot_values()
     ), context
+    for engine in (ENGINE_REFERENCE, ENGINE_FAST):
+        _assert_violations_only(
+            outcomes[engine, True], outcomes[engine, False], f"{engine}: {context}"
+        )
+
+
+def _assert_violations_only(full_outcome, lean_outcome, context=""):
+    """A violations-only run equals its full run in everything but the
+    non-violation observations, which it never records."""
+    (full_machine, full), (lean_machine, lean) = full_outcome, lean_outcome
+    assert lean.stats == full.stats, context
+    assert lean.ret == full.ret, context
+    assert lean.detector_queries == full.detector_queries, context
+    assert lean_machine.tau == full_machine.tau, context
+    assert (
+        lean_machine.nv.snapshot_values() == full_machine.nv.snapshot_values()
+    ), context
+    assert lean.trace.events == full.trace.violations, context
+
+
+def _run_streams(compiled, make_env, make_supply, budget_cycles, costs=None):
+    """Back-to-back activations under each engine, three ways.
+
+    ``run_activations`` (whose stepper runs violations-only) and a
+    hand-driven loop per observation mode, each on a fresh environment
+    and supply.  Per engine, the violations-only loop must match the
+    full one activation by activation, and the harness records must be
+    the records of the full runs.  Returns the harness results, reference
+    engine first.
+    """
+    kwargs = {} if costs is None else {"costs": costs}
+    harness = []
+    for engine in (ENGINE_REFERENCE, ENGINE_FAST):
+        streams = {}
+        for emit in _MODES:
+            nv = NVState.initial(compiled.module)
+            env, supply = make_env(), make_supply()
+            tau, outcomes = 0, []
+            while tau < budget_cycles:
+                machine = create_machine(
+                    engine,
+                    compiled,
+                    env,
+                    supply,
+                    nv=nv,
+                    start_tau=tau,
+                    config=MachineConfig(emit_observations=emit),
+                    **kwargs,
+                )
+                result = machine.run()
+                outcomes.append((machine, result))
+                tau = machine.tau
+                if not result.stats.completed:
+                    break
+            streams[emit] = outcomes
+        full, lean = streams[True], streams[False]
+        assert len(full) == len(lean), engine
+        for index, (full_run, lean_run) in enumerate(
+            zip(full, lean, strict=True)
+        ):
+            _assert_violations_only(full_run, lean_run, f"{engine} #{index}")
+        outcome = run_activations(
+            compiled, make_env(), make_supply(), budget_cycles=budget_cycles,
+            engine=engine, **kwargs,
+        )
+        assert outcome.records == [
+            ActivationRecord.from_run(index, result)
+            for index, (_, result) in enumerate(full)
+        ], engine
+        harness.append(outcome)
+    return harness
 
 
 class TestBenchmarkParity:
@@ -133,20 +224,14 @@ class TestBenchmarkParity:
         for app in ("tire", "greenhouse", "cem"):
             meta = BENCHMARKS[app]
             compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
-            costs = meta.cost_model()
             proto = _PARITY_PROFILE.make_supply(seed=3)
-            results = []
-            for engine in (ENGINE_REFERENCE, ENGINE_FAST):
-                outcome = run_activations(
-                    compiled,
-                    meta.env_factory(7),
-                    proto.spawn(9),
-                    budget_cycles=300_000,
-                    costs=costs,
-                    engine=engine,
-                )
-                results.append(outcome)
-            ref, fast = results
+            ref, fast = _run_streams(
+                compiled,
+                lambda meta=meta: meta.env_factory(7),
+                lambda proto=proto: proto.spawn(9),
+                budget_cycles=300_000,
+                costs=meta.cost_model(),
+            )
             assert ref.records == fast.records, app
             assert ref.total_cycles_on == fast.total_cycles_on
             assert ref.total_cycles_off == fast.total_cycles_off
@@ -242,18 +327,12 @@ def test_random_programs_parity_activation_streams(
     """Back-to-back activations: NV state and supply persist across runs."""
     compiled = compile_source(source, config)
     proto = _PARITY_PROFILE.make_supply(seed=2)
-    results = []
-    for engine in (ENGINE_REFERENCE, ENGINE_FAST):
-        results.append(
-            run_activations(
-                compiled,
-                _gen_env(env_seed),
-                proto.spawn(supply_seed),
-                budget_cycles=60_000,
-                engine=engine,
-            )
-        )
-    ref, fast = results
+    ref, fast = _run_streams(
+        compiled,
+        lambda: _gen_env(env_seed),
+        lambda: proto.spawn(supply_seed),
+        budget_cycles=60_000,
+    )
     assert ref.records == fast.records
     assert ref.total_cycles_on == fast.total_cycles_on
     assert ref.total_cycles_off == fast.total_cycles_off

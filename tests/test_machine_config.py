@@ -1,10 +1,21 @@
 """Machine configuration and lifecycle edge cases."""
 
+from repro.analysis.provenance import Chain
+from repro.apps import BENCHMARKS
+from repro.core.cache import GLOBAL_CACHE
 from repro.core.pipeline import compile_source
 from repro.energy.capacitor import Capacitor
 from repro.energy.harvester import ConstantHarvester
+from repro.ir.instructions import InstrId
+from repro.runtime import observations as obs
+from repro.runtime.engine import ENGINES, create_machine
 from repro.runtime.executor import Machine, MachineConfig, NVState
-from repro.runtime.supply import ContinuousPower, EnergyDrivenSupply
+from repro.runtime.supply import (
+    ContinuousPower,
+    EnergyDrivenSupply,
+    FailurePoint,
+    ScheduledFailures,
+)
 from repro.sensors.environment import Environment
 
 
@@ -35,6 +46,49 @@ class TestBudgets:
         result = machine.run()
         assert result.stats.completed
         assert len(result.trace) == 0
+
+
+class TestViolationsOnly:
+    """``emit_observations=False`` still records every violation."""
+
+    def test_flag_off_keeps_violations_and_everything_else(self):
+        # tire/jit with one failure injected before the fresh check at
+        # (main, 5): the check fires twice.
+        meta = BENCHMARKS["tire"]
+        compiled = GLOBAL_CACHE.get_or_compile(meta.source, "jit")
+        plan = compiled.detector_plan()
+        site = Chain(ids=(InstrId("main", 5),))
+        assert site in plan.checks
+        for engine in ENGINES:
+            runs = {}
+            for emit in (True, False):
+                supply = ScheduledFailures(
+                    [FailurePoint(chain=site)], off_cycles=25_000
+                )
+                machine = create_machine(
+                    engine,
+                    compiled,
+                    meta.env_factory(0),
+                    supply,
+                    costs=meta.cost_model(),
+                    plan=plan,
+                    config=MachineConfig(emit_observations=emit),
+                )
+                runs[emit] = (machine, machine.run())
+            (full_machine, full), (lean_machine, lean) = runs[True], runs[False]
+            assert full.stats.violations == 2, engine
+            assert lean.stats == full.stats, engine
+            assert lean_machine.tau == full_machine.tau, engine
+            assert (
+                lean_machine.nv.snapshot_values()
+                == full_machine.nv.snapshot_values()
+            ), engine
+            assert lean.detector_queries == full.detector_queries, engine
+            assert lean.trace.violations == full.trace.violations, engine
+            assert all(
+                type(event) is obs.ViolationObs for event in lean.trace.events
+            ), engine
+            assert len(lean.trace) == 2 < len(full.trace), engine
 
 
 class TestNVStateSharing:
