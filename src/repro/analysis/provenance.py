@@ -31,6 +31,16 @@ class Chain:
     def __post_init__(self) -> None:
         if not self.ids:
             raise ValueError("a chain has at least the operation itself")
+        # Chains key the detector bit vector and memo shards; the hash is
+        # computed once and, like InstrId's, never pickled (``str`` hashes
+        # differ between processes).
+        object.__setattr__(self, "_hash", hash((self.ids,)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]  # set in __post_init__
+
+    def __reduce__(self) -> tuple[type[Chain], tuple[tuple[InstrId, ...]]]:
+        return (Chain, (self.ids,))
 
     @staticmethod
     def of(context: Context, op: InstrId) -> "Chain":

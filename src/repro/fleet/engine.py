@@ -33,6 +33,7 @@ from repro.core.passes import BuildConfig, get_config, register_config
 from repro.eval.report import Table
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.device import DeviceFactory
+from repro.fleet.memostore import write_atomically
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import DeviceSpec, FleetError, FleetSpec
 from repro.runtime.engine import ENGINE_FAST
@@ -272,12 +273,12 @@ class FleetCheckpoint:
             "aggregate": self.aggregate,
             "executor_family": self.executor_family,
         }
-        target = Path(path)
         # Write-then-rename so a crash mid-save never corrupts the
         # previous checkpoint (resume would silently restart otherwise).
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        tmp.replace(target)
+        write_atomically(
+            Path(path),
+            (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(),
+        )
 
     @classmethod
     def load(cls, path: Path | str) -> "FleetCheckpoint":

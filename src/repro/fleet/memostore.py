@@ -28,13 +28,36 @@ byte comparison.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import uuid
 from pathlib import Path
 
 #: Version of the on-disk entry schema.  Bump whenever the pickled
-#: entry layout (``MemoEntry`` / ``QuantEntry`` fields, key structure)
-#: changes; old shards then load as cold instead of misreplaying.
-MEMO_SCHEMA = "repro-memo-1"
+#: entry layout (``MemoEntry`` / ``QuantEntry`` fields, key structure,
+#: or the values inside them) changes; old shards then load as cold
+#: instead of misreplaying.  Schema 2: ``TVal`` pickles as a slotted
+#: object, and ``InstrId``/``Chain`` pickle their fields only (their
+#: cached hash is recomputed on load, since ``str`` hashes differ
+#: between processes).
+MEMO_SCHEMA = "repro-memo-2"
+
+
+def write_atomically(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temp file unique to this call.
+
+    Write-then-rename, so a crash mid-write never leaves a torn file; the
+    unique name lets writers of one target -- two saves of one shard, two
+    runs sharing a directory -- each rename a whole file of their own
+    instead of renaming away (or clobbering) another writer's temp file.
+    """
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class MemoStore:
@@ -88,9 +111,6 @@ class MemoStore:
             # persistence, never the run.
             return False
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.shard_path(shard_token)
-        tmp = path.with_suffix(".pkl.tmp")
-        tmp.write_bytes(blob)
-        tmp.replace(path)
+        write_atomically(self.shard_path(shard_token), blob)
         self.stores += 1
         return True

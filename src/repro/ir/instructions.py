@@ -35,6 +35,18 @@ class InstrId:
     func: str
     label: int
 
+    def __post_init__(self) -> None:
+        # Hashed on every detector query and memo probe, so computed once.
+        # ``str`` hashes differ between processes, so the cached value is
+        # never pickled (see ``__reduce__``).
+        object.__setattr__(self, "_hash", hash((self.func, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]  # set in __post_init__
+
+    def __reduce__(self) -> tuple[type[InstrId], tuple[str, int]]:
+        return (InstrId, (self.func, self.label))
+
     def __str__(self) -> str:
         return f"({self.func}, {self.label})"
 

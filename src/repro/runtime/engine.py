@@ -29,6 +29,22 @@ time, and every op caches the :class:`Chain` (plus its detector checks)
 per distinct ``sites`` tuple -- the reference machine instead rebuilds
 the tuple from the frame stack at every detector trigger.
 
+Hot straight-line code runs as *segments* (:class:`Segment`): each
+maximal run of ops -- through unconditional jumps, up to the first
+call, branch or return -- becomes one generated function that runs
+every op body inline over unboxed values and commits ``tau``,
+``cycles_on``, ``instructions`` and the frame position once.  The run
+loop enters a segment only when no per-op check inside it could fire
+(no failure can be scheduled, the energy model is the stock one in
+ints, and the run's summed cost stays within ``max_cycles`` and above
+the capacitor's trip point).  That is exact by the argument of
+Surbatovich et al.: no power failure can fire inside a straight-line
+run whose whole energy fits above the trip point, so one check per run
+changes no observation.  Otherwise, and in :meth:`FastMachine.step`,
+the per-op loop runs.  A segment compiles on its
+:data:`SEGMENT_COMPILE_THRESHOLD`-th entry, so a build decoded and run
+briefly never pays for code generation.
+
 Decoded code is cached on the :class:`CompiledProgram` itself (see
 :func:`code_for`).  Compiled programs are interned by the compile cache
 keyed on (source, pass-pipeline fingerprint), so the decode cache is
@@ -39,6 +55,7 @@ pair the decode bakes in.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Optional
 
 from repro.analysis.provenance import Chain
@@ -67,7 +84,14 @@ from repro.runtime.supply import (
     PowerSupply,
     ScheduledFailures,
 )
-from repro.runtime.values import InputEvent, RefValue, TVal, ZERO, merge_taint
+from repro.runtime.values import (
+    NO_TAINT,
+    ZERO,
+    InputEvent,
+    RefValue,
+    TVal,
+    merge_taint,
+)
 from repro.sensors.environment import Environment
 from repro.telemetry.trace import tracer as _tracer
 
@@ -85,6 +109,13 @@ _FAIL_GENERIC = 2
 _ENERGY_NONE = 0
 _ENERGY_CAPACITOR = 1
 _ENERGY_GENERIC = 2
+
+
+# Segment roles of a decoded op (see :class:`Segment`).
+_ROLE_STEP = 0  # straight-line op: runs inside a segment
+_ROLE_JUMP = 1  # unconditional jump: the segment continues at its target
+_ROLE_END = 2  # call, branch or return: a segment's last op
+_ROLE_HEAD = 3  # atomic_start/atomic_end: only as a segment's first op
 
 
 class EngineError(ValueError):
@@ -126,9 +157,11 @@ class FastFrame:
 class Op:
     """One decoded instruction: closures plus precomputed dispatch facts."""
 
-    __slots__ = ("uid", "run", "cycles", "estimate", "trigger", "chain_at")
+    __slots__ = (
+        "uid", "run", "cycles", "estimate", "trigger", "chain_at", "role", "seg",
+    )
 
-    def __init__(self, uid, run, cycles, estimate, trigger, chain_at):
+    def __init__(self, uid, run, cycles, estimate, trigger, chain_at, role=None):
         self.uid = uid
         #: execute the instruction; returns its cycle cost
         self.run: Callable = run
@@ -140,6 +173,10 @@ class Op:
         self.trigger: bool = trigger
         #: sites tuple -> (Chain, checks tuple), memoized per call context
         self.chain_at: Callable = chain_at
+        #: how the op takes part in a segment (``_ROLE_*``; None: never)
+        self.role: Optional[int] = role
+        #: the segment headed by this op, if any
+        self.seg: Optional[Segment] = None
 
 
 class FastFunction:
@@ -154,7 +191,12 @@ class FastFunction:
 
 
 class CompiledCode:
-    """A fully decoded module for one (detector plan, cost model) pair."""
+    """A fully decoded module for one (detector plan, cost model) pair.
+
+    Segments (see :class:`Segment`) hang off the decoded ops, so their
+    generated code lives exactly as long as the decode, which the
+    build's compile-cache entry owns.
+    """
 
     __slots__ = ("module", "plan", "costs", "functions", "entry")
 
@@ -184,6 +226,10 @@ _BINOP_FNS = {
     "&&": lambda a, b: int(bool(a) and bool(b)),
     "||": lambda a, b: int(bool(a) or bool(b)),
 }
+
+
+def _index_error(index: int, array: str, size: int) -> ExecError:
+    return ExecError(f"index {index} out of bounds for {array}[{size}]")
 
 
 def _raising(message: str) -> Callable:
@@ -233,9 +279,7 @@ def compile_expr(expr: lang_ast.Expr) -> Callable:
                 raise ExecError(f"unknown array '{array_name}'")
             iv = index.value
             if not 0 <= iv < len(array):
-                raise ExecError(
-                    f"index {iv} out of bounds for {array_name}[{len(array)}]"
-                )
+                raise _index_error(iv, array_name, len(array))
             element = array[iv]
             return TVal(element.value, merge_taint(element.taint, index.taint))
 
@@ -329,8 +373,14 @@ def _decode_instr(
             _cache[sites] = entry
         return entry
 
-    def op(run, cycles, estimate=None):
-        return Op(uid, run, cycles, estimate, trigger, chain_at)
+    def op(run, cycles, estimate=None, role=None):
+        # A segment sums static costs, so it needs them to be
+        # nonnegative ints (region heads check their own costs).
+        if role is not None and role != _ROLE_HEAD and (
+            type(cycles) is not int or cycles < 0
+        ):
+            role = None
+        return Op(uid, run, cycles, estimate, trigger, chain_at, role)
 
     if isinstance(instr, ir.Terminator):
         cyc = costs.instr_cycles(instr)
@@ -342,7 +392,7 @@ def _decode_instr(
                 frame.idx = 0
                 return cyc
 
-            return op(run_jump, cyc)
+            return op(run_jump, cyc, role=_ROLE_JUMP)
         if isinstance(instr, ir.Branch):
             cond_fn = compile_expr(instr.cond)
             true_ops = blocks[instr.true_target]
@@ -353,7 +403,7 @@ def _decode_instr(
                 frame.idx = 0
                 return cyc
 
-            return op(run_branch, cyc)
+            return op(run_branch, cyc, role=_ROLE_END)
         if isinstance(instr, ir.RetInstr):
             expr_fn = compile_expr(instr.expr) if instr.expr is not None else None
 
@@ -370,7 +420,7 @@ def _decode_instr(
                     )
                 return cyc
 
-            return op(run_ret, cyc)
+            return op(run_ret, cyc, role=_ROLE_END)
         name = type(instr).__name__
         return op(_raising(f"unknown terminator {name}"), cyc)
 
@@ -386,7 +436,7 @@ def _decode_instr(
                 m._write_global(dest, expr_fn(m, frame))
                 return cyc
 
-            return op(run_assign_global, cyc)
+            return op(run_assign_global, cyc, role=_ROLE_STEP)
 
         def run_assign_local(m, frame):
             frame.idx += 1
@@ -397,7 +447,7 @@ def _decode_instr(
             frame.locals[dest] = value
             return cyc
 
-        return op(run_assign_local, cyc)
+        return op(run_assign_local, cyc, role=_ROLE_STEP)
 
     if isinstance(instr, ir.InputInstr):
         channel = instr.channel
@@ -419,7 +469,7 @@ def _decode_instr(
                 )
             return cyc
 
-        return op(run_input, cyc)
+        return op(run_input, cyc, role=_ROLE_STEP)
 
     if isinstance(instr, ir.CallInstr):
         callee = module.functions.get(instr.func)
@@ -467,7 +517,7 @@ def _decode_instr(
             )
             return cyc
 
-        return op(run_call, cyc)
+        return op(run_call, cyc, role=_ROLE_END)
 
     if isinstance(instr, ir.StoreRefInstr):
         expr_fn = compile_expr(instr.expr)
@@ -482,7 +532,7 @@ def _decode_instr(
             m._frames[cell.depth].locals[cell.name] = value
             return cyc
 
-        return op(run_store_ref, cyc)
+        return op(run_store_ref, cyc, role=_ROLE_STEP)
 
     if isinstance(instr, ir.StoreArr):
         index_fn = compile_expr(instr.index)
@@ -498,14 +548,12 @@ def _decode_instr(
                 raise ExecError(f"unknown array '{array_name}'")
             iv = index.value
             if not 0 <= iv < len(array):
-                raise ExecError(
-                    f"index {iv} out of bounds for {array_name}[{len(array)}]"
-                )
+                raise _index_error(iv, array_name, len(array))
             m._assert_logged(array_name)
             array[iv] = TVal(value.value, merge_taint(value.taint, index.taint))
             return cyc
 
-        return op(run_store_arr, cyc)
+        return op(run_store_arr, cyc, role=_ROLE_STEP)
 
     if isinstance(instr, ir.AnnotInstr):
         var_fn = compile_expr(lang_ast.Var(name=instr.var))
@@ -523,7 +571,7 @@ def _decode_instr(
                     )
                 return cyc
 
-            return op(run_fresh, cyc)
+            return op(run_fresh, cyc, role=_ROLE_STEP)
         assert instr.set_id is not None
         set_id = instr.set_id
         pid = consistent_pid(set_id)
@@ -540,7 +588,7 @@ def _decode_instr(
                 )
             return cyc
 
-        return op(run_consistent, cyc)
+        return op(run_consistent, cyc, role=_ROLE_STEP)
 
     if isinstance(instr, ir.AtomicStart):
         region = instr.region
@@ -588,7 +636,7 @@ def _decode_instr(
                 )
             return cyc + costs.region_entry_cycles(words, omega_words)
 
-        return op(run_start, None, estimate_start)
+        return op(run_start, None, estimate_start, _head_role(costs, cyc))
 
     if isinstance(instr, ir.AtomicEnd):
         inner = costs.region_inner
@@ -610,7 +658,7 @@ def _decode_instr(
                 )
             return cyc + commit
 
-        return op(run_end, cyc)
+        return op(run_end, cyc, role=_head_role(costs, cyc))
 
     if isinstance(instr, ir.OutputInstr):
         arg_fns = tuple(compile_expr(a) for a in instr.args)
@@ -625,7 +673,7 @@ def _decode_instr(
                 )
             return cyc
 
-        return op(run_output, cyc)
+        return op(run_output, cyc, role=_ROLE_STEP)
 
     if isinstance(instr, ir.WorkInstr):
         if type(instr.cycles) is lang_ast.IntLit:
@@ -636,7 +684,7 @@ def _decode_instr(
                 frame.idx += 1
                 return work_cyc
 
-            return op(run_static_work, work_cyc)
+            return op(run_static_work, work_cyc, role=_ROLE_STEP)
 
         expr_fn = compile_expr(instr.cycles)
 
@@ -659,7 +707,7 @@ def _decode_instr(
             frame.idx += 1
             return cyc
 
-        return op(run_skip, cyc)
+        return op(run_skip, cyc, role=_ROLE_STEP)
 
     name = type(instr).__name__
     return op(_raising(f"cannot execute {name}"), cyc)
@@ -721,13 +769,15 @@ def compile_code(
                         ),
                     )
                 )
-    return CompiledCode(
+    code = CompiledCode(
         module=module,
         plan=plan,
         costs=costs,
         functions=functions,
         entry=module.entry,
     )
+    _mark_heads(code)
+    return code
 
 
 def code_for(compiled, costs: CostModel = DEFAULT_COSTS, plan=None) -> CompiledCode:
@@ -755,6 +805,572 @@ def code_for(compiled, costs: CostModel = DEFAULT_COSTS, plan=None) -> CompiledC
     cache.insert(0, (plan, costs, code))
     del cache[_CODE_CACHE_LIMIT:]
     return code
+
+
+# ---------------------------------------------------------------------------
+# Segments: straight-line runs as generated functions
+
+#: Entries after which a segment head compiles its run.  A constant, not
+#: an option: a fleet's or campaign's activation loop reaches it within a
+#: few activations, while a build decoded from an empty compile cache and
+#: run briefly (every ``repro eval`` table) pays about 1 ms of decode
+#: instead of generating code for every run up front.
+SEGMENT_COMPILE_THRESHOLD = 16
+#: Longest run one segment covers (bounds a generated function's size).
+_SEGMENT_MAX_OPS = 64
+
+
+def _head_role(costs: CostModel, cyc) -> Optional[int]:
+    """Region ops head segments when every region cost is a nonnegative
+    int under the stock entry formula, which the head's cost bound
+    (``_start_bound``/``_end_bound``) relies on."""
+    parts = (
+        cyc,
+        costs.region_base,
+        costs.region_per_volatile_word,
+        costs.region_per_nv_word,
+        costs.region_commit,
+        costs.region_inner,
+    )
+    if type(costs).region_entry_cycles is CostModel.region_entry_cycles and all(
+        type(p) is int and p >= 0 for p in parts
+    ):
+        return _ROLE_HEAD
+    return None
+
+
+def _start_bound(cyc: int, omega: tuple, costs: CostModel) -> Callable:
+    """An upper bound on an ``atomic_start`` head's estimate and actual
+    cost: an outer entry counts one word per omega name plus every
+    omega array, at least what either the estimate or the undo log
+    counts."""
+    inner = cyc + costs.region_inner
+
+    def bound(m):
+        if m._atom_ctx is not None:
+            return inner
+        arrays = m.nv.arrays
+        words = len(omega)
+        for name in omega:
+            if name in arrays:
+                words += len(arrays[name])
+        return cyc + costs.region_entry_cycles(stack_words(m._frames), words)
+
+    return bound
+
+
+def _end_bound(cyc: int, costs: CostModel) -> Callable:
+    """An ``atomic_end`` head's actual cost (its estimate is ``cyc``)."""
+    inner = cyc + costs.region_inner
+    commit = cyc + costs.region_commit
+
+    def bound(m):
+        ctx = m._atom_ctx
+        if ctx is None:
+            return cyc
+        return inner if ctx.natom > 0 else commit
+
+    return bound
+
+
+class Segment:
+    """A maximal straight-line run of decoded ops, run as one function.
+
+    A run starts at its head op -- a block entry, a call's return point,
+    the op after one that never runs in a segment, or an
+    ``atomic_start``/``atomic_end`` -- follows unconditional jumps, and
+    ends at the first call, branch or return (included) or before the
+    first op that cannot run inside one: a dynamic ``work`` amount, a
+    region op after the head, a call to a missing function.
+
+    ``fn(machine, frame)`` runs every op body inline and commits ``tau``,
+    ``cycles_on``, ``instructions`` and the frame position once at the
+    end.  It returns the cycles whose energy the caller deducts: all of
+    them, except those of ``main``'s final return, as in the per-op
+    loop.  ``cycles`` is the static cost of the ops after the head;
+    ``head``, set for region heads, bounds the head's state-dependent
+    cost from above.  Nothing is generated before the head's
+    :data:`SEGMENT_COMPILE_THRESHOLD`-th entry.  An op that raises
+    leaves the run's counters uncommitted: after an ``ExecError`` the
+    engines promise only the same error, and no caller reuses the
+    machine.
+    """
+
+    __slots__ = ("code", "func", "block", "index", "hits", "fn", "cycles", "head")
+
+    def __init__(self, code: "CompiledCode", func: str, block: str, index: int):
+        self.code = code
+        self.func = func
+        self.block = block
+        self.index = index
+        self.hits = 0
+        self.fn: Optional[Callable] = None
+        self.cycles = 0
+        self.head: Optional[Callable] = None
+
+    def compile(self) -> Callable:
+        writer = _SegmentWriter(self.code, self.func)
+        self.fn = writer.write(self.block, self.index)
+        self.cycles = writer.static
+        self.head = writer.head
+        return self.fn
+
+
+def _mark_heads(code: "CompiledCode") -> None:
+    """Attach a :class:`Segment` to every op that starts a run."""
+    for fname, fast in code.functions.items():
+        for bname, ops in fast.blocks.items():
+            starts = True
+            for index, op in enumerate(ops):
+                role = op.role
+                if role is not None and (starts or role == _ROLE_HEAD):
+                    op.seg = Segment(code, fname, bname, index)
+                starts = role is None or role == _ROLE_END
+
+
+#: ``Binary`` operators as Python source over two int value sources;
+#: each matches its ``_BINOP_FNS`` entry on ints.
+_VALUE_TEMPLATES = {
+    "+": "({0} + {1})",
+    "-": "({0} - {1})",
+    "*": "({0} * {1})",
+    "/": "_trunc_div({0}, {1})",
+    "%": "_mod({0}, {1})",
+    "<": "(1 if {0} < {1} else 0)",
+    "<=": "(1 if {0} <= {1} else 0)",
+    ">": "(1 if {0} > {1} else 0)",
+    ">=": "(1 if {0} >= {1} else 0)",
+    "==": "(1 if {0} == {1} else 0)",
+    "!=": "(1 if {0} != {1} else 0)",
+    "&&": "(1 if {0} and {1} else 0)",
+    "||": "(1 if {0} or {1} else 0)",
+}
+#: Intrinsics: how many leading arguments make the value.
+_CALL_ARITY = {"abs": 1, "min": 2, "max": 2}
+#: A source fragment that may be repeated: a generated name, an int
+#: literal, or an attribute of a generated name.
+_PLAIN = re.compile(r"-?\w+(\.\w+)?")
+
+_SEGMENT_GLOBALS = {
+    "_TVal": TVal,
+    "_RefValue": RefValue,
+    "_ExecError": ExecError,
+    "_FastFrame": FastFrame,
+    "_IE": InputEvent,
+    "_NT": NO_TAINT,
+    "_ZERO": ZERO,
+    "_index_error": _index_error,
+    "_trunc_div": _trunc_div,
+    "_mod": _BINOP_FNS["%"],
+    "_merge": merge_taint,
+    "_InputObs": obs.InputObs,
+    "_FreshDeclObs": obs.FreshDeclObs,
+    "_ConsistentDeclObs": obs.ConsistentDeclObs,
+    "_OutputObs": obs.OutputObs,
+}
+
+
+class _SegmentWriter:
+    """Generates one :class:`Segment`'s function from the IR and its ops.
+
+    Program-derived names -- variables, arrays, channels, functions --
+    enter the source only as ``repr()`` literals or bound constants,
+    never as identifiers: every identifier is generated here.  Values
+    stay unboxed: an expression compiles to a value source and a taint
+    source (None when statically empty), and a :class:`TVal` is built
+    only where a cell is stored.  A variable written (or read) earlier
+    in the run is reused from a Python local (``regs``) instead of
+    looked up again; a local written here can change only here, since
+    references point to caller frames only, so only a read through
+    the globals or a reference cell is forgotten at a store that may
+    change it.  Reference cells enter a frame only as call arguments,
+    so only a parameter's cell is ever tested for one.
+    """
+
+    def __init__(self, code: "CompiledCode", func: str):
+        self.code = code
+        self.func = func
+        self.fn_ir = code.module.functions[func]
+        self.params = frozenset(param.name for param in self.fn_ir.params)
+        self.blocks = code.functions[func].blocks
+        self.bit_uids = frozenset(chain.op for chain in code.plan.bit_chains)
+        self.ns = dict(_SEGMENT_GLOBALS)
+        self.lines: list[str] = []
+        self.uses: set[str] = set()
+        #: variable -> (cell source, value source, taint source, was read)
+        self.regs: dict[str, tuple] = {}
+        self.count = 0
+        self.static = 0
+        self.head: Optional[Callable] = None
+        self._names = 0
+
+    # -- source helpers --------------------------------------------------------
+
+    def const(self, value) -> str:
+        name = f"_k{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def tmp(self, prefix: str) -> str:
+        self._names += 1
+        return f"{prefix}{self._names}"
+
+    def emit(self, line: str, depth: int = 0) -> None:
+        self.lines.append("    " * (depth + 1) + line)
+
+    def plain(self, src: str) -> str:
+        """``src`` as a fragment safe to repeat."""
+        if _PLAIN.fullmatch(src):
+            return src
+        name = self.tmp("x")
+        self.emit(f"{name} = {src}")
+        return name
+
+    def error(self, message: str, depth: int) -> None:
+        self.emit(f"raise _ExecError({self.const(message)})", depth)
+
+    def tau(self, offset: int) -> str:
+        return f"(t + {offset})" if offset else "t"
+
+    # -- expressions: (cell, value, taint) sources -------------------------------
+
+    def merge(self, taints) -> Optional[str]:
+        parts = [self.plain(t) for t in taints if t is not None]
+        if not parts:
+            return None
+        if len(parts) == 1:
+            return parts[0]
+        out = self.tmp("t")
+        if len(parts) == 2:
+            a, b = parts
+            self.emit(f"{out} = ({a} | {b}) if {a} and {b} else ({a} or {b})")
+        else:
+            self.emit(f"{out} = _merge({', '.join(parts)})")
+        return out
+
+    def box(self, res: tuple) -> tuple:
+        """``res`` with a cell source, building the :class:`TVal` if needed."""
+        cell, value, taint = res
+        if cell is not None:
+            return res
+        value = self.plain(value)
+        cell = self.tmp("o")
+        self.emit(f"{cell} = _TVal({value}, {taint or '_NT'})")
+        return cell, value, taint
+
+    def read(self, name: str) -> tuple:
+        reg = self.regs.get(name)
+        if reg is not None:
+            return reg[:3]
+        self.uses.add("G")
+        key = repr(name)
+        cell = self.tmp("c")
+        self.emit(f"{cell} = L.get({key})")
+        self.emit(f"if {cell} is None:")
+        self.emit(f"{cell} = G.get({key})", 1)
+        self.emit(f"if {cell} is None:", 1)
+        self.error(f"read of unbound variable '{name}' in {self.func}", 2)
+        if name in self.params:
+            self.emit(f"elif type({cell}) is _RefValue:")
+            self.emit(f"{cell} = m._deref({cell})", 1)
+        res = (cell, f"{cell}.value", f"{cell}.taint")
+        self.regs[name] = res + (True,)
+        return res
+
+    def element(self, array: str, index: str) -> str:
+        """Look up ``array`` and bounds-check ``index``; the array source."""
+        self.uses.add("A")
+        key = repr(array)
+        arr = self.tmp("a")
+        self.emit(f"{arr} = A.get({key})")
+        self.emit(f"if {arr} is None:")
+        self.error(f"unknown array '{array}'", 1)
+        self.emit(f"if not 0 <= {index} < len({arr}):")
+        self.emit(f"raise _index_error({index}, {key}, len({arr}))", 1)
+        return arr
+
+    def expr(self, expr: lang_ast.Expr) -> tuple:
+        """Mirror of :func:`compile_expr`, operand order included."""
+        if isinstance(expr, (lang_ast.IntLit, lang_ast.BoolLit)):
+            const = TVal.of(expr.value)
+            value = repr(const.value)
+            return self.const(const), value, None
+        if isinstance(expr, lang_ast.Var):
+            return self.read(expr.name)
+        if isinstance(expr, lang_ast.Index):
+            index = self.expr(expr.index)
+            iv = self.plain(index[1])
+            arr = self.element(expr.array, iv)
+            elem = self.tmp("e")
+            self.emit(f"{elem} = {arr}[{iv}]")
+            return None, f"{elem}.value", self.merge([f"{elem}.taint", index[2]])
+        if isinstance(expr, lang_ast.Unary) and expr.op in ("-", "!"):
+            _, value, taint = self.expr(expr.operand)
+            if expr.op == "-":
+                return None, f"(-{value})", taint
+            return None, f"(0 if {value} else 1)", taint
+        if isinstance(expr, lang_ast.Binary) and expr.op in _VALUE_TEMPLATES:
+            lhs = self.expr(expr.lhs)
+            rhs = self.expr(expr.rhs)
+            value = _VALUE_TEMPLATES[expr.op].format(lhs[1], rhs[1])
+            return None, value, self.merge([lhs[2], rhs[2]])
+        if (
+            isinstance(expr, lang_ast.Call)
+            and expr.func in _CALL_ARITY
+            and len(expr.args) >= _CALL_ARITY[expr.func]
+        ):
+            args = [self.expr(a) for a in expr.args]
+            values = ", ".join(a[1] for a in args[: _CALL_ARITY[expr.func]])
+            # expr.func is one of the three intrinsic names checked above
+            return None, f"{expr.func}({values})", self.merge(a[2] for a in args)
+        # Anything else (malformed trees) runs its decoded closure.
+        cell = self.tmp("o")
+        self.emit(f"{cell} = {self.const(compile_expr(expr))}(m, frame)")
+        return cell, f"{cell}.value", f"{cell}.taint"
+
+    # -- ops -----------------------------------------------------------------------
+
+    def observe(self, event: str) -> None:
+        self.uses.add("observe")
+        self.emit("if observe:")
+        self.emit(f"m.trace.events.append({event})", 1)
+
+    def site_actions(self, op: Op, offset: int) -> None:
+        if not op.trigger:
+            return
+        self.uses.add("S")
+        if offset or self.head is not None:
+            self.emit(f"m.tau = {self.tau(offset)}")
+        actions = self.tmp("x")
+        self.emit(f"{actions} = {self.const(op.chain_at)}(S)[1]")
+        self.emit(f"if {actions} is not None:")
+        self.emit(f"m._run_site_actions({self.const(op.uid)}, {actions})", 1)
+
+    def step(self, instr: ir.Instr, op: Op, offset: int) -> None:
+        """One straight-line op body, mirroring its decoded closure."""
+        if isinstance(instr, ir.Assign):
+            cell, value, taint = self.box(self.expr(instr.expr))
+            dest = instr.dest
+            key = repr(dest)
+            reg = self.regs.get(dest)
+            if instr.scope == ir.SCOPE_GLOBAL:
+                self.uses.add("G")
+                self.emit(f"if {key} not in G:")
+                self.error(f"write to undeclared global '{dest}'", 1)
+                self.emit("if m._atom_ctx is not None:")
+                self.emit(f"m._assert_logged({key})", 1)
+                self.emit(f"G[{key}] = {cell}")
+                if reg is not None and reg[3]:
+                    del self.regs[dest]
+                return
+            if dest in self.params and (reg is None or reg[3]):
+                self.emit(f"if type(L.get({key})) is _RefValue:")
+                self.error(f"assignment to reference parameter '{dest}'", 1)
+            self.emit(f"L[{key}] = {cell}")
+            self.regs[dest] = (cell, value, taint, False)
+            return
+        if isinstance(instr, ir.InputInstr):
+            self.uses.add("read")
+            uid = self.const(instr.uid)
+            channel = repr(instr.channel)
+            tau = self.plain(self.tau(offset))
+            value, taint, cell = self.tmp("v"), self.tmp("t"), self.tmp("o")
+            self.emit(f"{value} = read({channel}, {tau})")
+            self.emit(f"{taint} = frozenset((_IE({uid}, {channel}, {tau}),))")
+            self.emit(f"{cell} = _TVal({value}, {taint})")
+            self.emit(f"L[{instr.dest!r}] = {cell}")
+            self.regs[instr.dest] = (cell, value, taint, False)
+            if instr.uid in self.bit_uids:
+                self.uses.add("S")
+                chain = f"{self.const(op.chain_at)}(S)[0]"
+                self.emit(f"m.nv.bits.bits.add({chain})")
+            self.observe(
+                f"_InputObs(tau={tau}, uid={uid}, channel={channel}, value={value})"
+            )
+            return
+        if isinstance(instr, ir.StoreRefInstr):
+            cell = self.box(self.expr(instr.expr))[0]
+            ref = self.tmp("c")
+            self.emit(f"{ref} = L.get({instr.param!r})")
+            self.emit(f"if type({ref}) is not _RefValue:")
+            self.error(f"*{instr.param} is not a reference", 1)
+            self.emit(f"m._frames[{ref}.depth].locals[{ref}.name] = {cell}")
+            # The store lands in a caller frame: forget what was read
+            # through reference cells (and, conservatively, globals).
+            self.regs = {n: r for n, r in self.regs.items() if not r[3]}
+            return
+        if isinstance(instr, ir.StoreArr):
+            index = self.expr(instr.index)
+            _, value, taint = self.expr(instr.expr)
+            iv = self.plain(index[1])
+            arr = self.element(instr.array, iv)
+            self.emit("if m._atom_ctx is not None:")
+            self.emit(f"m._assert_logged({instr.array!r})", 1)
+            taint = self.merge([taint, index[2]])
+            self.emit(f"{arr}[{iv}] = _TVal({value}, {taint or '_NT'})")
+            return
+        if isinstance(instr, ir.AnnotInstr):
+            taint = self.read(instr.var)[2] or "_NT"
+            uid = self.const(instr.uid)
+            tau = self.tau(offset)
+            if instr.kind == lang_ast.AnnotKind.FRESH:
+                pid = self.const(fresh_pid(instr.uid))
+                self.observe(
+                    f"_FreshDeclObs(tau={tau}, uid={uid}, pid={pid}, inputs={taint})"
+                )
+            else:
+                pid = self.const(consistent_pid(instr.set_id))
+                set_id = self.const(instr.set_id)
+                self.observe(
+                    f"_ConsistentDeclObs(tau={tau}, uid={uid}, pid={pid}, "
+                    f"set_id={set_id}, inputs={taint})"
+                )
+            return
+        if isinstance(instr, ir.OutputInstr):
+            values = [self.expr(a)[1] for a in instr.args]
+            tup = "(" + "".join(f"{v}, " for v in values) + ")"
+            uid = self.const(instr.uid)
+            self.observe(
+                f"_OutputObs(tau={self.tau(offset)}, uid={uid}, "
+                f"op={instr.op!r}, values={tup})"
+            )
+            return
+        # static work and skip: cost only
+
+    def finish(
+        self, ops: Optional[list], index: int, unspent: int = 0, depth: int = 0
+    ) -> None:
+        """Commit the frame position (unless ``ops`` is None) and the
+        counters; return the cycles to drain, less ``unspent``."""
+        if ops is not None:
+            self.emit(f"frame.ops = {self.const(ops)}", depth)
+            self.emit(f"frame.idx = {index}", depth)
+        total = self.static
+        head = "a + " if self.head is not None else ""
+        self.emit(f"m.tau = t + {total}", depth)
+        self.emit("st = m.stats", depth)
+        self.emit(f"st.cycles_on += {head}{total}", depth)
+        self.emit(f"st.instructions += {self.count}", depth)
+        self.emit(f"return {head}{total - unspent}", depth)
+
+    def end(self, instr: ir.Instr, op: Op, ops: list, index: int) -> None:
+        """The run's last op: a call, branch or return."""
+        if isinstance(instr, ir.CallInstr):
+            callee = self.code.module.functions[instr.func]
+            entry_ops = self.code.functions[instr.func].blocks[callee.entry]
+            items = []
+            for param, arg in zip(callee.params, instr.args, strict=True):
+                if isinstance(arg, ir.RefArg):
+                    cell = self.tmp("c")
+                    key = repr(arg.name)
+                    new_ref = f"_RefValue(len(m._frames) - 1, {key})"
+                    if arg.name in self.params:  # forward a reference
+                        self.emit(f"{cell} = L.get({key})")
+                        self.emit(f"if type({cell}) is not _RefValue:")
+                        self.emit(f"{cell} = {new_ref}", 1)
+                    else:
+                        self.emit(f"{cell} = {new_ref}")
+                else:
+                    cell = self.box(self.expr(arg))[0]
+                items.append(f"{param.name!r}: {cell}")
+            self.uses.add("S")
+            uid = self.const(instr.uid)
+            self.emit(
+                f"m._frames.append(_FastFrame({callee.name!r}, "
+                f"{self.const(entry_ops)}, 0, {{{', '.join(items)}}}, "
+                f"{instr.dest!r}, S + ({uid},)))"
+            )
+            self.finish(ops, index + 1)
+        elif isinstance(instr, ir.Branch):
+            value = self.expr(instr.cond)[1]
+            true_ops = self.const(self.blocks[instr.true_target])
+            false_ops = self.const(self.blocks[instr.false_target])
+            self.emit(f"frame.ops = {true_ops} if {value} else {false_ops}")
+            self.emit("frame.idx = 0")
+            self.finish(None, 0)
+        else:  # RetInstr
+            cell = "None"
+            if instr.expr is not None:
+                cell = self.box(self.expr(instr.expr))[0]
+            self.emit("F = m._frames")
+            self.emit("F.pop()")
+            self.emit("if not F:")
+            self.emit("m._done = True", 1)
+            self.emit(f"m._ret_value = {cell}", 1)
+            # main's return: its energy is not deducted (the per-op loop
+            # stops before the post-op drain once the machine is done)
+            self.finish(None, 0, unspent=op.cycles, depth=1)
+            self.emit("if frame.ret_dest is not None:")
+            zero = "_ZERO" if cell == "None" else cell
+            self.emit(f"F[-1].locals[frame.ret_dest] = {zero}", 1)
+            self.finish(None, 0)
+
+    def head_op(self, instr: ir.Instr, op: Op) -> None:
+        self.site_actions(op, 0)
+        self.emit(f"a = {self.const(op.run)}(m, frame)")
+        self.emit("t += a")
+        if isinstance(instr, ir.AtomicStart):
+            self.head = _start_bound(
+                self.code.costs.instr_cycles(instr), tuple(instr.omega),
+                self.code.costs,
+            )
+        else:
+            self.head = _end_bound(self.code.costs.instr_cycles(instr), self.code.costs)
+
+    # -- the run -----------------------------------------------------------------------
+
+    def instr_at(self, block: str, index: int) -> ir.Instr:
+        ir_block = self.fn_ir.blocks[block]
+        if index < len(ir_block.instrs):
+            return ir_block.instrs[index]
+        return ir_block.terminator
+
+    def write(self, block: str, index: int) -> Callable:
+        ops = self.blocks[block]
+        visited = {block}
+        while True:
+            op = ops[index]
+            role = op.role
+            if self.count == 0 and role == _ROLE_HEAD:
+                self.head_op(self.instr_at(block, index), op)
+                self.count = 1
+                index += 1
+                continue
+            if role is None or role == _ROLE_HEAD or self.count == _SEGMENT_MAX_OPS:
+                self.finish(ops, index)
+                break
+            instr = self.instr_at(block, index)
+            offset = self.static
+            self.site_actions(op, offset)
+            self.static += op.cycles
+            self.count += 1
+            if role == _ROLE_END:
+                self.end(instr, op, ops, index)
+                break
+            if role == _ROLE_JUMP:
+                if instr.target in visited:
+                    self.finish(self.blocks[instr.target], 0)
+                    break
+                block = instr.target
+                visited.add(block)
+                ops = self.blocks[block]
+                index = 0
+                continue
+            self.step(instr, op, offset)
+            index += 1
+        prologue = ["    L = frame.locals", "    t = m.tau"]
+        for name, src in (
+            ("G", "m.nv.globals"),
+            ("A", "m.nv.arrays"),
+            ("S", "frame.sites"),
+            ("observe", "m._config.emit_observations"),
+            ("read", "m._env.read"),
+        ):
+            if name in self.uses:
+                prologue.append(f"    {name} = {src}")
+        source = "\n".join(["def _segment(m, frame):", *prologue, *self.lines])
+        exec(compile(source, "<segment>", "exec"), self.ns)
+        return self.ns["_segment"]
 
 
 # ---------------------------------------------------------------------------
@@ -890,12 +1506,48 @@ class FastMachine(MachineCore):
         else:
             cap = None
             low = 0
+        # Segments run only where no per-op check inside one can fire: no
+        # failure point can be scheduled, and the energy is the stock
+        # model in ints (nonnegative per cycle), so one check on a run's
+        # summed cost stands for every per-op check in it, exactly.
+        segments = fail_mode == _FAIL_NEVER and (
+            energy_mode == _ENERGY_NONE
+            or (
+                cap is not None
+                and type(epc) is int
+                and epc >= 0
+                and type(low) is int
+                and type(cap.level) is int
+                and type(cap.capacity) is int
+            )
+        )
+        threshold = SEGMENT_COMPILE_THRESHOLD
 
         while not self._done:
-            if stats.cycles_on + stats.cycles_off - start_cycles > max_cycles:
+            clock = stats.cycles_on + stats.cycles_off - start_cycles
+            if clock > max_cycles:
                 break
             frame = self._frames[-1]
             op = frame.ops[frame.idx]
+
+            seg = op.seg
+            if seg is not None and segments:
+                run_segment = seg.fn
+                if run_segment is None:
+                    seg.hits += 1
+                    if seg.hits >= threshold:
+                        run_segment = seg.compile()
+                if run_segment is not None:
+                    need = seg.cycles
+                    if seg.head is not None:
+                        need += seg.head(self)
+                    if clock + need <= max_cycles:
+                        if cap is None:
+                            run_segment(self, frame)
+                            continue
+                        if cap.level - need * epc > low:
+                            cap.level -= run_segment(self, frame) * epc
+                            continue
 
             if fail_mode:
                 if fail_mode == _FAIL_WATCHED:

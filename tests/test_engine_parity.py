@@ -23,26 +23,44 @@ value, detector queries and violations, with nothing else in its trace.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
 from repro.core.pipeline import CONFIGS, compile_source
+from repro.energy.capacitor import Capacitor
+from repro.energy.costs import DEFAULT_COSTS
+from repro.energy.harvester import ConstantHarvester
 from repro.eval.profiles import STANDARD_PROFILE, EnergyProfile
+from repro.ir import instructions as ir
+from repro.ir.module import BasicBlock, IRFunction, Module
+from repro.lang import ast as lang_ast
+from repro.runtime import engine
+from repro.runtime import observations as obs
 from repro.runtime.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
+    FastMachine,
     code_for,
+    compile_code,
     create_machine,
 )
-from repro.runtime.executor import MachineConfig, NVState
+from repro.runtime.detector import DetectorPlan
+from repro.runtime.executor import ExecError, Machine, MachineConfig, NVState
 from repro.runtime.harness import ActivationRecord, run_activations
 from repro.runtime.supply import (
     ContinuousPower,
+    EnergyDrivenSupply,
     FailurePoint,
     ScheduledFailures,
 )
+from repro.runtime.values import TVal
 from repro.sensors.environment import Environment, random_walk, steps
 from tests.strategies import program_sources
 
@@ -401,3 +419,633 @@ class TestSubsystemParity:
         compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
         with pytest.raises(EngineError, match="unknown engine"):
             create_machine("warp", compiled, meta.env_factory(0))
+
+
+# ---------------------------------------------------------------------------
+# Segments: the fast engine's generated straight-line runs
+#
+# Every case below pins a place where a segment must be declined (some
+# per-op check inside it could fire) or must end exactly, and asserts
+# that the segment path really ran.  Machines run on a fresh decode so
+# segment hit counts start at zero.
+
+_EAGER = 1  # every segment compiles on its first entry
+_NEVER = 10**9  # no segment ever compiles: the per-op path only
+
+
+@contextlib.contextmanager
+def _segment_threshold(value):
+    saved = engine.SEGMENT_COMPILE_THRESHOLD
+    engine.SEGMENT_COMPILE_THRESHOLD = value
+    try:
+        yield
+    finally:
+        engine.SEGMENT_COMPILE_THRESHOLD = saved
+
+
+def _spy_segments(code):
+    """Compile every segment of ``code`` now; count each one's runs by
+    ``(function, block, head index)``."""
+    runs = collections.Counter()
+    for fname, fast in code.functions.items():
+        for bname, ops in fast.blocks.items():
+            for index, op in enumerate(ops):
+                if op.seg is not None:
+                    op.seg.fn = functools.partial(
+                        _counted, runs, (fname, bname, index), op.seg.compile()
+                    )
+    return runs
+
+
+def _counted(runs, key, run, machine, frame):
+    runs[key] += 1
+    return run(machine, frame)
+
+
+def _capacitor_supply(level, capacity=10_000, low=1_000):
+    return EnergyDrivenSupply(
+        capacitor=Capacitor(capacity, low, level=level),
+        harvester=ConstantHarvester(400),
+    )
+
+
+def _facts(machine, result, supply):
+    capacitor = getattr(supply, "capacitor", None)
+    return (
+        result.stats,
+        result.trace.events,
+        result.ret,
+        machine.tau,
+        machine.nv.snapshot_values(),
+        result.detector_queries,
+        capacitor.level if capacitor is not None else None,
+    )
+
+
+def _run_pair(compiled, code, activations, make_env):
+    """Run ``activations()`` -- a list of ``(supply, config)`` built
+    fresh per engine -- back to back under both engines (shared NV state,
+    fast engine on ``code``); assert identical facts per activation and
+    return the fast engine's results."""
+    plan = code.plan
+    per_engine = {}
+    for engine_name in (ENGINE_REFERENCE, ENGINE_FAST):
+        nv = NVState.initial(compiled.module)
+        env = make_env()
+        tau, facts, results = 0, [], []
+        for supply, config in activations():
+            if engine_name == ENGINE_FAST:
+                machine = FastMachine(
+                    compiled.module, env, supply, plan=plan, nv=nv,
+                    config=config, start_tau=tau, code=code,
+                )
+            else:
+                machine = Machine(
+                    compiled.module, env, supply, plan=plan, nv=nv,
+                    config=config, start_tau=tau,
+                )
+            result = machine.run()
+            facts.append(_facts(machine, result, supply))
+            results.append(result)
+            tau = machine.tau
+        per_engine[engine_name] = (facts, results)
+    ref, fast = per_engine[ENGINE_REFERENCE][0], per_engine[ENGINE_FAST][0]
+    for index, (want, got) in enumerate(zip(ref, fast, strict=True)):
+        assert got == want, f"activation {index}"
+    return per_engine[ENGINE_FAST][1]
+
+
+EXIT_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+
+fn main() {
+  let x = input(temp);
+  work(30);
+  let y = x + 1;
+  total = total + y;
+  log(y);
+}
+"""
+
+NESTED_REGIONS_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+nonvolatile count = 0;
+
+fn main() {
+  atomic {
+    let x = input(temp);
+    atomic {
+      total = total + x;
+    }
+    count = count + 1;
+  }
+  log(total);
+}
+"""
+
+_EXIT_ENV = {"temp": steps([3, 11, 7], 90)}
+
+
+def _exit_build(source=EXIT_SRC, config="jit"):
+    compiled = compile_source(source, config)
+    code = compile_code(compiled.module, compiled.detector_plan(), DEFAULT_COSTS)
+    return compiled, code
+
+
+def _env():
+    return Environment(dict(_EXIT_ENV))
+
+
+class TestSegmentExits:
+    def test_capacitor_crossing_inside_a_segment_fails_at_that_op(self):
+        """Sweep the starting charge across the whole program: wherever a
+        run's summed energy would cross the trip point, the segment is
+        declined and the failure hits the exact inner op per-op."""
+        compiled, code = _exit_build()
+        runs = _spy_segments(code)
+        entry = code.functions["main"].blocks["entry"]
+        first = entry[0].seg
+        inner_failures = set()
+        for level in range(1_001, 1_001 + 200):
+            (result,) = _run_pair(
+                compiled, code,
+                lambda level=level: [(_capacitor_supply(level), MachineConfig())],
+                _env,
+            )
+            fail = next(
+                (e.tau for e in result.trace.events
+                 if isinstance(e, obs.CheckpointObs)),
+                None,
+            )
+            if fail is not None and result.trace.events[0].tau < fail:
+                inner_failures.add(fail)
+        assert runs[("main", "entry", 0)] > 0  # full-charge levels ran it
+        assert first.cycles == 73
+        # failures landed after the first op of the run, at several ops
+        assert len(inner_failures) >= 2
+
+    def test_nested_region_heads_under_a_charge_sweep(self):
+        """Outer and nested ``atomic_start``/``atomic_end`` heads: their
+        state-dependent costs are bounded at entry, and failures inside
+        the regions restart them exactly as per-op execution does."""
+        compiled, code = _exit_build(NESTED_REGIONS_SRC, "ocelot")
+        runs = _spy_segments(code)
+        entry = code.functions["main"].blocks["entry"]
+        heads = [i for i, op in enumerate(entry) if op.seg is not None]
+        for level in range(1_001, 1_001 + 260, 3):
+            _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                ],
+                _env,
+            )
+        # outer start, nested start, nested end, outer end, uart start/end
+        assert [entry[i].role for i in heads[:6]] == [engine._ROLE_HEAD] * 6
+        for index in heads:
+            assert runs[("main", "entry", index)] > 0, index
+
+    def test_max_cycles_inside_a_segment(self):
+        compiled, code = _exit_build()
+        runs = _spy_segments(code)
+        results = _run_pair(
+            compiled, code,
+            lambda: [
+                (ContinuousPower(), MachineConfig()),
+                (ContinuousPower(), MachineConfig(max_cycles=50)),
+            ],
+            _env,
+        )
+        assert runs[("main", "entry", 0)] == 1  # the first activation only
+        assert results[0].stats.completed
+        assert not results[1].stats.completed
+        assert results[1].stats.instructions == 3  # input, copy, work
+
+    def test_scheduled_failure_on_an_op_inside_a_segment(self):
+        compiled, code = _exit_build()
+        runs = _spy_segments(code)
+        entry = compiled.module.functions["main"].blocks["entry"].instrs
+        work_uid = next(i.uid for i in entry if isinstance(i, ir.WorkInstr))
+        results = _run_pair(
+            compiled, code,
+            lambda: [
+                (ContinuousPower(), MachineConfig()),
+                (
+                    ScheduledFailures(
+                        [FailurePoint(uid=work_uid)], off_cycles=500
+                    ),
+                    MachineConfig(),
+                ),
+            ],
+            _env,
+        )
+        assert runs[("main", "entry", 0)] == 1
+        kinds = [type(e).__name__ for e in results[1].trace.events]
+        assert kinds[:4] == ["InputObs", "CheckpointObs", "PowerFailObs", "RebootObs"]
+
+    def test_main_return_energy_is_not_drained(self):
+        compiled, code = _exit_build()
+        runs = _spy_segments(code)
+        (result,) = _run_pair(
+            compiled, code,
+            lambda: [(_capacitor_supply(10_000), MachineConfig())],
+            _env,
+        )
+        assert runs[("main", "exit", 0)] == 0  # fused into the head's run
+        tail = max(k for k in runs if k[1] == "entry")
+        assert runs[tail] == 1
+        assert result.stats.reboots == 0
+        ret_cycles = DEFAULT_COSTS.ret
+        # _run_pair compared capacitor levels; pin the drained amount too
+        supply = _capacitor_supply(10_000)
+        FastMachine(
+            compiled.module, _env(), supply, plan=code.plan, code=code
+        ).run()
+        assert supply.capacitor.level == 10_000 - (
+            result.stats.cycles_on - ret_cycles
+        )
+
+    def test_runs_below_and_above_the_compile_threshold(self, monkeypatch):
+        """At the default threshold, activation by activation: per-op
+        before the head's Nth entry, its segment from then on."""
+        compiled, code = _exit_build()
+        head = code.functions["main"].blocks["entry"][0].seg
+        threshold = engine.SEGMENT_COMPILE_THRESHOLD
+        compiled_after = []
+        run = FastMachine.run
+
+        def recording_run(machine):
+            result = run(machine)
+            compiled_after.append(head.fn is not None)
+            return result
+
+        monkeypatch.setattr(FastMachine, "run", recording_run)
+        _run_pair(
+            compiled, code,
+            lambda: [
+                (_capacitor_supply(10_000), MachineConfig())
+                for _ in range(threshold + 4)
+            ],
+            _env,
+        )
+        assert compiled_after == [False] * (threshold - 1) + [True] * 5
+        assert head.hits == threshold
+
+
+FEATURES_SRC = """\
+inputs temp, hum;
+nonvolatile total = 0;
+nonvolatile flag = 0;
+nonvolatile hist[4];
+
+fn bump(&acc, step) {
+  let before = acc;
+  *acc = acc + step;
+  let after = acc;
+  return after - before;
+}
+
+fn relay(&acc) {
+  let d = bump(&acc, 3);
+  *acc = acc * 2;
+  return d;
+}
+
+fn main() {
+  let t = input(temp);
+  let h = input(hum);
+  Fresh(t);
+  let x = t % 7 - -(h / 3);
+  let neg = -x;
+  let off = !(x > 5) || (h <= 2 && t != 4);
+  let q = x / 0 + x % 0;
+  let m = min(abs(neg), max(t, h));
+  let i = m % 4;
+  if i < 0 {
+    i = 0 - i;
+  }
+  hist[i] = hist[i] + x;
+  let r = relay(&x);
+  total = total + r + x;
+  work(m % 20 + 5);
+  atomic {
+    flag = flag + off;
+    hist[0] = hist[(flag % 4)] + 1;
+  }
+  let consistent(1) c1 = input(temp);
+  let consistent(1) c2 = input(hum);
+  log(total, x, q, m, c1 + c2);
+}
+"""
+
+
+def _features_env():
+    return Environment(
+        {
+            "temp": steps([3, 11, -7], 90),
+            "hum": random_walk(5, 4, seed=3, interval=70),
+        }
+    )
+
+
+class TestSegmentFeatures:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_every_op_kind_under_a_charge_sweep(self, config):
+        """References forwarded through two calls and written through,
+        arrays, unary and logical operators, division by zero,
+        intrinsics, a computed ``work`` amount, a region with an undo
+        log, a consistent set: segments and the per-op path interleave
+        at every starting charge, and stay identical to the reference."""
+        compiled, code = _exit_build(FEATURES_SRC, config)
+        runs = _spy_segments(code)
+        for level in range(1_001, 1_001 + 600, 3):
+            _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                    (ContinuousPower(), MachineConfig()),
+                ],
+                _features_env,
+            )
+        for func in ("main", "relay", "bump"):
+            assert runs[(func, "entry", 0)] > 0, func
+
+
+class TestSegmentThresholdParity:
+    """The engine parity sweep with every segment compiled eagerly and
+    with none compiled at all (fresh builds: hit counts start at zero)."""
+
+    @pytest.mark.parametrize("threshold", [_EAGER, _NEVER], ids=["eager", "never"])
+    def test_all_apps_parity(self, threshold, monkeypatch):
+        monkeypatch.setattr(engine, "SEGMENT_COMPILE_THRESHOLD", threshold)
+        for app, meta in BENCHMARKS.items():
+            for config in CONFIGS:
+                compiled = compile_source(meta.source, config)
+                proto = STANDARD_PROFILE.make_supply(seed=11)
+                harvest = functools.partial(proto.spawn, 23)
+                for make_supply in (ContinuousPower, harvest):
+                    outcomes = _run_both(
+                        compiled,
+                        lambda meta=meta: meta.env_factory(5),
+                        make_supply,
+                        costs=meta.cost_model(),
+                    )
+                    _assert_identical(outcomes, f"{app}/{config}")
+                code = code_for(compiled, costs=meta.cost_model())
+                generated = [
+                    op.seg.fn is not None
+                    for fn in code.functions.values()
+                    for ops in fn.blocks.values()
+                    for op in ops
+                    if op.seg is not None
+                ]
+                assert any(generated) == (threshold == _EAGER), app
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    source=program_sources(),
+    config=st.sampled_from(CONFIGS),
+    env_seed=st.integers(0, 50),
+    supply_seed=st.integers(0, 1000),
+)
+def test_random_programs_parity_eager_segments(
+    source, config, env_seed, supply_seed
+):
+    """Generated programs with every segment compiled on first entry,
+    single activations under both supplies and activation streams."""
+    with _segment_threshold(_EAGER):
+        compiled = compile_source(source, config)
+        proto = _PARITY_PROFILE.make_supply(seed=1)
+        for make_supply in (ContinuousPower, lambda: proto.spawn(supply_seed)):
+            outcomes = _run_both(
+                compiled, lambda: _gen_env(env_seed), make_supply
+            )
+            _assert_identical(outcomes, source)
+        ref, fast = _run_streams(
+            compiled,
+            lambda: _gen_env(env_seed),
+            lambda: proto.spawn(supply_seed),
+            budget_cycles=40_000,
+        )
+        assert ref.records == fast.records
+
+
+OOB_STORE_SRC = """\
+inputs idx;
+nonvolatile buf[3];
+
+fn main() {
+  let i = input(idx);
+  let j = i + 1;
+  buf[j] = 7;
+}
+"""
+
+OOB_READ_SRC = """\
+inputs idx;
+nonvolatile buf[3];
+
+fn main() {
+  let i = input(idx);
+  let j = i + 1;
+  let v = buf[j];
+  log(v);
+}
+"""
+
+STORE_REF_SRC = """\
+inputs idx;
+
+fn bump(&p) {
+  let q = 1;
+  *p = q + 2;
+  return q;
+}
+
+fn main() {
+  let x = input(idx);
+  let r = bump(&x);
+  log(r);
+}
+"""
+
+UNBOUND_SRC = """\
+inputs idx;
+
+fn main() {
+  let x = input(idx);
+  let z = x * 2;
+  log(z);
+}
+"""
+
+
+def _assign_to_ref_param(module):
+    """Rewrite ``*p = e`` into ``p = e`` (the validator rejects it in
+    source; the engines must still agree on the runtime error)."""
+    for block in module.functions["bump"].blocks.values():
+        for index, instr in enumerate(block.instrs):
+            if isinstance(instr, ir.StoreRefInstr):
+                block.instrs[index] = ir.Assign(
+                    dest=instr.param, expr=instr.expr, uid=instr.uid
+                )
+
+
+def _read_unbound(module):
+    for block in module.functions["main"].blocks.values():
+        for instr in block.instrs:
+            if isinstance(instr, ir.OutputInstr):
+                instr.args = [lang_ast.Var(name="gh'ost")]
+
+
+#: (source, IR rewrite, the error both engines raise)
+ERROR_CASES = {
+    "oob-store": (OOB_STORE_SRC, None, "index 6 out of bounds for buf[3]"),
+    "oob-read": (OOB_READ_SRC, None, "index 6 out of bounds for buf[3]"),
+    "ref-param": (
+        STORE_REF_SRC, _assign_to_ref_param,
+        "assignment to reference parameter 'p'",
+    ),
+    "unbound": (
+        UNBOUND_SRC, _read_unbound, "read of unbound variable 'gh'ost' in main"
+    ),
+}
+
+
+class TestSegmentErrors:
+    @pytest.mark.parametrize("threshold", [_NEVER, _EAGER], ids=["before", "after"])
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_errors_match_the_reference(self, case, threshold, monkeypatch):
+        """A program that raises inside a segment raises the same error
+        type and message on both engines, before and after the segment
+        compiles."""
+        source, rewrite, message = ERROR_CASES[case]
+        compiled = compile_source(source, "jit")
+        if rewrite is not None:
+            rewrite(compiled.module)
+        plan = compiled.detector_plan()
+        code = compile_code(compiled.module, plan, DEFAULT_COSTS)
+        monkeypatch.setattr(engine, "SEGMENT_COMPILE_THRESHOLD", threshold)
+
+        def env():
+            return Environment({"idx": steps([5], 1000)})
+
+        with pytest.raises(ExecError) as ref_error:
+            Machine(compiled.module, env(), plan=plan).run()
+        with pytest.raises(ExecError) as fast_error:
+            FastMachine(compiled.module, env(), plan=plan, code=code).run()
+        assert type(ref_error.value) is type(fast_error.value) is ExecError
+        assert str(ref_error.value) == str(fast_error.value) == message
+        generated = [
+            op.seg.fn is not None
+            for fn in code.functions.values()
+            for ops in fn.blocks.values()
+            for op in ops
+            if op.seg is not None
+        ]
+        assert any(generated) == (threshold == _EAGER)
+
+
+#: Names no Python identifier can spell, one of them an attempt to break
+#: out of a string literal.
+ODD_NAMES = ("it's", 'say "hi"', "back\\slash", "new\nline", "x'] = 1; L['y")
+
+
+def _odd_module():
+    """``main`` and a callee whose every name is in :data:`ODD_NAMES`."""
+    a, b, arr, g, c = ODD_NAMES
+    callee, param = "f'\\\"\n", 'p"\n'
+    labels = iter(range(1, 100))
+
+    def uid(func):
+        return ir.InstrId(func, next(labels))
+
+    lit, var = lang_ast.IntLit, lang_ast.Var
+    body = IRFunction(name=callee, params=[lang_ast.Param(name=param)])
+    body.blocks = {
+        "entry": BasicBlock(
+            "entry",
+            terminator=ir.RetInstr(
+                expr=lang_ast.Binary(op="+", lhs=var(param), rhs=lit(1)),
+                uid=uid(callee),
+            ),
+        )
+    }
+    main = IRFunction(name="main", params=[])
+    main.blocks = {
+        "entry": BasicBlock(
+            "entry",
+            instrs=[
+                ir.Assign(dest=a, expr=lit(5), uid=uid("main")),
+                ir.Assign(
+                    dest=b,
+                    expr=lang_ast.Binary(
+                        op="+", lhs=var(a),
+                        rhs=lang_ast.Index(array=arr, index=lit(1)),
+                    ),
+                    uid=uid("main"),
+                ),
+                ir.StoreArr(array=arr, index=lit(2), expr=var(b), uid=uid("main")),
+                ir.Assign(
+                    dest=g,
+                    expr=lang_ast.Binary(op="*", lhs=var(b), rhs=var(g)),
+                    scope=ir.SCOPE_GLOBAL,
+                    uid=uid("main"),
+                ),
+                ir.CallInstr(dest=c, func=callee, args=[var(b)], uid=uid("main")),
+                ir.Assign(
+                    dest=g, expr=var(c), scope=ir.SCOPE_GLOBAL, uid=uid("main")
+                ),
+            ],
+            terminator=ir.RetInstr(expr=None, uid=uid("main")),
+        )
+    }
+    module = Module(
+        functions={"main": main, callee: body},
+        globals={g: 3},
+        arrays={arr: [10, 20, 30]},
+    )
+    return module, callee, param
+
+
+class TestSegmentNames:
+    def test_generated_code_reads_and_writes_exactly_the_program_names(self):
+        module, callee, param = _odd_module()
+        a, b, arr, g, c = ODD_NAMES
+        reference = Machine(module, Environment({}))
+        reference.run()
+
+        plan = DetectorPlan()
+        code = compile_code(module, plan, DEFAULT_COSTS)
+        machine = FastMachine(module, Environment({}), plan=plan, code=code)
+        frame = machine._frames[-1]
+        segment = frame.ops[0].seg
+        run = segment.compile()
+        # four ALU-cost ops and the call
+        assert run(machine, frame) == 4 * DEFAULT_COSTS.alu + DEFAULT_COSTS.call
+        assert frame.locals == {a: TVal(5), b: TVal(25)}
+        assert machine.nv.snapshot_values() == {
+            "globals": {g: 75},
+            "arrays": {arr: [10, 20, 25]},
+        }
+        pushed = machine._frames[-1]
+        assert (pushed.func, pushed.locals) == (callee, {param: TVal(25)})
+        assert frame.idx == 5
+        # names are string constants of the code, never identifiers
+        names = set(run.__code__.co_names) | set(run.__code__.co_varnames)
+        assert not names & {*ODD_NAMES, callee, param}
+        assert {a, b, arr, g, callee, param} <= set(run.__code__.co_consts)
+
+        with _segment_threshold(_EAGER):
+            machine.run()
+        assert machine.nv.snapshot_values() == reference.nv.snapshot_values()
+        assert machine.nv.snapshot_values()["globals"] == {g: 26}

@@ -313,6 +313,31 @@ class TestCheckpointResume:
         with pytest.raises(FleetError, match="checkpoint"):
             run_fleet(small_spec(), "serial", checkpoint_path=path)
 
+    def test_interleaved_checkpoint_saves(self, tmp_path, monkeypatch):
+        """A second save between the first save's write and its rename must
+        not make the first rename a vanished temp file."""
+        import os
+
+        path = tmp_path / "fleet.ckpt.json"
+        real_replace = os.replace
+        nested = []
+
+        def checkpoint(done):
+            return FleetCheckpoint(
+                "fp", done, FleetAggregator().to_dict(), executor_family="serial"
+            )
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(True)
+                checkpoint(2).save(path)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        checkpoint(1).save(path)
+        assert FleetCheckpoint.load(path).devices_done == 1
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_checkpoint_every_requires_a_path(self):
         with pytest.raises(FleetError, match="requires a checkpoint path"):
             run_fleet(small_spec(), "serial", checkpoint_every=2)

@@ -455,7 +455,31 @@ class TestPersistentMemo:
             )
         )
         assert store.load("token-a") == {}
-        assert MEMO_SCHEMA == "repro-memo-1"
+        assert MEMO_SCHEMA == "repro-memo-2"
+
+    def test_interleaved_saves_of_one_shard(self, tmp_path, monkeypatch):
+        """A second save landing between the first save's write and its
+        rename (two runs sharing a memo dir) must not make the first
+        rename a vanished temp file; both complete, no temp file stays."""
+        import os
+
+        store = MemoStore(tmp_path)
+        real_replace = os.replace
+        nested = []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(True)
+                store.save("token-a", {"k": "second"})
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert store.save("token-a", {"k": "first"})
+        assert store.stores == 2
+        assert store.load("token-a") == {"k": "first"}  # the last rename wins
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            store.shard_path("token-a").name
+        ]
 
     def test_memo_dir_requires_vector_executor(self):
         spec = uniform_spec(count=2)

@@ -16,6 +16,9 @@ queries at least as strong, the checker still passing) is verified via
 
 from __future__ import annotations
 
+import functools
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from repro.core.cache import GLOBAL_CACHE
 from repro.core.pipeline import compile_source
 from repro.eval.profiles import STANDARD_PROFILE, EnergyProfile
 from repro.ir.opt import OptimizedPlan, verify_plan
+from repro.runtime import engine
 from repro.runtime.detector import build_detector_plan
 from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
 from repro.runtime.supply import ContinuousPower, FailurePoint, ScheduledFailures
@@ -124,6 +128,35 @@ class TestBenchmarkParity:
                             context=f"{app}/{opt_cfg}/{supply_kind}/{engine}",
                             check_queries=supply_kind == "continuous",
                         )
+
+    @pytest.mark.parametrize("threshold", [1, 10**9], ids=["eager", "never"])
+    def test_apps_bit_identical_across_segment_threshold(
+        self, threshold, monkeypatch
+    ):
+        """The sweep above on fresh builds (segment hit counts at zero)
+        with every segment compiled on first entry, and with none."""
+        monkeypatch.setattr(engine, "SEGMENT_COMPILE_THRESHOLD", threshold)
+        for app, meta in BENCHMARKS.items():
+            costs = meta.cost_model()
+            harvest = functools.partial(
+                STANDARD_PROFILE.make_supply(seed=11).spawn, 23
+            )
+            for base_cfg, opt_cfg in PAIRS:
+                builds = [compile_source(meta.source, c) for c in (base_cfg, opt_cfg)]
+                for make_supply in (ContinuousPower, harvest):
+                    outcomes = [
+                        _outcome(
+                            ENGINE_FAST,
+                            compiled,
+                            lambda meta=meta: meta.env_factory(5),
+                            make_supply,
+                            costs=costs,
+                        )
+                        for compiled in builds
+                    ]
+                    _assert_pair_parity(
+                        *outcomes, context=f"{app}/{opt_cfg}", check_queries=False
+                    )
 
     def test_region_enforced_apps_drop_all_queries(self):
         """Under full Ocelot the regions subsume every runtime check --

@@ -91,3 +91,59 @@ class TestRunStats:
     def test_total_cycles(self):
         stats = obs.RunStats(cycles_on=10, cycles_off=90)
         assert stats.total_cycles == 100
+
+
+_VALUES = """
+from repro.analysis.provenance import Chain
+from repro.ir.instructions import InstrId
+from repro.runtime.values import InputEvent, TVal
+
+op, site = InstrId("read_accel", 3), InstrId("main", 2)
+chain = Chain((site, op))
+chains = frozenset({chain, Chain((op,)), Chain((InstrId("main", 7),))})
+value = TVal(7, frozenset({InputEvent(op, "accel", 40)}))
+values = (op, chain, value, chains)
+"""
+
+_DUMP = _VALUES + """
+import pickle, sys
+sys.stdout.buffer.write(pickle.dumps(values))
+"""
+
+_LOAD = _VALUES + """
+import pickle, sys
+loaded = pickle.loads(sys.stdin.buffer.read())
+assert loaded == values
+assert [hash(v) for v in loaded] == [hash(v) for v in values]
+got_op, got_chain, got_value, got_chains = loaded
+assert got_op in {op} and got_chain in chains and got_value in {value}
+assert chain in got_chains and Chain((site, op)) in got_chains
+assert got_chains.issuperset(chains) and chains.issuperset(got_chains)
+assert {got_chain}.issuperset([chain])
+print("ok")
+"""
+
+
+class TestPicklingAcrossHashSeeds:
+    def test_values_pickled_under_one_seed_work_under_another(self):
+        """Memo shards and worker results cross processes whose ``str``
+        hashes differ: ``InstrId``/``Chain`` cache their hash, so it must
+        be recomputed on load, never pickled."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+
+        def python(code, seed, data=None):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], input=data, env=env,
+                capture_output=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        blob = python(_DUMP, 1)
+        assert python(_LOAD, 2, blob).strip() == b"ok"
