@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from pathlib import Path
 
 try:  # only the pytest entry points need it; script mode runs without
@@ -138,6 +139,7 @@ def measure(rounds: int = 3, budget: int = 60_000) -> dict:
             "budget_cycles": spec.budget_cycles,
         },
         "rounds": rounds,
+        "cores": os.cpu_count() or 1,
         "cold_seconds": round(cold_s, 4),
         "cached_seconds": round(cached_s, 4),
         "cached_multiprocess_seconds": round(parallel_s, 4),

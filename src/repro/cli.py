@@ -462,6 +462,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         lint_table,
         run_campaign,
     )
+    from repro.parallel import WorkerError
 
     if args.jobs is not None and args.jobs <= 0:
         raise SystemExit(f"bad --jobs {args.jobs}: need a positive count")
@@ -480,7 +481,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.lint:
         print(lint_table(spec).render_text())
     executor = "multiprocess" if args.parallel else "serial"
-    result = run_campaign(spec, executor, processes=args.jobs)
+    try:
+        result = run_campaign(spec, executor, processes=args.jobs)
+    except WorkerError as exc:
+        raise SystemExit(str(exc)) from None
     telemetry.absorb_campaign(telemetry.METRICS, result)
     _write_metrics(args, "campaign")
     report = result.to_json()
@@ -502,6 +506,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         histogram_table,
         run_fleet,
     )
+    from repro.parallel import WorkerError
 
     if args.jobs is not None and args.jobs <= 0:
         raise SystemExit(f"bad --jobs {args.jobs}: need a positive count")
@@ -535,7 +540,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             memo_dir=args.memo_dir,
             supply_buckets=args.supply_buckets,
         )
-    except FleetError as exc:
+    except (FleetError, WorkerError) as exc:
         raise SystemExit(str(exc)) from None
     tables = [result.table()]
     if args.histograms:
@@ -868,12 +873,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "sharded", "vector"),
         default=None,
         help="fleet executor (vector = memoized batch execution; "
-        "all three produce bit-identical aggregates)",
+        "sharded = vector on --jobs workers; all produce bit-identical "
+        "aggregates)",
     )
     p_fleet.add_argument(
         "--parallel",
         action="store_true",
-        help="use the sharded multiprocessing executor "
+        help="run the vector executor on --jobs worker processes "
         "(shorthand for --executor sharded)",
     )
     p_fleet.add_argument(
@@ -881,7 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --parallel (default: one per core)",
+        help="worker processes (default: one per core with --parallel, "
+        "one with --executor vector)",
     )
     p_fleet.add_argument(
         "--checkpoint",
@@ -901,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persist the vector executor's activation memo here "
-        "(requires --executor vector); re-runs start warm",
+        "(requires --executor vector on one worker); re-runs start warm",
     )
     p_fleet.add_argument(
         "--supply-buckets",

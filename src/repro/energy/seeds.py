@@ -3,8 +3,8 @@
 A fleet simulation instantiates thousands of supplies and harvesters
 from one root seed; each instance needs an independent, reproducible
 RNG stream.  Python's builtin ``hash`` is salted per process, so it
-cannot key streams that must agree across processes (the sharded fleet
-executor) and across invocations (checkpoint/resume).  ``derive_seed``
+cannot key streams that must agree across processes (fleet worker
+processes) and across invocations (checkpoint/resume).  ``derive_seed``
 hashes its parts with BLAKE2b instead: a pure function of its inputs,
 stable across processes, platforms, and Python versions.
 """

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Protocol, Sequence
@@ -41,8 +41,6 @@ from repro.core.passes import (
     BuildConfig,
     UnknownConfigError,
     ensure_registered,
-    get_config,
-    register_config,
 )
 from repro.core.pipeline import CONFIGS, ConfigLike
 from repro.ir.instructions import InstrId
@@ -52,6 +50,7 @@ from repro.eval.profiles import (
     EnergyProfile,
 )
 from repro.eval.report import Table
+from repro.parallel import fork_map
 from repro.runtime.engine import ENGINE_FAST, ENGINES
 from repro.runtime.executor import MachineConfig
 from repro.runtime.harness import ActivationRecord, run_activations, run_once
@@ -617,52 +616,29 @@ class SerialExecutor:
 
 
 class MultiprocessExecutor:
-    """Fan jobs out across worker processes with ``multiprocessing``.
+    """Fan jobs out across worker processes (:func:`repro.parallel.fork_map`).
 
-    Prefers the ``fork`` start method so workers inherit the parent's
-    warm compile cache; on platforms without ``fork`` each worker
-    compiles its own builds (correct, just slower).  A pool initializer
-    re-registers the jobs' build configurations so custom
-    :class:`BuildConfig` axes resolve by name even in spawned workers,
-    which start with only the import-time registry.
+    Workers inherit the parent's warm compile cache where ``fork``
+    exists and resolve the jobs' build configurations by name either
+    way; a worker that dies raises :class:`~repro.parallel.WorkerError`.
     """
 
     name = "multiprocess"
 
-    def __init__(
-        self, processes: Optional[int] = None, chunksize: int = 1
-    ) -> None:
+    def __init__(self, processes: Optional[int] = None) -> None:
         if processes is not None and processes <= 0:
             raise ValueError("processes must be positive (or None for auto)")
         self.processes = processes
-        self.chunksize = chunksize
-
-    def _context(self):
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
 
     def run(self, jobs: Sequence[JobSpec]) -> list[JobResult]:
         if len(jobs) <= 1:
             return SerialExecutor().run(jobs)
-        ctx = self._context()
-        processes = self.processes or min(len(jobs), ctx.cpu_count() or 1)
-        configs = tuple(
-            get_config(name) for name in sorted({job.config for job in jobs})
+        return fork_map(
+            execute_job,
+            jobs,
+            {job.config for job in jobs},
+            self.processes or os.cpu_count() or 1,
         )
-        with ctx.Pool(
-            processes=processes,
-            initializer=_register_worker_configs,
-            initargs=(configs,),
-        ) as pool:
-            return pool.map(execute_job, jobs, chunksize=self.chunksize)
-
-
-def _register_worker_configs(configs: tuple[BuildConfig, ...]) -> None:
-    """Pool initializer: make the campaign's configs resolvable by name."""
-    for config in configs:
-        register_config(config, replace=True)
 
 
 def make_executor(

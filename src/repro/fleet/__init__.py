@@ -13,18 +13,20 @@ simulation:
 * :mod:`repro.fleet.aggregate` -- streaming, mergeable, byte-deterministic
   aggregates (violation rates, staleness/consistency histograms, duty
   cycles) that never materialize per-activation results;
-* :mod:`repro.fleet.engine` -- serial and sharded-multiprocessing
-  executors with bit-identical aggregates, plus checkpoint/resume so long
-  runs split across invocations;
-* :mod:`repro.fleet.vector` -- the vectorized executor: activation
+* :mod:`repro.fleet.engine` -- the serial executor (the oracle), the
+  executor registry, and checkpoint/resume so long runs split across
+  invocations;
+* :mod:`repro.fleet.vector` -- the production executor: activation
   memoization with quantized supply keys, cohort wave batching over
-  same-class devices, and a batched miss driver, still bit-identical to
-  the serial path;
+  same-class devices, and a batched miss driver, on one process or
+  dealt round-robin to workers (:mod:`repro.parallel`), still
+  bit-identical to the serial path;
 * :mod:`repro.fleet.memostore` -- content-addressed on-disk persistence
   for the activation memo (``--memo-dir``), so re-runs start warm;
 * :mod:`repro.fleet.report` -- tables and parity fingerprints.
 
-Entry point: ``python -m repro fleet SPEC.json --devices N --executor vector``.
+Entry point: ``python -m repro fleet SPEC.json --devices N --executor vector``
+(``--parallel`` runs the same executor on one worker per core).
 """
 
 from repro.fleet.aggregate import ClassAggregate, FleetAggregator
@@ -34,7 +36,6 @@ from repro.fleet.engine import (
     FleetCheckpoint,
     FleetResult,
     SerialFleetExecutor,
-    ShardedFleetExecutor,
     checkpoint_fingerprint,
     make_fleet_executor,
     precompile_fleet,
@@ -70,7 +71,6 @@ __all__ = [
     "NVCodec",
     "QuantEntry",
     "SerialFleetExecutor",
-    "ShardedFleetExecutor",
     "VectorFleetExecutor",
     "checkpoint_fingerprint",
     "make_fleet_executor",

@@ -120,8 +120,8 @@ def aggregate_fingerprint(result) -> str:
 
     Everything except wall time and executor identity: the spec, the
     device count, and the full aggregate.  Two runs of the same spec --
-    serial vs. sharded, one-shot vs. checkpoint-resumed -- must agree on
-    this string exactly.
+    serial vs. vector on workers, one-shot vs. checkpoint-resumed --
+    must agree on this string exactly.
     """
     return json.dumps(
         {

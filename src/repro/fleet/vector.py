@@ -18,7 +18,7 @@ Surbatovich et al.).  This executor exploits that in four layers:
   (:mod:`repro.energy.segments`).  A hit replays the cached
   :class:`~repro.runtime.harness.ActivationRecord`, time delta, and
   post-states without stepping a single instruction.  The memo is
-  LRU-bounded (entry count, optionally bytes) and can persist to a
+  LRU-bounded (by entry count) and can persist to a
   content-addressed on-disk store (:mod:`repro.fleet.memostore`) keyed
   under the program fingerprint and aggregate-parity scheme, so re-runs
   and resumed checkpoints start warm.
@@ -39,7 +39,7 @@ Surbatovich et al.).  This executor exploits that in four layers:
 * **Cohort wave batching** (:class:`_Cohort`).  Devices in provably
   identical situations -- same tokens, same logical time -- live in one
   cohort carrying a single shared state plus (for quantized cohorts) a
-  packed per-member charge-level array.  Waves iterate cohorts, not
+  per-member charge-level list.  Waves iterate cohorts, not
   devices: a homogeneous million-device fleet is *one* cohort, and each
   wave costs one memo probe and one aggregate fold, independent of
   population.  Cohorts split when replayed charge levels straddle a
@@ -58,23 +58,19 @@ Soundness: tokens are conservative.  A supply without memo hooks, an
 aperiodic environment, an unencodable nonvolatile state -- each only
 *loses cache hits*; it never manufactures a false equivalence.  The
 aggregate is commutative integer summation, so the vectorized fold is
-byte-identical to the serial and sharded executors (property-tested in
-``tests/test_fleet_vector.py``, including bucketed hits and warm
-disk-memo runs).
+byte-identical to the serial executor on any number of workers
+(property-tested in ``tests/test_fleet_vector.py``, including bucketed
+hits and warm disk-memo runs).
 """
 
 from __future__ import annotations
 
-import pickle
+import os
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, NamedTuple, Optional, Sequence
-
-try:  # numpy accelerates level scans and NV digests; optional.
-    import numpy as np
-except ModuleNotFoundError:  # pragma: no cover - baked into the CI image
-    np = None  # type: ignore[assignment]
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE, CacheKey
@@ -86,7 +82,8 @@ from repro.energy.segments import (
 from repro.eval.campaign import SupplySpec
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.memostore import MEMO_SCHEMA, MemoStore
-from repro.fleet.spec import DeviceSpec
+from repro.fleet.spec import DeviceSpec, FleetError
+from repro.parallel import fork_map
 from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import MachineConfig, NVState
 from repro.runtime.detector import BitVector
@@ -100,6 +97,11 @@ from repro.telemetry.trace import span as _span
 #: quantized supply keys.  Coarser (fewer) buckets collapse more devices
 #: onto one key; the replay gate keeps any granularity exact.
 DEFAULT_SUPPLY_BUCKETS = 32
+
+#: Fewest devices worth a worker process: a smaller batch runs on fewer
+#: workers, or in-process, because pool start-up and shipping the
+#: aggregate back would cost more than the worker wins.
+MIN_DEVICES_PER_WORKER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +136,8 @@ class NVCodec:
     array names and lengths, and the universe of detector bit chains.
     The codec assigns each a slot once, then digests any state of that
     program as (packed int64 values, bit mask, sparse taint list) --
-    with numpy, the value digest is one ``tobytes`` over a packed
-    array.  The value buffer is preallocated once and reused across
+    the value digest is one ``tobytes`` over a stdlib ``array("q")``
+    of them.  The value buffer is preallocated once and reused across
     encodes, so the batched miss path pays no per-activation list
     churn.  Anything outside the fixed layout (huge integers, an
     unexpected chain, a shape drift) falls back to a slower but exact
@@ -168,8 +170,6 @@ class NVCodec:
         return NVRef(token=token, snapshot=snapshot, tainted=tainted)
 
     def _packed(self, globals_, arrays, bits):
-        if np is None:
-            raise ValueError("no numpy; use structural tokens")
         if len(globals_) != len(self.global_names):
             raise ValueError("global layout drifted")
         if len(arrays) != len(self.array_names):
@@ -192,10 +192,10 @@ class NVCodec:
         mask = 0
         for chain in bits:
             mask |= 1 << self._bit_index[chain]
-        packed = np.asarray(values, dtype=np.int64)
         # bytes objects cache their hash, so repeated dict probes on the
         # same token re-digest nothing.
-        return ("v", packed.tobytes(), mask, tuple(taints)), bool(taints)
+        packed = array("q", values).tobytes()
+        return ("v", packed, mask, tuple(taints)), bool(taints)
 
     @staticmethod
     def _structural(globals_, arrays, bits):
@@ -279,31 +279,19 @@ class MemoStats:
 class ActivationMemo:
     """Bounded LRU activation cache shared across batches and chunks.
 
-    Capped by entry count and optionally by (approximate, pickled)
-    bytes; eviction drops the least-recently-used entry.  Entries still
-    referenced by in-flight cohorts stay alive through those
-    references, so eviction can only cause future misses, never wrong
-    replays -- an evicted key simply re-executes on next encounter and
-    the aggregate bytes are unchanged (tested).
+    Capped by entry count; eviction drops the least-recently-used
+    entry.  Entries still referenced by in-flight cohorts stay alive
+    through those references, so eviction can only cause future misses,
+    never wrong replays -- an evicted key simply re-executes on next
+    encounter and the aggregate bytes are unchanged (tested).
     """
 
-    def __init__(
-        self, max_entries: int = 65_536, max_bytes: Optional[int] = None
-    ) -> None:
+    def __init__(self, max_entries: int = 65_536) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.stats = MemoStats()
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        # Byte accounting only when a byte cap is active; sizing costs a
-        # pickle per put, which the uncapped path should not pay.
-        self._sizes: Optional[dict[Hashable, int]] = (
-            {} if max_bytes is not None else None
-        )
-        self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -321,23 +309,10 @@ class ActivationMemo:
         return entry
 
     def put(self, key: Hashable, entry) -> None:
-        if self._sizes is not None:
-            try:
-                size = len(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
-            except Exception:
-                size = 1024  # unpicklable: charge a nominal footprint
-            self._bytes += size - self._sizes.pop(key, 0)
-            self._sizes[key] = size
         self._entries[key] = entry
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries or (
-            self.max_bytes is not None
-            and self._bytes > self.max_bytes
-            and len(self._entries) > 1
-        ):
-            stale, _ = self._entries.popitem(last=False)
-            if self._sizes is not None:
-                self._bytes -= self._sizes.pop(stale, 0)
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
 
 
@@ -423,7 +398,7 @@ class _Cohort:
       supplies): one shared capture, one representative executes.
     * ``quant`` -- bucketed equivalence (stochastic energy-driven
       supplies): members share the charge *bucket* but keep individual
-      levels (packed array) and lazily-materialized supply objects.
+      levels and lazily-materialized supply objects.
     * ``mat`` -- a singleton pinned to a real scalar stepper (opaque
       supply state).
     """
@@ -486,18 +461,6 @@ class _Cohort:
         return self.tau % self.period
 
 
-def _levels_array(values):
-    if np is not None:
-        return np.asarray(values, dtype=np.int64)
-    return list(values)
-
-
-def _levels_min(levels) -> int:
-    if np is not None and isinstance(levels, np.ndarray):
-        return int(levels.min())
-    return min(levels)
-
-
 # ---------------------------------------------------------------------------
 # The executor
 
@@ -505,12 +468,19 @@ def _levels_min(levels) -> int:
 class VectorFleetExecutor:
     """Batch same-class devices through one shared decode + memo table.
 
-    Drop-in peer of the serial and sharded executors: ``run`` takes
-    device specs and returns a :class:`FleetAggregator` whose canonical
-    JSON is byte-identical to theirs.  The memo table persists across
+    Drop-in peer of the serial executor: ``run`` takes device specs and
+    returns a :class:`FleetAggregator` whose canonical JSON is
+    byte-identical to the serial one.  The memo table persists across
     ``run`` calls, so checkpointed chunked runs keep their warm cache;
     with ``memo_dir`` it also persists across processes through a
     :class:`~repro.fleet.memostore.MemoStore`.
+
+    With ``processes`` above one (``None``: one per core), device ``i``
+    of a batch goes to worker ``i mod n`` through
+    :func:`repro.parallel.fork_map`; each worker runs a fresh executor
+    over its share and the parent sums their aggregates and memo
+    counts.  Worker memos are not merged back, so ``memo_dir`` needs
+    one worker.
     """
 
     name = "vector"
@@ -519,19 +489,22 @@ class VectorFleetExecutor:
         self,
         engine: str = ENGINE_FAST,
         memo: Optional[ActivationMemo] = None,
-        max_entries: int = 65_536,
-        max_bytes: Optional[int] = None,
         memo_dir: Optional[Path | str] = None,
         supply_buckets: int = DEFAULT_SUPPLY_BUCKETS,
+        processes: Optional[int] = 1,
     ) -> None:
         if supply_buckets < 0:
             raise ValueError("supply_buckets must be >= 0 (0 disables)")
+        if processes is not None and processes <= 0:
+            raise ValueError("processes must be positive (or None for auto)")
+        if memo_dir is not None and processes != 1:
+            raise FleetError(
+                "--memo-dir needs the vector executor on one worker "
+                "(worker memos are not merged back into the store)"
+            )
         self.engine = engine
-        #: what actually executed the last batch (vector always itself)
-        self.used = "vector"
-        self.memo = (
-            memo if memo is not None else ActivationMemo(max_entries, max_bytes)
-        )
+        self.processes = processes
+        self.memo = memo if memo is not None else ActivationMemo()
         self.supply_buckets = supply_buckets
         self.store = MemoStore(memo_dir) if memo_dir is not None else None
         self._shard_tokens: dict = {}
@@ -637,6 +610,12 @@ class VectorFleetExecutor:
 
     def run(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
         with _span("fleet.vector", "fleet", devices=len(devices)):
+            workers = min(
+                self.processes or os.cpu_count() or 1,
+                len(devices) // MIN_DEVICES_PER_WORKER,
+            )
+            if workers > 1:
+                return self._run_workers(devices, workers)
             aggregator = FleetAggregator()
             batches: dict[str, list[DeviceSpec]] = {}
             for spec in devices:
@@ -646,6 +625,25 @@ class VectorFleetExecutor:
                 self._run_batch(specs, aggregator)
             self._save_shards()
             return aggregator
+
+    def _run_workers(
+        self, devices: Sequence[DeviceSpec], workers: int
+    ) -> FleetAggregator:
+        """Deal ``devices`` round-robin to ``workers`` processes; sum up."""
+        payloads = [
+            (tuple(devices[i::workers]), self.engine, self.supply_buckets)
+            for i in range(workers)
+        ]
+        aggregator = FleetAggregator()
+        stats = self.memo.stats
+        for aggregate, hits, misses, evictions in fork_map(
+            _run_worker, payloads, {spec.config for spec in devices}, workers
+        ):
+            aggregator.merge(FleetAggregator.from_dict(aggregate))
+            stats.hits += hits
+            stats.misses += misses
+            stats.evictions += evictions
+        return aggregator
 
     def _run_batch(
         self, specs: list[DeviceSpec], aggregator: FleetAggregator
@@ -774,9 +772,7 @@ class VectorFleetExecutor:
                     1, capacity // max(1, self.supply_buckets)
                 )
                 cohort.bucket = capacity // cohort.bucket_size
-                cohort.levels = _levels_array(
-                    [capacity] * len(cohort.positions)
-                )
+                cohort.levels = [capacity] * len(cohort.positions)
                 cohort.supplies = [None] * len(cohort.positions)
         return order
 
@@ -900,7 +896,7 @@ class VectorFleetExecutor:
         )
         entry = self.memo.get(qkey)
         if entry is not None and all(
-            _levels_min(c.levels) >= entry.exec_level for c in cs
+            min(c.levels) >= entry.exec_level for c in cs
         ):
             return self._quant_replay_all(cs, entry, sink)
         # Mixed wave: walk members in deterministic order; the first
@@ -913,7 +909,7 @@ class VectorFleetExecutor:
             levels = c.levels
             supplies = c.supplies
             for i, pos in enumerate(c.positions):
-                level = int(levels[i])
+                level = levels[i]
                 if entry is not None and level >= entry.exec_level:
                     self.memo.stats.hits += 1
                     _sink(sink, entry.record, 1)
@@ -970,12 +966,10 @@ class VectorFleetExecutor:
                         pos,
                         supply,
                     )
-        for cohort in order:
-            cohort.levels = _levels_array(cohort.levels)
         return order
 
     def _quant_replay_all(self, cs, entry: QuantEntry, sink) -> list:
-        """Whole-group bucketed replay: vectorized drain + bucket split."""
+        """Whole-group bucketed replay: one drain + bucket split."""
         members = sum(len(c.positions) for c in cs)
         self.memo.stats.hits += members
         _sink(sink, entry.record, members)
@@ -989,44 +983,25 @@ class VectorFleetExecutor:
             c.index += 1
             c.nv_ref = entry.post_nv
             bsize = c.bucket_size
-            if np is not None and isinstance(c.levels, np.ndarray):
-                c.levels -= consumed
-                buckets = c.levels // bsize
-                first = int(buckets[0])
-                if bool((buckets == first).all()):
-                    splits = [(first, None)]
-                else:
-                    splits = [
-                        (int(b), buckets == b) for b in np.unique(buckets)
-                    ]
-            else:
-                c.levels = [lv - consumed for lv in c.levels]
-                buckets = [lv // bsize for lv in c.levels]
-                uniq = sorted(set(buckets))
-                if len(uniq) == 1:
-                    splits = [(uniq[0], None)]
-                else:
-                    splits = [(b, b) for b in uniq]
-            for bucket, mask in splits:
+            c.levels = [lv - consumed for lv in c.levels]
+            buckets = [lv // bsize for lv in c.levels]
+            uniq = sorted(set(buckets))
+            whole = len(uniq) == 1
+            for bucket in uniq:
                 target = by_bucket.get(bucket)
-                if mask is None and target is None and len(splits) == 1:
+                if whole and target is None:
                     # Common case: the cohort stays whole; keep its
-                    # membership arrays untouched (O(1) per wave).
+                    # membership lists as they are.
                     c.bucket = bucket
                     by_bucket[bucket] = c
                     order.append(c)
                     continue
-                if np is not None and isinstance(mask, np.ndarray):
-                    idx = np.flatnonzero(mask)
-                    positions = [c.positions[j] for j in idx]
-                    levels = c.levels[idx]
-                    supplies = [c.supplies[j] for j in idx]
-                elif mask is None:
+                if whole:
                     positions = c.positions
                     levels = c.levels
                     supplies = c.supplies
-                else:  # list fallback: mask is the bucket value
-                    sel = [j for j, b in enumerate(buckets) if b == mask]
+                else:
+                    sel = [j for j, b in enumerate(buckets) if b == bucket]
                     positions = [c.positions[j] for j in sel]
                     levels = [c.levels[j] for j in sel]
                     supplies = [c.supplies[j] for j in sel]
@@ -1053,14 +1028,7 @@ class VectorFleetExecutor:
                 else:
                     target.positions.extend(positions)
                     target.supplies.extend(supplies)
-                    if np is not None and isinstance(
-                        target.levels, np.ndarray
-                    ):
-                        target.levels = np.concatenate(
-                            [target.levels, np.asarray(levels, dtype=np.int64)]
-                        )
-                    else:
-                        target.levels = list(target.levels) + list(levels)
+                    target.levels.extend(levels)
         return order
 
     @staticmethod
@@ -1129,6 +1097,15 @@ def _sink(sink: dict, record, count: int) -> None:
         sink[key] = [record, count]
     else:
         slot[1] += count
+
+
+def _run_worker(payload) -> tuple[dict, int, int, int]:
+    """Worker entry: a fresh in-process executor over one shard."""
+    devices, engine, supply_buckets = payload
+    executor = VectorFleetExecutor(engine=engine, supply_buckets=supply_buckets)
+    aggregate = executor.run(devices)
+    stats = executor.memo.stats
+    return aggregate.to_dict(), stats.hits, stats.misses, stats.evictions
 
 
 def _parity_scheme() -> str:

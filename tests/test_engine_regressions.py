@@ -1,6 +1,7 @@
 """Regression tests for the hot-path bugfixes that shipped with the
 pre-decoded engine: single evaluation of ``work`` amounts, detector-plan
-encapsulation, and the sharded fleet executor's small-batch fallback.
+encapsulation, and the vector fleet executor's worker fan-out (a small
+batch stays in-process).
 (The ``derive_seed`` part-boundary fix is covered in test_energy.py.)
 """
 
@@ -10,7 +11,12 @@ import pytest
 
 from repro.analysis.provenance import Chain
 from repro.core.pipeline import compile_source
-from repro.fleet import ShardedFleetExecutor, run_fleet
+from repro.fleet import (
+    FleetError,
+    VectorFleetExecutor,
+    aggregate_fingerprint,
+    run_fleet,
+)
 from repro.ir.instructions import InstrId
 from repro.runtime.detector import Check, DetectorPlan
 from repro.runtime.executor import Machine
@@ -90,73 +96,82 @@ class TestDetectorPlanEncapsulation:
         assert plan.checks_at(Chain(ids=(InstrId("main", 99),))) == ()
 
 
-class TestShardedFallback:
+class TestVectorWorkers:
+    """The vector executor's worker fan-out: right-sized, exact, counted."""
+
     def _spec(self, devices: int):
         from tests.test_fleet import small_spec
 
         return small_spec().with_total_devices(devices)
 
-    def test_single_process_falls_back_to_serial(self):
-        executor = ShardedFleetExecutor(processes=1)
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "serial"
-        assert result.executor == "sharded"
-        assert result.executor_used == "serial"
+    @staticmethod
+    def _fan_outs(monkeypatch) -> list[int]:
+        """Record the worker count of every fan-out, then run it."""
+        import repro.fleet.vector as vector
 
-    def test_small_batches_fall_back_to_serial(self):
-        # 8 devices over 4 workers = 2 per shard, far below the threshold:
-        # pool setup would cost more than the sharding wins.
-        executor = ShardedFleetExecutor(processes=4, min_devices_per_shard=16)
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "serial"
-        assert result.executor_used == "serial"
+        counts: list[int] = []
+        real = vector.fork_map
 
-    def test_large_batches_still_shard(self):
-        executor = ShardedFleetExecutor(processes=2, min_devices_per_shard=2)
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "sharded"
-        assert result.executor_used == "sharded"
+        def spy(fn, items, configs, processes):
+            counts.append(len(items))
+            return real(fn, items, configs, processes)
 
-    def test_fallback_and_sharded_aggregates_are_identical(self):
-        from repro.fleet import aggregate_fingerprint
+        monkeypatch.setattr(vector, "fork_map", spy)
+        return counts
 
-        spec = self._spec(8)
-        serial = run_fleet(spec, ShardedFleetExecutor(processes=1))
-        sharded = run_fleet(
-            spec, ShardedFleetExecutor(processes=2, min_devices_per_shard=2)
+    def test_single_process_stays_in_process(self, monkeypatch):
+        fan_outs = self._fan_outs(monkeypatch)
+        run_fleet(self._spec(40), VectorFleetExecutor(processes=1))
+        assert fan_outs == []
+
+    def test_small_batch_stays_in_process(self, monkeypatch):
+        # 8 devices over 4 workers = 2 per worker, far below the
+        # threshold: pool start-up would cost more than the workers win.
+        fan_outs = self._fan_outs(monkeypatch)
+        result = run_fleet(self._spec(8), "vector", processes=4)
+        assert fan_outs == []
+        assert result.executor_used == "vector"
+
+    def test_large_batch_fans_out(self, monkeypatch):
+        fan_outs = self._fan_outs(monkeypatch)
+        run_fleet(self._spec(40), "vector", processes=2)
+        assert fan_outs == [2]
+
+    def test_worker_count_is_right_sized(self, monkeypatch):
+        # 40 devices on 4 nominal workers: 40 // 16 = 2 full workers
+        # rather than 4 thin ones, or none at all.
+        fan_outs = self._fan_outs(monkeypatch)
+        run_fleet(self._spec(40), "vector", processes=4)
+        assert fan_outs == [2]
+
+    def test_aggregate_matches_serial(self):
+        spec = self._spec(40)
+        serial = run_fleet(spec, "serial")
+        workers = run_fleet(spec, "vector", processes=2)
+        assert aggregate_fingerprint(workers) == aggregate_fingerprint(serial)
+        assert workers.aggregate.to_json() == serial.aggregate.to_json()
+
+    def test_memo_counts_cover_every_activation(self):
+        result = run_fleet(self._spec(40), "vector", processes=2)
+        assert (
+            result.memo["hits"] + result.memo["misses"]
+            == result.aggregate.total_activations
         )
-        assert aggregate_fingerprint(serial) == aggregate_fingerprint(sharded)
 
-    def test_report_records_engine_and_executor_used(self):
-        result = run_fleet(self._spec(4), ShardedFleetExecutor(processes=1))
-        payload = result.to_dict()
-        assert payload["executor"] == "sharded"
-        assert payload["executor_used"] == "serial"
-        assert payload["engine"] == "fast"
+    def test_sharded_and_parallel_report_vector(self):
+        for name in ("sharded", "parallel"):
+            payload = run_fleet(self._spec(4), name).to_dict()
+            assert payload["executor"] == "vector"
+            assert payload["executor_used"] == "vector"
+            assert payload["engine"] == "fast"
 
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError, match="min_devices_per_shard"):
-            ShardedFleetExecutor(min_devices_per_shard=0)
+    def test_memo_dir_with_workers_rejected(self, tmp_path):
+        with pytest.raises(FleetError, match="one worker"):
+            run_fleet(self._spec(4), "vector", processes=2, memo_dir=tmp_path)
 
-    def test_explicit_shard_count_is_honored(self):
-        # An explicit shards= request bypasses the small-batch threshold:
-        # the caller asked for that split, serial fallback applies only
-        # when there is genuinely no parallelism (one process/shard).
-        executor = ShardedFleetExecutor(
-            processes=2, shards=2, min_devices_per_shard=16
-        )
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "sharded"
-        assert result.executor_used == "sharded"
-
-    def test_many_workers_right_size_shards_instead_of_serial(self):
-        # 24 devices on 16 nominal workers: 24 < 16*4, but right-sizing
-        # to 24//4 = 6 shards keeps the batch parallel instead of
-        # silently dropping to serial.
-        executor = ShardedFleetExecutor(processes=16, min_devices_per_shard=4)
-        result = run_fleet(self._spec(24), executor)
-        assert executor.used == "sharded"
-        assert result.executor_used == "sharded"
+    def test_zero_processes_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            VectorFleetExecutor(processes=0)
 
 
 class TestSeedSchemeFingerprint:

@@ -247,12 +247,18 @@ class TestAggregator:
 
 
 class TestExecutorParity:
-    def test_serial_and_sharded_agree_byte_for_byte(self):
+    def test_serial_and_sharded_agree_byte_for_byte(self, monkeypatch):
+        # One device per worker is enough, so this small fleet really
+        # fans out to two processes.
+        monkeypatch.setattr("repro.fleet.vector.MIN_DEVICES_PER_WORKER", 1)
         spec = small_spec()
         serial = run_fleet(spec, "serial")
-        sharded = run_fleet(spec, "sharded", processes=2)
-        assert aggregate_fingerprint(serial) == aggregate_fingerprint(sharded)
-        assert serial.aggregate.to_json() == sharded.aggregate.to_json()
+        for processes in (1, 2):
+            sharded = run_fleet(spec, "sharded", processes=processes)
+            assert aggregate_fingerprint(serial) == aggregate_fingerprint(
+                sharded
+            )
+            assert serial.aggregate.to_json() == sharded.aggregate.to_json()
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(FleetError, match="unknown fleet executor"):

@@ -1,19 +1,21 @@
 """Vectorized fleet executor: parity, memo-key soundness, hit rates.
 
 The vector executor's whole value proposition is "same bytes, fewer
-instructions": these tests pin the byte-identity against the serial and
-sharded executors (including under hypothesis-generated fleets, with
-quantized supply keys at aggressive bucket sizes and warm disk-backed
-memo runs), prove the memo key cannot produce false hits (perturbing one
-nonvolatile bit, one stored value, one taint, one environment segment,
-or one charge bucket changes the key), and check that the intended hits
-actually happen (a homogeneous deterministic fleet replays almost
-everything; a jittered fleet scores nonzero hits via quantization).
+instructions": these tests pin the byte-identity against the serial
+executor, in-process and on workers (including under hypothesis-generated
+fleets, with quantized supply keys at aggressive bucket sizes and warm
+disk-backed memo runs), prove the memo key cannot produce false hits
+(perturbing one nonvolatile bit, one stored value, one taint, one
+environment segment, or one charge bucket changes the key), and check
+that the intended hits actually happen (a homogeneous deterministic
+fleet replays almost everything; a jittered fleet scores nonzero hits
+via quantization).
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -145,14 +147,20 @@ def _tire_codec() -> tuple[NVCodec, NVState]:
 
 
 class TestVectorParity:
-    def test_matches_serial_on_mixed_fleet(self):
+    def test_matches_serial_on_mixed_fleet(self, monkeypatch):
+        # One device per worker is enough, so with processes=2 this small
+        # fleet really fans out.
+        monkeypatch.setattr("repro.fleet.vector.MIN_DEVICES_PER_WORKER", 1)
         spec = mixed_spec()
         serial = run_fleet(spec, "serial")
-        vector = run_fleet(spec, "vector")
-        assert aggregate_fingerprint(vector) == aggregate_fingerprint(serial)
-        assert vector.executor == vector.executor_used == "vector"
         assert serial.memo is None
-        assert vector.memo is not None and vector.memo["misses"] > 0
+        for processes in (1, 2):
+            vector = run_fleet(spec, "vector", processes=processes)
+            assert aggregate_fingerprint(vector) == aggregate_fingerprint(
+                serial
+            )
+            assert vector.executor == vector.executor_used == "vector"
+            assert vector.memo is not None and vector.memo["misses"] > 0
 
     def test_matches_serial_on_uniform_fleet(self):
         spec = uniform_spec(count=12)
@@ -246,6 +254,25 @@ class TestMemoKeySoundness:
         assert env.period() is None
         assert env.segment_token(123) == 123
         assert env.segment_token(123) != env.segment_token(456)
+
+    def test_packed_token_bytes_are_pinned(self):
+        # Memo shards on disk are keyed by these bytes: a change to the
+        # packing (layout, width, byte order) would make every shard
+        # written before it miss.  Packed int64 in native byte order.
+        codec, nv = _tire_codec()
+        values = [-3, 2**40 + 5, 7, -(2**63), 2**63 - 1]
+        for name, value in zip(sorted(nv.globals), values, strict=True):
+            nv.globals[name] = TVal(value, frozenset())
+        nv.bits.set(sorted(codec._bit_index)[-1])
+        packed = bytes.fromhex(
+            "fdffffffffffffff" "0500000000010000" "0700000000000000"
+            "0000000000000080" "ffffffffffffff7f"
+        )
+        if sys.byteorder == "big":
+            packed = b"".join(
+                packed[i : i + 8][::-1] for i in range(0, len(packed), 8)
+            )
+        assert codec.encode(nv).token == ("v", packed, 1 << 8, ())
 
     def test_structural_fallback_agrees_on_identity(self):
         # Values beyond int64 force the structural token path; identical
@@ -395,21 +422,15 @@ class TestMemoCapAndEviction:
         assert memo.get("a") == 1 and memo.get("c") == 3
         assert memo.stats.evictions == 1
 
-    def test_byte_cap_bounds_the_table(self):
-        entry_size = len(pickle.dumps("x" * 100, pickle.HIGHEST_PROTOCOL))
-        memo = ActivationMemo(max_entries=1000, max_bytes=3 * entry_size)
-        for i in range(10):
-            memo.put(i, "x" * 100)
-        assert len(memo) <= 3
-        assert memo.stats.evictions >= 7
-
     def test_capped_memo_produces_byte_identical_aggregates(self):
         # The satellite bugfix contract: eviction only causes re-misses,
         # never wrong replays -- aggregates must not change by a byte.
         for spec in (uniform_spec(count=20), jittered_spec(count=8)):
             devices = spec.expand()
             unbounded = VectorFleetExecutor().run(devices)
-            capped_executor = VectorFleetExecutor(max_entries=4)
+            capped_executor = VectorFleetExecutor(
+                memo=ActivationMemo(max_entries=4)
+            )
             capped = capped_executor.run(devices)
             assert capped.to_json() == unbounded.to_json()
         assert capped_executor.memo.stats.evictions > 0
@@ -481,12 +502,20 @@ class TestPersistentMemo:
             store.shard_path("token-a").name
         ]
 
-    def test_memo_dir_requires_vector_executor(self):
+    def test_memo_dir_requires_vector_executor(self, tmp_path):
         spec = uniform_spec(count=2)
         with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, "serial", memo_dir="/tmp/nope")
+            run_fleet(spec, "serial", memo_dir=tmp_path)
         with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, "sharded", supply_buckets=8)
+            run_fleet(spec, "serial", supply_buckets=8)
+        # ``sharded`` is the vector executor on one worker per core, whose
+        # memos are not merged back into the store.
+        with pytest.raises(FleetError, match="vector"):
+            run_fleet(spec, "sharded", memo_dir=tmp_path)
+        # An instance is already configured; the knobs would do nothing.
+        with pytest.raises(FleetError, match="vector"):
+            run_fleet(spec, VectorFleetExecutor(), supply_buckets=8)
+        assert not list(tmp_path.iterdir())
 
 
 class TestCheckpointFamilyGate:
