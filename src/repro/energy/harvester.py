@@ -31,11 +31,8 @@ class ConstantHarvester:
         """A fresh harvester with the same rate (deterministic, no RNG)."""
         return ConstantHarvester(self.rate_per_kilocycle)
 
-    def reseed(self, seed: int) -> None:
-        """No RNG state to reset; kept for supply-spawning uniformity."""
-
     def memo_token(self):
-        """Hashable identity of future behavior (see ``energy.segments``)."""
+        """Hashable identity of future behavior: the rate alone."""
         return ("const", self.rate_per_kilocycle)
 
     def memo_capture(self):
@@ -82,11 +79,6 @@ class NoisyHarvester:
         return NoisyHarvester(
             self.rate_per_kilocycle, seed=seed, spread=self.spread
         )
-
-    def reseed(self, seed: int) -> None:
-        """Restart this harvester's jitter stream from ``seed`` in place."""
-        self.seed = seed
-        self._rng = random.Random(seed)
 
     def memo_token(self):
         """Hashable identity of future behavior.
@@ -136,10 +128,6 @@ class TraceHarvester:
     def spawn(self, seed: int) -> "TraceHarvester":
         """A fresh replay of the same trace, rewound to the start."""
         return TraceHarvester(list(self.off_times))
-
-    def reseed(self, seed: int) -> None:
-        """Rewind the trace in place."""
-        self._idx = 0
 
     def memo_token(self):
         """Hashable identity: the trace plus the replay position."""

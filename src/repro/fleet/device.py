@@ -6,7 +6,8 @@ the process-wide compile cache, so a thousand identical tire monitors
 cost one compile.  Supplies are shared *structurally*: one prototype
 supply is built per distinct supply shape and then :meth:`spawn`-ed per
 device, which re-derives only the RNG streams -- the cheap per-device
-re-seeding path the energy layer provides.
+re-seeding path the energy layer provides.  Both fleet executors build a
+device's environment and supply here, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.fleet.spec import DeviceSpec
 from repro.runtime.engine import ENGINE_FAST
 from repro.runtime.harness import ActivationStepper
 from repro.runtime.supply import PowerSupply
+from repro.sensors.environment import Environment, bind_signal_specs
 
 
 @dataclass
@@ -42,7 +44,18 @@ class DeviceFactory:
         self.engine = engine
         self._supply_protos: dict[SupplySpec, PowerSupply] = {}
 
-    def _make_supply(self, spec: DeviceSpec) -> PowerSupply:
+    def environment(self, spec: DeviceSpec) -> Environment:
+        """The device's world: its app's environment, overridden, shifted."""
+        env = BENCHMARKS[spec.app].env_factory(spec.env_seed)
+        if spec.env_overrides:
+            bind_signal_specs(env, spec.env_overrides)
+        return env.shifted(spec.phase)
+
+    def supply(self, spec: DeviceSpec) -> PowerSupply:
+        """A fresh supply on the device's own stream.
+
+        Spawned from one prototype per distinct supply spec.
+        """
         proto = self._supply_protos.get(spec.supply)
         if proto is None:
             proto = spec.supply.build(0)
@@ -52,16 +65,10 @@ class DeviceFactory:
     def build(self, spec: DeviceSpec) -> FleetDevice:
         meta = BENCHMARKS[spec.app]
         compiled = GLOBAL_CACHE.get_or_compile(meta.source, spec.config)
-        env = meta.env_factory(spec.env_seed)
-        if spec.env_overrides:
-            from repro.sensors.environment import bind_signal_specs
-
-            bind_signal_specs(env, spec.env_overrides)
-        env = env.shifted(spec.phase)
         stepper = ActivationStepper(
             compiled,
-            env,
-            self._make_supply(spec),
+            self.environment(spec),
+            self.supply(spec),
             budget_cycles=spec.budget_cycles,
             costs=meta.cost_model(),
             max_activations=spec.max_activations,

@@ -75,6 +75,14 @@ class DeviceClass:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise FleetError(f"class '{self.name}': count must be >= 0")
+        if not isinstance(self.supply, SupplySpec):
+            # Executors key their memo on the hooks of the supplies a
+            # SupplySpec builds; a foreign supply object has no such
+            # guarantee.
+            raise FleetError(
+                f"class '{self.name}': supply must be a SupplySpec, "
+                f"not {type(self.supply).__name__}"
+            )
         if self.app not in BENCHMARKS:
             known = ", ".join(BENCHMARKS)
             raise FleetError(

@@ -14,8 +14,8 @@ Surbatovich et al.).  This executor exploits that in four layers:
   <repro.sensors.environment.Environment.segment_token>` quantizes the
   start time when the environment is exactly periodic and the
   nonvolatile state carries no absolute-time taint), a structural
-  nonvolatile-state token, and a supply token
-  (:mod:`repro.energy.segments`).  A hit replays the cached
+  nonvolatile-state token, and a supply token (the supply's own
+  ``memo_token`` hook).  A hit replays the cached
   :class:`~repro.runtime.harness.ActivationRecord`, time delta, and
   post-states without stepping a single instruction.  The memo is
   LRU-bounded (by entry count) and can persist to a
@@ -33,8 +33,8 @@ Surbatovich et al.).  This executor exploits that in four layers:
   hit replays only for devices at or above that level.  A reboot-free
   activation consults the supply only through charge checks monotone in
   the starting level, so the gated replay is bit-identical to real
-  execution (contract spelled out in :mod:`repro.energy.segments`,
-  perturbation-tested in ``tests/test_fleet_vector.py``).
+  execution (contract spelled out on :class:`QuantEntry`, key
+  properties tested in ``tests/test_fleet_vector.py``).
 
 * **Cohort wave batching** (:class:`_Cohort`).  Devices in provably
   identical situations -- same tokens, same logical time -- live in one
@@ -50,13 +50,14 @@ Surbatovich et al.).  This executor exploits that in four layers:
   model, and detector plan; it drives the machine directly (no
   per-activation stepper object), reuses the codec's preallocated
   struct-of-arrays NV buffers (:class:`NVCodec`), and folds each wave's
-  records through one ``observe_many``-style sink.  Devices whose
-  supply goes opaque mid-run fall back to the scalar
-  :class:`~repro.runtime.harness.ActivationStepper`.
+  records through one ``observe_many``-style sink.
 
-Soundness: tokens are conservative.  A supply without memo hooks, an
-aperiodic environment, an unencodable nonvolatile state -- each only
-*loses cache hits*; it never manufactures a false equivalence.  The
+Soundness: tokens are conservative.  An aperiodic environment or an
+unencodable nonvolatile state only *loses cache hits*; it never
+manufactures a false equivalence.  Every supply a fleet can hold is
+built from a :class:`~repro.eval.campaign.SupplySpec` (``DeviceClass``
+rejects anything else), and each kind it builds answers the memo hooks
+(``memo_token``, ``memo_capture``, ``memo_restore``) exactly.  The
 aggregate is commutative integer summation, so the vectorized fold is
 byte-identical to the serial executor on any number of workers
 (property-tested in ``tests/test_fleet_vector.py``, including bucketed
@@ -74,22 +75,16 @@ from typing import Hashable, NamedTuple, Optional, Sequence
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE, CacheKey
-from repro.energy.segments import (
-    capture_supply_state,
-    restore_supply_state,
-    supply_memo_token,
-)
 from repro.eval.campaign import SupplySpec
 from repro.fleet.aggregate import FleetAggregator
+from repro.fleet.device import DeviceFactory
 from repro.fleet.memostore import MEMO_SCHEMA, MemoStore
 from repro.fleet.spec import DeviceSpec, FleetError
 from repro.parallel import fork_map
 from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import MachineConfig, NVState
 from repro.runtime.detector import BitVector
-from repro.runtime.harness import ActivationRecord, ActivationStepper
-from repro.sensors.environment import bind_signal_specs
-from repro.runtime.supply import PowerSupply
+from repro.runtime.harness import ActivationRecord
 from repro.telemetry.trace import span as _span
 
 
@@ -222,7 +217,7 @@ class MemoEntry:
     record: object  # ActivationRecord; treated as immutable once cached
     tau_delta: int
     post_nv: NVRef
-    post_supply_token: Optional[Hashable]
+    post_supply_token: Hashable
     post_supply_capture: object
 
 
@@ -230,13 +225,19 @@ class MemoEntry:
 class QuantEntry:
     """A replayable activation under a *quantized* supply key.
 
-    Stored only for reboot-free activations.  ``exec_level`` is the
-    charge level the recorded run started from; the replay gate admits
-    only devices at or above it (monotonicity makes that exact -- see
-    :mod:`repro.energy.segments`).  ``exec_level`` tightens downward
-    whenever a lower-level device re-executes the same key reboot-free.
-    A replayed device ends at ``level - consumed`` with its RNG streams
-    untouched (a reboot-free activation never draws them).
+    Stored only for reboot-free activations (``reboots == 0`` and
+    ``cycles_off == 0``).  ``exec_level`` is the charge level the
+    recorded run started from; the replay gate admits only devices at
+    or above it.  That gate is exact: a reboot-free activation never
+    recharges, never draws boot or harvest randomness, and consults the
+    supply only through checks of the form ``level - energy <=
+    low_threshold``, each monotone in the starting level.  If the
+    recorded run from ``L`` tripped none of them, a device at ``L' >=
+    L`` (same program, environment segment and nonvolatile state) trips
+    none either and executes the identical path.  ``exec_level``
+    tightens downward whenever a lower-level device re-executes the
+    same key reboot-free.  A replayed device ends at ``level -
+    consumed`` with its RNG streams untouched.
     """
 
     record: object  # ActivationRecord; reboot-free, treated as immutable
@@ -327,9 +328,7 @@ class _MissBatch:
     plan, and NV codec once; every miss drives the machine directly
     instead of building a per-activation
     :class:`~repro.runtime.harness.ActivationStepper`, and post-state
-    tokenization reuses the codec's preallocated buffers.  Devices that
-    diverge into opaque supply state mid-wave fall back to the scalar
-    stepper (:meth:`stepper`).
+    tokenization reuses the codec's preallocated buffers.
     """
 
     __slots__ = ("compiled", "costs", "plan", "engine", "codec")
@@ -360,47 +359,26 @@ class _MissBatch:
         record = ActivationRecord.from_run(index, machine.run())
         return record, machine.tau - tau, self.codec.encode(machine.nv)
 
-    def stepper(self, spec, env, supply, nv, start_tau, start_index):
-        """Scalar fallback for devices pinned to real stepping."""
-        return ActivationStepper(
-            self.compiled,
-            env,
-            supply,
-            spec.budget_cycles,
-            costs=self.costs,
-            plan=self.plan,
-            max_activations=spec.max_activations,
-            nv=nv,
-            engine=self.engine,
-            start_tau=start_tau,
-            start_index=start_index,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Cohorts
-
-#: Sentinel: a uni cohort whose supply has never run (spawn, don't restore).
-_FRESH = object()
-#: Sentinel: a uni cohort whose supply token has not been computed yet.
-_UNSET = object()
 
 
 class _Cohort:
     """A set of devices in a provably identical situation.
 
     All members share logical time, activation index, nonvolatile
-    state, and supply equivalence; liveness (budget, activation cap,
-    stuckness) is all-or-nothing because those limits are uniform
-    within the cohort.  Three kinds:
+    state, and supply equivalence; liveness (budget, activation cap) is
+    all-or-nothing because those limits are uniform within the cohort,
+    and a wave drops every member whose activation got stuck.  Two
+    kinds:
 
     * ``uni`` -- exact supply-token equivalence (deterministic
-      supplies): one shared capture, one representative executes.
+      supplies, and every supply when bucketing is off): one shared
+      supply token and capture, one representative executes.
     * ``quant`` -- bucketed equivalence (stochastic energy-driven
       supplies): members share the charge *bucket* but keep individual
       levels and lazily-materialized supply objects.
-    * ``mat`` -- a singleton pinned to a real scalar stepper (opaque
-      supply state).
     """
 
     __slots__ = (
@@ -408,7 +386,6 @@ class _Cohort:
         "positions",
         "tau",
         "index",
-        "stuck",
         "budget",
         "cap",
         "env_key",
@@ -424,8 +401,6 @@ class _Cohort:
         "bucket",
         "levels",
         "supplies",
-        # mat
-        "stepper",
     )
 
     def __init__(self, kind, positions, budget, cap, env_key, env, period, nv_ref):
@@ -433,32 +408,41 @@ class _Cohort:
         self.positions = positions
         self.tau = 0
         self.index = 0
-        self.stuck = False
         self.budget = budget
         self.cap = cap
         self.env_key = env_key
         self.env = env
         self.period = period
         self.nv_ref = nv_ref
-        self.stoken = _UNSET
-        self.capture = _FRESH
+        self.stoken = None
+        self.capture = None
         self.static = None
         self.bucket_size = 0
         self.bucket = 0
         self.levels = None
         self.supplies = None
-        self.stepper = None
 
     def alive(self) -> bool:
-        return (
-            not self.stuck and self.tau < self.budget and self.index < self.cap
-        )
+        return self.tau < self.budget and self.index < self.cap
 
-    def time_token(self):
-        """Period-quantized start time, absolute when taint forbids it."""
-        if self.period is None or self.nv_ref.tainted:
-            return self.tau
-        return self.tau % self.period
+    def memo_key(self, prog_key) -> tuple:
+        """The memo key of this cohort's next activation.
+
+        (program, environment, time, nonvolatile state, supply): the
+        start time is period-quantized unless taint forbids it, and the
+        supply is the exact token (``uni``) or the capacitor geometry
+        plus charge bucket (``quant``).
+        """
+        nv_ref = self.nv_ref
+        if self.period is None or nv_ref.tainted:
+            time = self.tau
+        else:
+            time = self.tau % self.period
+        if self.kind == "uni":
+            supply = self.stoken
+        else:
+            supply = ("q", self.static, self.bucket_size, self.bucket)
+        return (prog_key, self.env_key, time, nv_ref.token, supply)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +493,7 @@ class VectorFleetExecutor:
         self.store = MemoStore(memo_dir) if memo_dir is not None else None
         self._shard_tokens: dict = {}
         self._dirty: set = set()
-        self._supply_protos: dict[SupplySpec, PowerSupply] = {}
+        self._factory = DeviceFactory(engine)
         self._envs: dict = {}
         self._codecs: dict = {}
         self._initials: dict = {}
@@ -520,22 +504,12 @@ class VectorFleetExecutor:
         """Hit/miss accounting for reports and benchmarks."""
         return self.memo.stats.to_dict(entries=len(self.memo))
 
-    def _spawn_supply(self, spec: DeviceSpec) -> PowerSupply:
-        proto = self._supply_protos.get(spec.supply)
-        if proto is None:
-            proto = spec.supply.build(0)
-            self._supply_protos[spec.supply] = proto
-        return proto.spawn(spec.seed + spec.supply.seed_offset)
-
     def _env(self, spec: DeviceSpec):
         """(env_key, env, period) for ``spec``; envs are pure, so shared."""
         key = (spec.app, spec.env_seed, spec.env_overrides, spec.phase)
         cached = self._envs.get(key)
         if cached is None:
-            env = BENCHMARKS[spec.app].env_factory(spec.env_seed)
-            if spec.env_overrides:
-                bind_signal_specs(env, spec.env_overrides)
-            env = env.shifted(spec.phase)
+            env = self._factory.environment(spec)
             cached = self._envs[key] = (key, env, env.period())
         return cached
 
@@ -549,19 +523,17 @@ class VectorFleetExecutor:
             )
         return codec, self._initials[key]
 
-    def _supply_mode(self, sspec) -> str:
+    def _supply_mode(self, sspec: SupplySpec) -> str:
         """How a class's supplies group: uni / quant / exact.
 
         ``uni`` needs spawn-equivalence across per-device seeds, which
-        is provable for our own spec kinds: continuous and schedule
+        holds for every spec kind but one: continuous and schedule
         supplies are seed-invariant, and a harvest supply with
         degenerate jitter and boot band excludes every RNG from its
-        token.  Stochastic harvest supplies quantize (unless bucketing
-        is disabled); anything unrecognized degrades to per-device
-        exact tokens -- conservative, never wrong.
+        token.  Stochastic harvest supplies quantize, or with bucketing
+        off (``supply_buckets=0``) key each device on its own exact
+        token.
         """
-        if not isinstance(sspec, SupplySpec):
-            return "exact"
         if sspec.kind != "harvest":
             return "uni"
         lo, hi = sspec.boot_fraction
@@ -659,60 +631,24 @@ class VectorFleetExecutor:
         driver = _MissBatch(compiled, costs, plan, self.engine, codec)
 
         cohorts = self._initial_cohorts(specs, init_ref)
+        waves = {"uni": self._wave_uni, "quant": self._wave_quant}
         sink: dict = {}
         while True:
-            live = [c for c in cohorts if c.alive()]
-            if not live:
-                break
+            # Live cohorts sharing a memo key and (budget, cap, index,
+            # tau) ride one wave; the memo key leads the group key.
             groups: dict = {}
-            next_cohorts: list[_Cohort] = []
-            for c in live:
-                if c.kind == "mat":
-                    self._step_mat(c, sink)
-                    next_cohorts.append(c)
-                    continue
-                if c.kind == "uni":
-                    if c.stoken is _UNSET:
-                        c = self._resolve_uni(c, specs, driver)
-                        if c.kind == "mat":
-                            self._step_mat(c, sink)
-                            next_cohorts.append(c)
-                            continue
-                    gkey = (
-                        "u",
-                        c.env_key,
-                        c.budget,
-                        c.cap,
-                        c.index,
-                        c.tau,
-                        c.nv_ref.token,
-                        c.stoken,
-                    )
-                else:
-                    gkey = (
-                        "q",
-                        c.env_key,
-                        c.budget,
-                        c.cap,
-                        c.index,
-                        c.tau,
-                        c.nv_ref.token,
-                        c.static,
-                        c.bucket_size,
-                        c.bucket,
-                    )
-                groups.setdefault(gkey, []).append(c)
+            for c in cohorts:
+                if c.alive():
+                    key = c.memo_key(prog_key)
+                    gkey = (key, c.budget, c.cap, c.index, c.tau)
+                    groups.setdefault(gkey, []).append(c)
+            if not groups:
+                break
+            cohorts = []
             for gkey, cs in groups.items():
-                if gkey[0] == "u":
-                    next_cohorts.extend(
-                        self._wave_uni(cs, prog_key, specs, driver, sink)
-                    )
-                else:
-                    next_cohorts.extend(
-                        self._wave_quant(cs, prog_key, specs, driver, sink)
-                    )
+                wave = waves[cs[0].kind]
+                cohorts += wave(cs, gkey[0], prog_key, specs, driver, sink)
             self._flush_sink(sink, first, aggregator)
-            cohorts = next_cohorts
 
     # -- cohort formation ----------------------------------------------------
 
@@ -762,6 +698,12 @@ class VectorFleetExecutor:
                 )
                 if kind == "quant":
                     cohort.static = ckey[4]
+                else:
+                    # Every member spawns an equivalent supply, so the
+                    # first member's token and state stand for all.
+                    supply = self._factory.supply(spec)
+                    cohort.stoken = supply.memo_token()
+                    cohort.capture = supply.memo_capture()
                 cohorts[ckey] = cohort
                 order.append(cohort)
             cohort.positions.append(pos)
@@ -776,50 +718,15 @@ class VectorFleetExecutor:
                 cohort.supplies = [None] * len(cohort.positions)
         return order
 
-    def _resolve_uni(
-        self, cohort: _Cohort, specs: list[DeviceSpec], driver: _MissBatch
-    ) -> _Cohort:
-        """Compute a cold uni cohort's supply token with one probe spawn.
-
-        An opaque token (no memo hooks) pins every member to the scalar
-        stepper; callers get back either the same cohort (token set) or
-        a replacement ``mat`` cohort (singletons only reach this path
-        opaque, because grouping by spec proved nothing about them).
-        """
-        spec = specs[cohort.positions[0]]
-        supply = self._spawn_supply(spec)
-        token = supply_memo_token(supply)
-        if token is not None:
-            cohort.stoken = token
-            return cohort
-        assert len(cohort.positions) == 1, "opaque supply in a shared cohort"
-        mat = _Cohort(
-            "mat",
-            cohort.positions,
-            cohort.budget,
-            cohort.cap,
-            cohort.env_key,
-            cohort.env,
-            cohort.period,
-            cohort.nv_ref,
-        )
-        mat.stepper = driver.stepper(
-            spec, cohort.env, supply, materialize_nv(cohort.nv_ref), 0, 0
-        )
-        return mat
-
     # -- wave processing -----------------------------------------------------
 
-    def _wave_uni(self, cs, prog_key, specs, driver, sink):
+    def _wave_uni(self, cs, mkey, prog_key, specs, driver, sink):
         rep = cs[0]
         members = sum(len(c.positions) for c in cs)
-        mkey = (prog_key, rep.env_key, rep.time_token(), rep.nv_ref.token, rep.stoken)
         entry = self.memo.get(mkey)
         if entry is None:
-            spec = specs[rep.positions[0]]
-            supply = self._spawn_supply(spec)
-            if rep.capture is not _FRESH:
-                restore_supply_state(supply, rep.capture)
+            supply = self._factory.supply(specs[rep.positions[0]])
+            supply.memo_restore(rep.capture)
             record, tau_delta, post_nv = driver.run(
                 rep.env, supply, rep.nv_ref, rep.tau, rep.index
             )
@@ -827,8 +734,8 @@ class VectorFleetExecutor:
                 record=record,
                 tau_delta=tau_delta,
                 post_nv=post_nv,
-                post_supply_token=supply_memo_token(supply),
-                post_supply_capture=capture_supply_state(supply),
+                post_supply_token=supply.memo_token(),
+                post_supply_capture=supply.memo_capture(),
             )
             self.memo.put(mkey, entry)
             self._dirty.add(prog_key)
@@ -837,63 +744,21 @@ class VectorFleetExecutor:
         else:
             self.memo.stats.hits += members
         _sink(sink, entry.record, members)
-        new_tau = rep.tau + entry.tau_delta
-        new_index = rep.index + 1
         if not entry.record.completed:
             return []  # every member is stuck; records already folded
-        if entry.post_supply_token is None:
-            # Post-state supply became opaque: pin each member to a real
-            # stepper from here on (the scalar fallback path).
-            if new_tau >= rep.budget or new_index >= rep.cap:
-                return []
-            out = []
-            for c in cs:
-                for pos in c.positions:
-                    supply = self._spawn_supply(specs[pos])
-                    restore_supply_state(supply, entry.post_supply_capture)
-                    mat = _Cohort(
-                        "mat",
-                        [pos],
-                        c.budget,
-                        c.cap,
-                        c.env_key,
-                        c.env,
-                        c.period,
-                        entry.post_nv,
-                    )
-                    mat.tau = new_tau
-                    mat.index = new_index
-                    mat.stepper = driver.stepper(
-                        specs[pos],
-                        c.env,
-                        supply,
-                        materialize_nv(entry.post_nv),
-                        new_tau,
-                        new_index,
-                    )
-                    out.append(mat)
-            return out
         if len(cs) > 1:
             positions = rep.positions
             for c in cs[1:]:
                 positions.extend(c.positions)
-        rep.tau = new_tau
-        rep.index = new_index
+        rep.tau += entry.tau_delta
+        rep.index += 1
         rep.nv_ref = entry.post_nv
         rep.stoken = entry.post_supply_token
         rep.capture = entry.post_supply_capture
         return [rep]
 
-    def _wave_quant(self, cs, prog_key, specs, driver, sink):
+    def _wave_quant(self, cs, qkey, prog_key, specs, driver, sink):
         rep = cs[0]
-        bsize = rep.bucket_size
-        qkey = (
-            prog_key,
-            rep.env_key,
-            rep.time_token(),
-            rep.nv_ref.token,
-            ("q", rep.static, bsize, rep.bucket),
-        )
         entry = self.memo.get(qkey)
         if entry is not None and all(
             min(c.levels) >= entry.exec_level for c in cs
@@ -928,7 +793,7 @@ class VectorFleetExecutor:
                     continue
                 supply = supplies[i]
                 if supply is None:
-                    supply = self._spawn_supply(specs[pos])
+                    supply = self._factory.supply(specs[pos])
                 # Bucketed replays track levels outside the supply
                 # object; re-sync before real execution.
                 supply.capacitor.level = level
@@ -1062,15 +927,6 @@ class VectorFleetExecutor:
         cohort.positions.append(pos)
         cohort.levels.append(level)
         cohort.supplies.append(supply)
-
-    def _step_mat(self, cohort: _Cohort, sink) -> None:
-        record = cohort.stepper.step()
-        assert record is not None, "cohort liveness disagrees with stepper"
-        cohort.tau = cohort.stepper.tau
-        cohort.index += 1
-        if not record.completed:
-            cohort.stuck = True
-        _sink(sink, record, 1)
 
     @staticmethod
     def _flush_sink(sink: dict, spec: DeviceSpec, aggregator) -> None:

@@ -222,10 +222,7 @@ class ActivationStepper:
         plan: Optional[DetectorPlan] = None,
         max_activations: int = 100_000,
         config: Optional[MachineConfig] = None,
-        nv: Optional[NVState] = None,
         engine: str = ENGINE_FAST,
-        start_tau: int = 0,
-        start_index: int = 0,
     ) -> None:
         self._compiled = compiled
         self._env = env
@@ -236,13 +233,9 @@ class ActivationStepper:
         self._max_activations = max_activations
         self._config = replace(config or MachineConfig(), emit_observations=False)
         self._engine = engine
-        self.nv = nv or NVState.initial(compiled.module)
-        # Mid-stream resume point: the vectorized fleet executor rebuilds
-        # a stepper around replayed (nv, supply, tau, index) state, so a
-        # device can switch between memo replay and real stepping without
-        # re-running its history.
-        self.tau = start_tau
-        self.index = start_index
+        self.nv = NVState.initial(compiled.module)
+        self.tau = 0
+        self.index = 0
         self._stuck = False
 
     @property

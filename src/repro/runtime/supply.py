@@ -61,12 +61,14 @@ class PowerSupply(Protocol):
         """Power off; return the off-time (cycles) until reboot."""
         ...
 
-    # Memoization hooks (see :mod:`repro.energy.segments`).  Optional:
-    # the fleet memoizer probes them with getattr and treats a supply
-    # without them (or one answering ``memo_token() is None``) as
-    # opaque, which disables replay but never affects correctness.
+    # Memoization hooks.  Every supply a ``SupplySpec`` builds must
+    # implement them; the fleet memoizer calls them directly.
+    # ``memo_token`` is a hashable identity of everything the supply's
+    # future answers can depend on, so equal tokens mean equal futures;
+    # ``memo_capture``/``memo_restore`` snapshot and reapply the mutable
+    # state behind it.
     #
-    # def memo_token(self) -> Hashable | None: ...
+    # def memo_token(self) -> Hashable: ...
     # def memo_capture(self) -> object: ...
     # def memo_restore(self, state: object) -> None: ...
 
@@ -93,9 +95,6 @@ class ContinuousPower:
     def spawn(self, seed: int) -> "ContinuousPower":
         """Wall power has no state; every device gets an equivalent one."""
         return ContinuousPower()
-
-    def reseed(self, seed: int) -> None:
-        """Nothing to reset; kept for per-device re-seeding uniformity."""
 
     def memo_token(self):
         """Hashable identity of future behavior; wall power never varies."""
@@ -193,11 +192,6 @@ class ScheduledFailures:
         """
         return ScheduledFailures(list(self.points), off_cycles=self.off_cycles)
 
-    def reseed(self, seed: int) -> None:
-        """Re-arm every failure point in place."""
-        self._counts.clear()
-        self._fired.clear()
-
     def memo_token(self):
         """Hashable identity of future behavior: the *armed* schedule only.
 
@@ -239,8 +233,6 @@ class Harvester(Protocol):
     def off_cycles(self, deficit: int) -> int: ...
 
     def spawn(self, seed: int) -> "Harvester": ...
-
-    def reseed(self, seed: int) -> None: ...
 
     def memo_token(self): ...
 
@@ -318,13 +310,6 @@ class EnergyDrivenSupply:
             seed=derive_seed(seed, "boot"),
         )
 
-    def reseed(self, seed: int) -> None:
-        """Recharge and restart both randomness streams in place."""
-        self.capacitor.level = self.capacitor.capacity
-        self.harvester.reseed(derive_seed(seed, "harvest"))
-        self.seed = derive_seed(seed, "boot")
-        self._rng = random.Random(self.seed)
-
     def memo_token(self):
         """Hashable identity of future behavior.
 
@@ -334,13 +319,8 @@ class EnergyDrivenSupply:
         stream positions.  A degenerate boot band (``lo == hi``) never
         draws, so its RNG is excluded and devices on different per-device
         seeds still compare equal; likewise the harvester excludes its
-        stream when its jitter is degenerate.  Returns ``None`` when the
-        harvester is opaque (no memo hooks), which disables replay.
+        stream when its jitter is degenerate.
         """
-        token = getattr(self.harvester, "memo_token", None)
-        harvester = token() if token is not None else None
-        if harvester is None:
-            return None
         lo, hi = self.boot_fraction
         boot = self._rng.getstate() if hi > lo else None
         return (
@@ -350,24 +330,7 @@ class EnergyDrivenSupply:
             self.capacitor.level,
             self.boot_fraction,
             boot,
-            harvester,
-        )
-
-    def memo_quantum(self):
-        """Bucketing profile for quantized memo keys: geometry + charge.
-
-        Returns ``(static_token, charge_level)``.  The static token is
-        the capacitor geometry only; everything else that varies per
-        device -- harvest rate, jitter and boot RNG stream positions,
-        the boot band -- is deliberately excluded.  The exclusion is
-        sound because a reboot-free activation consults the supply only
-        through charge-threshold checks that are monotone in the
-        starting level (see :mod:`repro.energy.segments` for the
-        replay-gate contract the fleet memoizer enforces).
-        """
-        return (
-            ("energyq", self.capacitor.capacity, self.capacitor.low_threshold),
-            self.capacitor.level,
+            self.harvester.memo_token(),
         )
 
     def memo_capture(self):

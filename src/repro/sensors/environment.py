@@ -106,23 +106,23 @@ def random_walk(start: int, step: int, seed: int, interval: int = 200) -> Signal
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
-    cache: dict[int, int] = {0: start}
+    # cache[i] is segment i's value; it always holds segments 0..n.
+    cache: list[int] = [start]
 
     def value_at_segment(segment: int) -> int:
-        if segment in cache:
+        if segment < len(cache):
             return cache[segment]
         # Fill forward deterministically; each segment's step is a pure
         # function of (seed, segment index).
-        known = max(k for k in cache if k <= segment)
-        value = cache[known]
-        for idx in range(known + 1, segment + 1):
+        value = cache[-1]
+        for idx in range(len(cache), segment + 1):
             rng = random.Random(f"{seed}:{idx}")
             value += rng.choice((-step, 0, step))
-            cache[idx] = value
-        return cache[segment]
+            cache.append(value)
+        return value
 
     # Same-segment reads dominate (sensing loops sample faster than the
-    # walk moves), so keep the last evaluation out of the dict lookup.
+    # walk moves), so keep the last evaluation out of the cache lookup.
     last = (0, start)
 
     def signal(tau: int) -> int:

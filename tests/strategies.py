@@ -267,16 +267,41 @@ FLEET_CONFIGS = ["ocelot", "jit", "atomics"]
 
 @st.composite
 def device_classes(draw, name: str):
-    """One random device class (valid by construction)."""
+    """One random device class (valid by construction).
+
+    Supplies cover every cohort the vector executor forms: stochastic
+    harvest (quantized keys), and three exact-keyed kinds -- wall power,
+    a deterministic harvest (no jitter, degenerate boot band), and a
+    failure schedule like a verifier counterexample.  Schedule labels
+    are small; one the program lacks never fires, which is valid.
+    """
     from repro.eval.campaign import EnvironmentSpec, SupplySpec
     from repro.fleet.spec import DeviceClass
 
-    kind = draw(st.sampled_from(["harvest", "harvest", "continuous"]))
-    if kind == "harvest":
-        rate = draw(st.integers(150, 600))
+    # Stochastic harvest keeps two thirds of the draws: it is the only
+    # kind that forms quantized cohorts, the replay gate's test subject.
+    kind = draw(
+        st.sampled_from(["harvest"] * 6 + ["continuous", "steady", "schedule"])
+    )
+    if kind in ("harvest", "steady"):
+        steady = kind == "steady"
         supply = SupplySpec(
-            harvest_rate=rate,
+            harvest_rate=draw(st.integers(150, 600)),
+            harvest_spread=1.0 if steady else 3.0,
+            boot_fraction=(1.0, 1.0) if steady else (0.65, 1.0),
             seed_offset=draw(st.integers(0, 50)),
+        )
+    elif kind == "schedule":
+        point = st.tuples(
+            st.just("main"), st.integers(0, 12), st.integers(1, 3)
+        )
+        supply = SupplySpec(
+            name="schedule",
+            kind="schedule",
+            points=draw(
+                st.lists(point, min_size=1, max_size=3, unique=True).map(tuple)
+            ),
+            off_cycles=draw(st.sampled_from([300, 2_000])),
         )
     else:
         supply = SupplySpec.continuous()

@@ -101,12 +101,6 @@ class TestHarvesters:
         assert seq != [c.off_cycles(100) for _ in range(5)]
         assert a.rate_per_kilocycle == 300 and a.spread == 2.0
 
-    def test_noisy_reseed_replays(self):
-        h = NoisyHarvester(300, seed=1)
-        first = [h.off_cycles(100) for _ in range(5)]
-        h.reseed(1)
-        assert [h.off_cycles(100) for _ in range(5)] == first
-
     def test_trace_spawn_rewinds(self):
         proto = TraceHarvester([10, 20])
         proto.off_cycles(1)

@@ -1,5 +1,7 @@
 """Sensor environment tests."""
 
+import random
+
 import pytest
 
 from repro.sensors.environment import (
@@ -76,7 +78,7 @@ class TestSignals:
 
     def test_random_walk_fast_path_agrees_with_cold_reads(self):
         # Two identical walks: one read strictly in order (hot last-segment
-        # path), one probed out of order (cold dict path) -- same values.
+        # path), one probed out of order (cold cache path) -- same values.
         hot = random_walk(start=50, step=3, seed=9, interval=100)
         cold = random_walk(start=50, step=3, seed=9, interval=100)
         hot_values = [hot(t) for t in range(0, 1000, 50)]  # repeats segments
@@ -84,6 +86,20 @@ class TestSignals:
         assert hot_values[-1] == cold_values[0]
         assert hot_values[0] == cold_values[1]
         assert [hot(t) for t in (450, 50)] == cold_values[2:]
+
+    def test_random_walk_out_of_order_reads_match_reference(self):
+        # A reference walk built here, segment by segment, from the
+        # documented rule: segment i's step is drawn from the RNG seeded
+        # "seed:i".  Reads jump forward, back, and forward past the
+        # filled range, so a wrong fill start point shows up.
+        start, step, seed, interval = 10, 2, 4, 100
+        reference = [start]
+        for idx in range(1, 81):
+            rng = random.Random(f"{seed}:{idx}")
+            reference.append(reference[-1] + rng.choice((-step, 0, step)))
+        sig = random_walk(start, step, seed=seed, interval=interval)
+        for segment in (50, 10, 80, 0, 79, 51):
+            assert sig(segment * interval + 7) == reference[segment]
 
     def test_phase_shifted_advances_reads(self):
         sig = phase_shifted(steps([1, 2, 3], dwell=10), 10)

@@ -24,6 +24,7 @@ from repro.fleet import (
 from repro.fleet.device import DeviceFactory
 from repro.fleet.scheduler import FleetScheduler
 from repro.runtime.harness import ActivationRecord
+from repro.runtime.supply import ContinuousPower
 from tests.strategies import fleet_specs
 
 
@@ -80,6 +81,13 @@ class TestFleetSpec:
     def test_negative_env_seed_stride_rejected(self):
         with pytest.raises(FleetError, match="env_seed_stride"):
             DeviceClass(name="x", app="tire", env_seed_stride=-1)
+
+    def test_foreign_supply_rejected(self):
+        # The vector executor keys its memo on the hooks of supplies a
+        # SupplySpec builds; a supply object of any other kind is refused
+        # where the class is declared, not deep inside an executor.
+        with pytest.raises(FleetError, match="SupplySpec"):
+            DeviceClass(name="x", app="tire", supply=ContinuousPower())
 
     def test_expansion_is_deterministic(self):
         spec = small_spec()

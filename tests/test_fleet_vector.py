@@ -3,10 +3,12 @@
 The vector executor's whole value proposition is "same bytes, fewer
 instructions": these tests pin the byte-identity against the serial
 executor, in-process and on workers (including under hypothesis-generated
-fleets, with quantized supply keys at aggressive bucket sizes and warm
-disk-backed memo runs), prove the memo key cannot produce false hits
-(perturbing one nonvolatile bit, one stored value, one taint, one
-environment segment, or one charge bucket changes the key), and check
+fleets, with quantized supply keys at aggressive bucket sizes, with
+bucketing off, and warm disk-backed memo runs), prove the memo key cannot
+produce false hits (perturbing one nonvolatile bit, one stored value, one
+taint or one environment segment changes its token, and the executor's
+own key, ``_Cohort.memo_key``, changes exactly when a charge level
+crosses a bucket boundary or the capacitor geometry changes), and check
 that the intended hits actually happen (a homogeneous deterministic
 fleet replays almost everything; a jittered fleet scores nonzero hits
 via quantization).
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
-from repro.energy.segments import quantized_supply_token, supply_memo_token
 from repro.eval.campaign import SupplySpec
 from repro.fleet import (
     ActivationMemo,
@@ -40,8 +42,10 @@ from repro.fleet import (
     run_fleet,
     run_shard,
 )
+from repro.fleet.device import DeviceFactory
 from repro.fleet.memostore import MEMO_SCHEMA
 from repro.ir.instructions import InstrId
+from repro.runtime.engine import ENGINE_FAST
 from repro.runtime.executor import NVState
 from repro.runtime.supply import FailurePoint, ScheduledFailures
 from repro.runtime.values import InputEvent, TVal
@@ -134,9 +138,24 @@ def jittered_spec(count: int = 12, **overrides) -> FleetSpec:
     return FleetSpec(**defaults)
 
 
-def _harvest_supply(seed: int = 0, rate: int = 300):
-    """A spawned stochastic :class:`EnergyDrivenSupply` on stream ``seed``."""
-    return SupplySpec(name="rf", harvest_rate=rate).build(0).spawn(seed)
+#: The memo-key program component of tire/ocelot on the fast engine.
+TIRE_PROG = ("tire", "ocelot", ENGINE_FAST)
+
+
+def _initial_cohorts(devices, buckets: int = 32):
+    """The cohorts a vector executor forms for one tire/ocelot batch."""
+    executor = VectorFleetExecutor(supply_buckets=buckets)
+    meta = BENCHMARKS["tire"]
+    compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
+    plan = compiled.detector_plan()
+    _, init_ref = executor._codec(devices[0], compiled, plan)
+    return executor._initial_cohorts(list(devices), init_ref)
+
+
+def _key_of(devices, buckets: int = 32):
+    """The memo key of a single device's first activation."""
+    (cohort,) = _initial_cohorts(devices, buckets)
+    return cohort.memo_key(TIRE_PROG)
 
 
 def _tire_codec() -> tuple[NVCodec, NVState]:
@@ -318,66 +337,107 @@ class TestHitRates:
 
 
 class TestQuantizedSupplyTokens:
-    """Soundness of bucketed supply keys (the no-false-hit contract)."""
+    """Soundness of the executor's bucketed keys (no-false-hit contract).
+
+    Every key here comes from ``_Cohort.memo_key`` over cohorts that
+    ``_initial_cohorts`` formed, so the tests check the key the executor
+    actually probes the memo with.
+    """
 
     @given(
+        buckets=st.sampled_from([1, 2, 5, 32, 500]),
         level=st.integers(601, 3000),
-        delta=st.integers(-600, 600).filter(lambda d: d != 0),
-        bucket_size=st.sampled_from([1, 7, 75, 300, 1500]),
+        other=st.integers(601, 3000),
     )
     @settings(max_examples=60, deadline=None)
     def test_bucket_crossing_perturbation_changes_key(
-        self, level, delta, bucket_size
+        self, buckets, level, other
     ):
-        supply = _harvest_supply(seed=3)
-        supply.capacitor.level = level
-        baseline = quantized_supply_token(supply, bucket_size)
-        assert baseline is not None
-        supply.capacitor.level = level + delta
-        perturbed = quantized_supply_token(supply, bucket_size)
-        crosses = (level // bucket_size) != ((level + delta) // bucket_size)
-        if crosses:
-            assert perturbed != baseline
-        else:
-            assert perturbed == baseline
+        # File two members of one quant cohort at two charge levels the
+        # way a wave does; their next keys differ exactly when the levels
+        # sit in different buckets of the 3000-unit capacitor.
+        (src,) = _initial_cohorts(jittered_spec(count=2).expand(), buckets)
+        assert src.kind == "quant"
+        regroup: dict = {}
+        order: list = []
+        for pos, lv in enumerate((level, other)):
+            VectorFleetExecutor._requeue(
+                regroup, order, src, 1, 700, src.nv_ref, lv, pos, None
+            )
+        key = {p: c.memo_key(TIRE_PROG) for c in order for p in c.positions}
+        bucket_size = max(1, 3000 // buckets)
+        crosses = level // bucket_size != other // bucket_size
+        assert (key[0] != key[1]) == crosses
 
     def test_quantized_token_ignores_per_device_randomness(self):
-        # Two devices with different seeds and harvest rates: exact
-        # tokens must differ (RNG streams diverge), quantized tokens at
-        # the same charge level must agree -- that is the whole point.
-        one = _harvest_supply(seed=1, rate=200)
-        two = _harvest_supply(seed=2, rate=400)
-        assert supply_memo_token(one) != supply_memo_token(two)
-        assert quantized_supply_token(one, 75) == quantized_supply_token(
-            two, 75
+        # Devices with different seeds, harvest rates and boot bands:
+        # exact keys differ (rates and RNG streams diverge), quantized
+        # keys agree -- that is the whole point.
+        devices = jittered_spec(count=3).expand()
+        devices[2] = replace(
+            devices[2],
+            supply=replace(devices[2].supply, boot_fraction=(0.5, 0.9)),
         )
+        assert len({d.seed for d in devices}) == 3
+        assert len({d.supply.harvest_rate for d in devices}) == 3
+        assert len({_key_of([d], buckets=32) for d in devices}) == 1
+        assert len({_key_of([d], buckets=0) for d in devices}) == 3
+        (shared,) = _initial_cohorts(devices, buckets=32)
+        assert shared.positions == [0, 1, 2]
 
     def test_quantized_token_tracks_geometry(self):
-        # Same bucket index on different capacitor geometry must differ.
-        small = SupplySpec(name="a", capacity=2000, low_threshold=400)
-        big = SupplySpec(name="b", capacity=4000, low_threshold=800)
-        one = small.build(0).spawn(1)
-        two = big.build(0).spawn(1)
-        one.capacitor.level = two.capacitor.level = 1500
-        assert quantized_supply_token(one, 75) != quantized_supply_token(
-            two, 75
-        )
+        # One capacity (so one bucket size and index) but a different
+        # low threshold, and a different capacity: each must split keys.
+        device = jittered_spec(count=1).expand()[0]
+        keys = {
+            _key_of(
+                [
+                    replace(
+                        device,
+                        supply=replace(
+                            device.supply, capacity=cap, low_threshold=low
+                        ),
+                    )
+                ]
+            )
+            for cap, low in ((3000, 600), (3000, 900), (6000, 600))
+        }
+        assert len(keys) == 3
 
     def test_quantized_token_conservative_fallbacks(self):
-        supply = _harvest_supply()
-        assert quantized_supply_token(supply, 0) is None
-        from repro.runtime.supply import ContinuousPower
+        # Bucketing off: every stochastic device is its own uni cohort,
+        # keyed on its supply's exact token.
+        devices = jittered_spec(count=4).expand()
+        cohorts = _initial_cohorts(devices, buckets=0)
+        assert [c.kind for c in cohorts] == ["uni"] * 4
+        assert [c.positions for c in cohorts] == [[0], [1], [2], [3]]
+        factory = DeviceFactory()
+        for cohort, device in zip(cohorts, devices, strict=True):
+            assert (
+                cohort.memo_key(TIRE_PROG)[-1]
+                == factory.supply(device).memo_token()
+            )
+        # Wall power never quantizes: one exact-keyed cohort.
+        wall = uniform_spec(count=3).expand()
+        wall = [replace(d, supply=SupplySpec.continuous()) for d in wall]
+        (cohort,) = _initial_cohorts(wall, buckets=32)
+        assert cohort.kind == "uni"
+        assert cohort.memo_key(TIRE_PROG)[-1] == ("wall",)
 
-        assert quantized_supply_token(ContinuousPower(), 75) is None
-
-    @given(spec=fleet_specs(), buckets=st.sampled_from([1, 2, 5, 32, 500]))
-    @settings(max_examples=10, deadline=None)
+    # Bucket count 0 goes last (hypothesis favours a list's head) and the
+    # example count is 12, so about nine examples per run still reach the
+    # quantized replay gate while a sixth check exact keys.
+    @given(
+        spec=fleet_specs(), buckets=st.sampled_from([1, 2, 5, 32, 500, 0])
+    )
+    @settings(max_examples=12, deadline=None)
     def test_bucketed_replay_matches_serial_property(self, spec, buckets):
         # The acceptance property: byte parity under quantized keys at
         # aggressive bucket sizes, across random apps x configs x
         # jittered fleets.  Coarse buckets collapse more devices onto
         # one key; the reboot-free replay gate must keep every hit
-        # bit-identical to real execution.
+        # bit-identical to real execution.  Zero buckets keys every
+        # stochastic device on its exact supply token.
         devices = spec.expand()
         serial = run_shard(devices)
         vector = VectorFleetExecutor(supply_buckets=buckets).run(devices)

@@ -154,12 +154,6 @@ class TestSpawn:
         proto.consume(500)
         assert child.capacitor.level == 1000  # no shared capacitor state
 
-    def test_reseed_replays_the_stream(self):
-        supply = self.make_proto().spawn(9)
-        first = self.drain_cycle(supply)
-        supply.reseed(9)
-        assert self.drain_cycle(supply) == first
-
     def test_scheduled_failures_spawn_rearms(self):
         proto = ScheduledFailures([FailurePoint(UID)], off_cycles=77)
         assert proto.fail_before(UID)
@@ -170,12 +164,6 @@ class TestSpawn:
         assert child.fail_before(UID)
         # Spawning does not disturb the parent.
         assert proto.all_fired
-
-    def test_scheduled_failures_reseed_rearms_in_place(self):
-        supply = ScheduledFailures([FailurePoint(UID)])
-        assert supply.fail_before(UID)
-        supply.reseed(0)
-        assert supply.fail_before(UID)
 
     def test_continuous_spawn_is_continuous(self):
         child = ContinuousPower().spawn(5)
