@@ -6,11 +6,11 @@ quantified question "does *any* failure schedule within a bound?" --
 either with a proof certificate or with a minimized counterexample
 schedule that replays bit-exactly on the production engines.  See
 :mod:`repro.verify.explorer` for the search, :mod:`repro.verify.digest`
-for state deduplication, and :mod:`repro.verify.schedule` for the
-replayable counterexample format.
+for the exact state keys that deduplicate it, and
+:mod:`repro.verify.schedule` for the replayable counterexample format.
 """
 
-from repro.verify.digest import fast_block_namer, state_digest
+from repro.verify.digest import StateKeys, fast_block_namer, state_digest
 from repro.verify.explorer import (
     VERDICT_BOUND,
     VERDICT_COUNTEREXAMPLE,
@@ -47,6 +47,7 @@ __all__ = [
     "ScheduleError",
     "minimize_schedule",
     "replay_schedule",
+    "StateKeys",
     "state_digest",
     "fast_block_namer",
 ]

@@ -16,11 +16,20 @@ within a bound B = activations x cycles x failures:
   counterexample found uses a minimal number of failures; greedy
   delta-reduction (:func:`repro.verify.schedule.minimize_schedule`)
   then makes it 1-minimal through the production replay path.
-* **Deduplication** hashes every post-reboot and activation-start state
-  (:mod:`repro.verify.digest`) and skips states already explored with
-  at least the remaining (activations, failures) budget -- explorable
-  futures are monotone in budget, so a Pareto frontier per digest is
-  sound.
+* **Deduplication** keys every post-reboot and activation-start state
+  by its exact canonical state key (:mod:`repro.verify.digest`) and
+  skips states already explored with at least the remaining
+  (activations, failures) budget -- explorable futures are monotone in
+  budget, so a Pareto frontier per key is sound.
+* **Fork-time decisions** build each fork's post-failure key from the
+  live machine when the fork is made.  A fork the search would dedupe
+  when it pops anyway -- its key is dominated in the visited set, or by
+  a pending fork that pops first with at least its budget -- becomes a
+  *tombstone*: it keeps its place in the frontier and its counts, but
+  is never captured, restored or failed.  Verdicts, stats and graphs
+  are unchanged (the argument is in docs/architecture.md); under
+  ``REPRO_DEBUG_VERIFY`` every fork is still restored and failed, and
+  its real key is checked against the fork-time one.
 * **Pruning** skips fork candidates inside atomic regions: Atom-Reboot
   rolls volatile state and the logged NV locations back to the
   outermost region entry with cleared bits, so the failing branch's
@@ -45,16 +54,18 @@ capped frontier is not).
 from __future__ import annotations
 
 import heapq
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.availability import ResumeClassification, classify_resume_points
+from repro.core.passes.base import DEBUG_ENV_VAR
 from repro.core.pipeline import CompiledProgram
 from repro.energy.costs import DEFAULT_COSTS, CostModel
 from repro.ir.instructions import InstrId
 from repro.runtime.detector import DetectorPlan
 from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
-from repro.runtime.executor import ExecError, MachineConfig
+from repro.runtime.executor import ExecError, MachineConfig, stack_words
 from repro.runtime.snapshot import (
     MachineSnapshot,
     begin_activation,
@@ -64,7 +75,7 @@ from repro.runtime.snapshot import (
 from repro.runtime.supply import FailurePoint
 from repro.sensors.environment import Environment
 from repro.telemetry.trace import span as _span
-from repro.verify.digest import fast_block_namer, state_digest
+from repro.verify.digest import StateKeys, fast_block_namer, state_digest
 from repro.verify.schedule import Schedule, minimize_schedule
 
 VERDICT_PROOF = "proof"
@@ -100,7 +111,7 @@ class ExploreStats:
     forked: int = 0  # child states pushed
     pruned: int = 0  # candidates skipped by the region-rollback argument
     pruned_noop: int = 0  # candidates skipped as state-identical no-ops
-    deduped: int = 0  # branches dropped at a visited digest
+    deduped: int = 0  # branches dropped at a visited state key
     cycle_truncated: int = 0  # branches stopped at the per-activation cycle cap
     stuck: int = 0  # branches that died in ExecError (e.g. region too large)
     truncated: int = 0  # frontier entries dropped at the state cap
@@ -205,15 +216,21 @@ class FixedOffSupply:
         return self.off_cycles
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
-    snapshot: MachineSnapshot
+    #: a tombstone has no snapshot, attempts or points outside debug runs
+    snapshot: Optional[MachineSnapshot]
     activation: int
     failures: int
     points: tuple[FailurePoint, ...]
-    attempts: dict[InstrId, int]
+    attempts: Optional[dict[InstrId, int]]
     pending: bool  # force a power failure immediately after restore?
     graph_id: int = -1
+    #: post-failure state key decided at fork time; None for the root
+    #: and for a fork whose failure may get stuck
+    key: Optional[tuple] = None
+    #: dominated at fork time: popping it only counts it
+    tombstone: bool = False
 
 
 class Explorer:
@@ -241,8 +258,8 @@ class Explorer:
         self._plan = plan if plan is not None else compiled.detector_plan()
         # Pruning and no-op skipping argue over tau-shifted futures, so
         # they require a time-invariant environment (every signal
-        # constant); otherwise they auto-disable and digests fall back
-        # to the environment's periodic tau token.
+        # constant); otherwise they auto-disable and state keys fall
+        # back to the environment's periodic tau token.
         self._time_invariant = env.period() == 1
         self._prune = prune and self._time_invariant
         self._classification: ResumeClassification = (
@@ -266,11 +283,15 @@ class Explorer:
         self._fired: set = set()
         self._graph_nodes: list[dict] = []
         self._graph_edges: list[dict] = []
+        # The debug cross-check (on in tests and CI): every fork is
+        # still restored and failed when it pops, and must reach the
+        # key and the verdict its fork-time decision predicted.
+        self._debug = os.environ.get(DEBUG_ENV_VAR, "") not in ("", "0")
 
     # -- engine adapters -------------------------------------------------------
 
     def _build_machine(self):
-        # Violations-only: the digest and the verdict read nothing else,
+        # Violations-only: the state key and the verdict read nothing else,
         # so segment runs record O(violations) events, not O(steps).
         machine = create_machine(
             self._engine,
@@ -288,6 +309,7 @@ class Explorer:
             if self._engine == ENGINE_REFERENCE
             else fast_block_namer(machine._code)
         )
+        self._keys = StateKeys(self._name_block)
         return machine
 
     def _peek(self, machine) -> tuple[InstrId, object]:
@@ -299,9 +321,25 @@ class Explorer:
         op = frame.ops[frame.idx]
         return op.uid, lambda: op.chain_at(frame.sites)[0]
 
-    def _digest(self, machine) -> bytes:
+    def _key(self, machine) -> tuple:
         token = 0 if self._time_invariant else self._env.segment_token(machine.tau)
-        return state_digest(machine, token, self._name_block)
+        return state_digest(machine, token, self._keys)
+
+    def _failure_key(self, machine) -> tuple:
+        """Key of the state ``machine.force_power_failure()`` would leave.
+
+        Its time token is taken where ``MachineCore._power_failure`` and
+        ``_reboot`` leave ``tau``: plus the JIT checkpoint (outside a
+        region only), the supply's off-time and the restore cycles.
+        """
+        token = 0
+        if not self._time_invariant:
+            costs = self._costs
+            tau = machine.tau + self._bounds.off_cycles + costs.restore
+            if machine._atom_ctx is None:
+                tau += costs.checkpoint_cycles(stack_words(machine._frames))
+            token = self._env.segment_token(tau)
+        return state_digest(machine, token, self._keys, failed=True)
 
     # -- the search ------------------------------------------------------------
 
@@ -312,7 +350,11 @@ class Explorer:
     def _run(self) -> Verdict:
         bounds = self._bounds
         machine = self._build_machine()
-        self._visited: dict[bytes, list[tuple[int, int]]] = {}
+        self._visited: dict[tuple, list[tuple[int, int]]] = {}
+        # Non-tombstone forks by key: (activations left, failures, boost).
+        # A popped fork may stay listed -- its key's visited entry then
+        # dominates whatever it would dominate here.
+        self._reserved: dict[tuple, list[tuple[int, int, int]]] = {}
         self._frontier: list[tuple[int, int, int, _Node]] = []
         self._seq = 0
 
@@ -323,7 +365,7 @@ class Explorer:
             points=(),
             attempts={},
             pending=False,
-            graph_id=self._graph_node(None, 0, 0, "root"),
+            graph_id=self._graph_node(0, 0, "root"),
         )
         self._push(root)
 
@@ -374,16 +416,15 @@ class Explorer:
             self._frontier, (node.failures, boost, self._seq, node)
         )
 
-    def _graph_node(
-        self, digest: Optional[bytes], activation: int, failures: int, kind: str
-    ) -> int:
+    def _graph_node(self, activation: int, failures: int, kind: str) -> int:
         if not self._record_graph:
             return -1
         nid = len(self._graph_nodes)
         self._graph_nodes.append(
             {
                 "id": nid,
-                "digest": digest.hex() if digest is not None else None,
+                # state keys never leave the process
+                "digest": None,
                 "activation": activation,
                 "failures": failures,
                 "kind": kind,
@@ -391,10 +432,10 @@ class Explorer:
         )
         return nid
 
-    def _seen(self, digest: bytes, acts_left: int, fails_left: int) -> bool:
+    def _seen(self, key: tuple, acts_left: int, fails_left: int) -> bool:
         """Pareto-frontier dedup: skip iff already explored with at
         least this much remaining budget in both dimensions."""
-        frontier = self._visited.setdefault(digest, [])
+        frontier = self._visited.setdefault(key, [])
         for a, f in frontier:
             if a >= acts_left and f >= fails_left:
                 return True
@@ -406,11 +447,97 @@ class Explorer:
         frontier.append((acts_left, fails_left))
         return False
 
+    def _dominated(
+        self, key: tuple, activation: int, failures: int, boost: int
+    ) -> bool:
+        """Will a fork with post-failure ``key`` be deduped when it pops?
+
+        Yes if (a) the visited set holds an entry with at least its
+        budget -- a Pareto entry is only ever replaced by one that
+        dominates it, so that still holds at pop time -- or (b) a
+        non-tombstone fork with the same key and at least its budget
+        pops before it (frontier order is ``(failures, boost, seq)``):
+        that fork's own pop leaves such an entry behind, whether its
+        check inserts it or finds it already dominated.  Otherwise the
+        fork reserves its key for later forks.
+        """
+        bounds = self._bounds
+        acts_left = bounds.max_activations - activation
+        fails_left = bounds.max_failures - failures
+        for a, f in self._visited.get(key, ()):
+            if a >= acts_left and f >= fails_left:
+                return True
+        reserved = self._reserved.setdefault(key, [])
+        for a, f, b in reserved:
+            if a >= acts_left and (f, b) <= (failures, boost):
+                return True
+        reserved.append((acts_left, failures, boost))
+        return False
+
+    def _fork(
+        self,
+        machine,
+        parent: _Node,
+        activation: int,
+        failures: int,
+        boost: int,
+        uid: InstrId,
+        occurrence: int,
+        attempts: dict[InstrId, int],
+    ) -> _Node:
+        """The child failing before ``uid``, decided before capture.
+
+        A fork inside a region that has used up its restarts may get
+        ``stuck`` when it pops, so it takes the plain path: no key, no
+        reservation.  Every other fork gets its post-failure key now and
+        becomes a snapshot-free tombstone when :meth:`_dominated` says
+        its pop would be deduped anyway.
+        """
+        key = None
+        tombstone = False
+        if (
+            machine._atom_ctx is None
+            or machine.stats.region_restarts
+            < machine._config.max_region_restarts
+        ):
+            key = self._failure_key(machine)
+            tombstone = self._dominated(key, activation, failures, boost)
+        keep = not tombstone or self._debug
+        return _Node(
+            snapshot=capture_machine(machine) if keep else None,
+            activation=activation,
+            failures=failures,
+            points=(
+                parent.points + (FailurePoint(uid=uid, occurrence=occurrence),)
+                if keep
+                else ()
+            ),
+            attempts=None if tombstone else dict(attempts),
+            pending=True,
+            graph_id=self._graph_node(activation, failures, "fork"),
+            key=key,
+            tombstone=tombstone,
+        )
+
+    def _mismatch(self, node: _Node, what: str) -> None:
+        """Fail the debug cross-check: a popped fork broke its fork-time
+        decision."""
+        point = node.points[-1]
+        kind = "tombstone" if node.tombstone else "fork"
+        raise AssertionError(
+            f"fork-time decision broken: the {kind} failing before "
+            f"{point.uid.func}:{point.uid.label} (occurrence "
+            f"{point.occurrence}) {what} when it popped"
+        )
+
     def _expand(self, machine, node: _Node) -> Optional[Verdict]:
         """Restore ``node``, apply its pending failure, run the segment."""
         bounds = self._bounds
         stats = self.stats
         stats.explored += 1
+        if node.tombstone and not self._debug:
+            stats.deduped += 1
+            return None
         restore_machine(machine, node.snapshot)
         # Restoring installs a fresh trace, which in violations-only mode
         # holds exactly this segment's violations.
@@ -421,18 +548,27 @@ class Explorer:
         attempts = node.attempts
 
         if node.pending:
+            key = node.key
             try:
                 machine.force_power_failure()
             except ExecError:
+                if self._debug and key is not None:
+                    self._mismatch(node, "got stuck")
                 stats.stuck += 1
                 return None
+            if key is None:
+                key = self._key(machine)
+            elif self._debug and self._key(machine) != key:
+                self._mismatch(node, "left a state other than its key")
             if self._seen(
-                self._digest(machine),
+                key,
                 bounds.max_activations - activation,
                 bounds.max_failures - failures,
             ):
                 stats.deduped += 1
                 return None
+            if node.tombstone:
+                self._mismatch(node, "was not dominated")
 
         classification = self._classification
         prune = self._prune
@@ -448,7 +584,7 @@ class Explorer:
                     return None
                 begin_activation(machine, trace=machine.trace)
                 if self._seen(
-                    self._digest(machine),
+                    self._key(machine),
                     bounds.max_activations - activation,
                     bounds.max_failures - failures,
                 ):
@@ -479,17 +615,16 @@ class Explorer:
                 ):
                     stats.pruned_noop += 1
                 else:
-                    child = _Node(
-                        snapshot=capture_machine(machine),
-                        activation=activation,
-                        failures=failures + 1,
-                        points=node.points
-                        + (FailurePoint(uid=uid, occurrence=count),),
-                        attempts=dict(attempts),
-                        pending=True,
-                        graph_id=self._graph_node(
-                            None, activation, failures + 1, "fork"
-                        ),
+                    boost = 0 if uid in seed_uids else 1
+                    child = self._fork(
+                        machine,
+                        node,
+                        activation,
+                        failures + 1,
+                        boost,
+                        uid,
+                        count,
+                        attempts,
                     )
                     stats.forked += 1
                     if self._record_graph:
@@ -502,7 +637,7 @@ class Explorer:
                                 "occurrence": count,
                             }
                         )
-                    self._push(child, boost=0 if uid in seed_uids else 1)
+                    self._push(child, boost)
 
             seen_violations = len(violations)
             site_chain = chain_of() if self._collect_all else None

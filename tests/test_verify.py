@@ -28,6 +28,7 @@ from repro.verify import (
     VERDICT_PROOF,
     FixedOffSupply,
     Schedule,
+    StateKeys,
     VerifyBounds,
     fast_block_namer,
     replay_schedule,
@@ -51,7 +52,7 @@ def _machine(compiled, env, engine):
 
 def _digest_of(machine, engine):
     namer = None if engine == ENGINE_REFERENCE else fast_block_namer(machine._code)
-    return state_digest(machine, 0, namer)
+    return state_digest(machine, 0, StateKeys(namer))
 
 
 def _run_out(machine):
