@@ -31,7 +31,8 @@ iteration cap; now they are instances of one substrate:
 * :func:`stabilize` -- the outer-fixpoint driver for analyses whose
   transfer functions feed monotone global accumulators (the taint
   analysis' global-memory facts): re-run a step until a snapshot stops
-  changing, again raising :class:`ConvergenceError` on the round cap.
+  changing, or until the caller reports the last step settled, again
+  raising :class:`ConvergenceError` on the round cap.
 
 Facts must be comparable with ``==`` and, for must-analyses, hashable
 (frozensets); the solver never mutates facts in place.
@@ -298,7 +299,7 @@ class FunctionDataflow:
                         changed = True
                         continue
                     merged = lattice.join(states[nxt], out)
-                    if merged == states[nxt]:
+                    if merged is states[nxt] or merged == states[nxt]:
                         continue
                     count = merges.get(nxt, 0) + 1
                     merges[nxt] = count
@@ -316,6 +317,7 @@ def stabilize(
     analysis: str,
     scope: str,
     max_rounds: int = 64,
+    settled: Optional[Callable[[], bool]] = None,
 ) -> int:
     """Outer-fixpoint driver: run ``step`` until ``snapshot`` is stable.
 
@@ -326,10 +328,18 @@ def stabilize(
     changing.  Returns the number of rounds executed.  Raises a
     structured :class:`ConvergenceError` when ``max_rounds`` is exhausted
     -- proceeding with a possibly-unconverged result is never an option.
+
+    ``settled`` lets a caller that tracks what its step read skip the
+    confirming round.  It is asked after every round except the last one
+    the cap allows.  It must answer true only when running ``step`` again
+    would change nothing; the fixpoint then ends there, in exactly the
+    state the confirming round would have left.
     """
     previous: Any = _UNSTARTED
     for rounds in range(1, max_rounds + 1):
         step()
+        if settled is not None and rounds < max_rounds and settled():
+            return rounds
         current = snapshot()
         if current == previous:
             return rounds

@@ -15,6 +15,12 @@ while two configurations that declare the *same* pipeline share builds,
 whatever their names.  (One consequence of sharing: the served
 ``CompiledProgram.config`` carries the name of whichever same-pipeline
 configuration compiled first.)
+
+The cache also parses each source once: it keeps the parsed program per
+source digest for as long as one of that source's builds is cached, and
+compiles every configuration of the source from it.  No pass writes to
+the AST, so those builds share ``CompiledProgram.program``, which is
+read-only.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core import pipeline
 from repro.core.passes import resolve_config
 from repro.core.pipeline import (
     CONFIG_OCELOT,
     CompiledProgram,
     ConfigLike,
     PipelineOptions,
-    compile_source,
 )
+from repro.lang import ast
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,17 @@ class CacheStats:
 class CompileCache:
     """LRU cache of :class:`CompiledProgram` keyed by build identity.
 
-    Thread-safe for lookups; a compile miss runs outside the lock so
-    concurrent misses on *different* keys do not serialize (concurrent
-    misses on the same key may compile twice, last write wins -- the
-    pipeline is deterministic, so both results are identical).
+    Thread-safe for lookups; a compile miss (and the parse it may need)
+    runs outside the lock so concurrent misses on *different* keys do not
+    serialize (concurrent misses on the same key may compile twice, last
+    write wins -- the pipeline is deterministic, so both results are
+    identical).
+
+    Parsed programs are kept per source digest while a build of that
+    source is cached: :meth:`clear` drops them, and so does evicting a
+    source's last build.  Parsing and compiling go through
+    ``repro.core.pipeline.parse_program`` and ``compile_program``, looked
+    up at call time.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -101,6 +115,8 @@ class CompileCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: OrderedDict[CacheKey, CompiledProgram] = OrderedDict()
+        #: source digest -> its parsed program, shared by its builds
+        self._programs: dict[str, ast.Program] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -141,7 +157,14 @@ class CompileCache:
                 self.stats.hits += 1
                 return cached, True
             self.stats.misses += 1
-        compiled = compile_source(source, config=config, options=options)
+            program = self._programs.get(key.source_hash)
+        if program is None:
+            program = pipeline.parse_program(source)
+        compiled = pipeline.compile_program(
+            program, config=config, options=options, source=source
+        )
+        with self._lock:
+            self._programs.setdefault(key.source_hash, program)
         self.put(key, compiled)
         return compiled, False
 
@@ -150,13 +173,16 @@ class CompileCache:
             self._entries[key] = compiled
             self._entries.move_to_end(key)
             while self.max_entries is not None and len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
                 self.stats.evictions += 1
+                if all(k.source_hash != evicted.source_hash for k in self._entries):
+                    self._programs.pop(evicted.source_hash, None)
 
     def clear(self) -> None:
-        """Drop every entry (and reset the statistics)."""
+        """Drop every entry and parsed program (and reset the statistics)."""
         with self._lock:
             self._entries.clear()
+            self._programs.clear()
             self.stats = CacheStats()
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.analysis.policies import PolicyDecls, PolicyMap
-from repro.analysis.taint import TaintResult
+from repro.analysis.taint import TaintResult, analyze_module
 from repro.core.checker import CheckReport
 from repro.core.inference import InferredRegion
 from repro.core.war import RegionInfo
@@ -45,8 +45,9 @@ DIAG_ERROR = "error"
 
 #: Environment switch for :attr:`BuildContext.debug`; the test suite and
 #: CI export ``REPRO_DEBUG_VERIFY=1`` so every transforming pass is
-#: followed by a full IR verification (optimizer bugs fail fast with the
-#: offending pass named).
+#: followed by a full IR verification, and the pipeline's taint facts are
+#: checked against a fresh analysis of the final module (bugs fail fast
+#: with the offending pass named).
 DEBUG_ENV_VAR = "REPRO_DEBUG_VERIFY"
 
 
@@ -136,8 +137,9 @@ class BuildContext:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     timings: list[StageTiming] = field(default_factory=list)
     #: when set (default: the REPRO_DEBUG_VERIFY env var), the pass
-    #: manager re-verifies the IR after every pass that produced or
-    #: mutated a module, naming the offending pass on failure
+    #: manager re-verifies the IR after every pass once a module exists,
+    #: naming the offending pass on failure, and re-checks the taint
+    #: facts against a fresh analysis of the final module
     debug: bool = field(default_factory=_debug_default)
 
     def diag(self, stage: str, message: str, level: str = DIAG_INFO) -> None:
@@ -222,8 +224,17 @@ class PassManager:
     """Runs an ordered pass pipeline over one build context.
 
     Per-pass wall times land in ``ctx.timings`` (one entry per pass
-    *execution*, so a pass appearing twice -- e.g. re-running the taint
-    analysis after instrumentation -- is timed twice).
+    *execution*, so a pass appearing twice in a pipeline is timed twice).
+
+    Pipelines analyze once, usually before region inference and omega
+    stamping, which only insert markers into the analyzed module in
+    place, markers the analysis skips; so the first taint facts are the
+    final module's facts (``ctx.taint.module is ctx.module``).  Under
+    ``ctx.debug`` that argument is checked on every build: after the last
+    pass, if taint facts exist, the manager re-runs the analysis on the
+    final module and raises :class:`PipelineError`, naming the config and
+    the passes that ran after the analysis, when the annotation inputs,
+    annotation chains, uses or summary entries differ from ``ctx.taint``.
     """
 
     def __init__(self, passes: Sequence[Pass]):
@@ -235,7 +246,9 @@ class PassManager:
         return pipeline_fingerprint(self.passes)
 
     def run(self, ctx: BuildContext) -> BuildContext:
+        analyzed = -1  # index of the last pass that set ctx.taint
         for index, stage in enumerate(self.passes):
+            taint = ctx.taint
             started = time.perf_counter()
             stage.run(ctx)
             ctx.timings.append(
@@ -253,7 +266,37 @@ class PassManager:
                         f"debug IR verification failed after pass "
                         f"'{stage.name}' in config '{ctx.config_name}': {exc}"
                     ) from exc
+            if ctx.taint is not taint:
+                analyzed = index
+        if ctx.debug and ctx.taint is not None:
+            _check_taint(ctx, [later.name for later in self.passes[analyzed + 1 :]])
         return ctx
+
+
+def _check_taint(ctx: BuildContext, after: list[str]) -> None:
+    """Debug: ``ctx.taint`` must be the facts of the final module."""
+    taint = ctx.taint
+    assert taint is not None and ctx.module is not None
+    if taint.module is not ctx.module:
+        problem = "the taint facts describe another module"
+    else:
+        fresh = analyze_module(ctx.module)
+        differ = [
+            name
+            for name in ("annot_inputs", "annot_chains", "uses")
+            if getattr(fresh, name) != getattr(taint, name)
+        ]
+        if set(fresh.summaries.all_entries()) != set(taint.summaries.all_entries()):
+            differ.append("summaries")
+        if not differ:
+            return
+        problem = (
+            f"{', '.join(differ)} differ from a fresh analysis of the final module"
+        )
+    raise PipelineError(
+        f"debug taint cross-check failed in config '{ctx.config_name}' "
+        f"(passes after the analysis: {', '.join(after) or 'none'}): {problem}"
+    )
 
 
 @dataclass
@@ -261,6 +304,9 @@ class CompiledProgram:
     """Everything the runtime and the evaluation need about one build."""
 
     config: str
+    #: the parsed program the build was lowered from (for Atomics-only
+    #: builds, its reshaped copy); read-only, because the compile cache
+    #: compiles every build of one source from one parsed program
     program: ast.Program
     module: Module
     taint: TaintResult

@@ -103,8 +103,12 @@ class VerifyIR:
 class Taint:
     """The interprocedural input-taint analysis (Algorithm 2).
 
-    Appears twice in enforcing pipelines: once to feed region inference,
-    once after instrumentation so the checker sees final labels.
+    Runs once per pipeline.  In enforcing pipelines it runs before region
+    inference, which only inserts atomic markers into the analyzed module
+    in place (omega stamping then fills in their checkpoint sets), and the
+    analysis skips inferred markers, so the same facts feed inference and
+    the checks.  Debug builds re-check them on the final module; see
+    :class:`~repro.core.passes.base.PassManager`.
     """
 
     name: ClassVar[str] = "taint"

@@ -9,8 +9,13 @@ configuration and hands the context to a
 configurations (Section 7.2) are registered pipelines --
 
 * ``ocelot`` -- validate, lower, taint, policies, region inference,
-  WAR/EMW omega stamping, re-analysis, Section 5.2 checks;
-* ``jit`` -- no manual or inferred regions; its check report records the
+  WAR/EMW omega stamping, Section 5.2 checks.  The analysis runs once:
+  inference and stamping only add markers to the analyzed module in
+  place, and the analysis skips inferred markers, so its facts hold for
+  the final module (debug builds re-check that; see
+  :class:`~repro.core.passes.PassManager`);
+* ``jit`` -- no manual or inferred regions; it stamps, then analyzes the
+  final module, and its check report records the
   violations-by-construction the paper's Table 2 demonstrates;
 * ``atomics`` -- the DINO-style whole-program region transform, then the
   Ocelot pipeline on top;
@@ -18,6 +23,10 @@ configurations (Section 7.2) are registered pipelines --
 -- and derived ablations (``ocelot-noguard``, ``atomics-trivial``, or
 any user-registered config) are declared the same way, so no
 ``if config == ...`` branching exists in the compile path.
+
+:class:`~repro.core.cache.CompileCache` parses each source once and
+calls :func:`compile_program` per configuration; it looks up
+``parse_program`` and ``compile_program`` on this module at call time.
 
 This module keeps the historical entry points (``compile_source`` /
 ``compile_program`` / ``compile_all_configs``) and re-exports the shared

@@ -3,8 +3,9 @@
 Programs are built as ASTs (valid by construction) and printed to source,
 so every generated program parses, validates, and compiles.  The generator
 covers the constructs the analyses care about: input operations behind
-call chains, fresh/consistent annotations, branches on annotated data,
-nonvolatile writes, bounded loops, and by-reference parameters.
+call chains, fresh/consistent annotations, branches on annotated data
+(whose bodies may sense and annotate too), nonvolatile writes, bounded
+loops, and by-reference parameters.
 
 Annotated variables never read nonvolatile globals: values surviving a
 reboot in memory legitimately carry old input events, which the *dynamic*
@@ -52,6 +53,26 @@ def _int_expr(draw, vars_in_scope: list[str]) -> ast.Expr:
     rhs = ast.IntLit(value=draw(st.integers(1, 9)))
     op = draw(st.sampled_from(["+", "-", "*", "/", "%"]))
     return ast.Binary(op=op, lhs=lhs, rhs=rhs)
+
+
+def _nested_sense(draw, state: _GenState, channels: list[str], wrappers: list[str]):
+    """Statements sensing, annotating and using a value inside a branch
+    body: region inference may then place markers under the branch.
+
+    Only ``Fresh`` annotations: a consistent-set member under a branch
+    makes the JIT detector and the trace predicates disagree, and can
+    leave an Ocelot build violating with no failure at all (ROADMAP).
+    """
+    name = state.fresh_name("n")
+    if wrappers and draw(st.booleans()):
+        expr: ast.Expr = ast.Call(func=draw(st.sampled_from(wrappers)), args=[])
+    else:
+        expr = ast.Input(channel=draw(st.sampled_from(channels)))
+    body: list[ast.Stmt] = [ast.Let(name=name, expr=expr)]
+    if draw(st.integers(0, 3)) > 0:
+        body.append(ast.AnnotStmt(kind=ast.AnnotKind.FRESH, var=name))
+    body.append(ast.ExprStmt(expr=ast.Call(func="log", args=[ast.Var(name=name)])))
+    return body
 
 
 @st.composite
@@ -131,6 +152,11 @@ def programs(draw, min_annotations: int = 0) -> ast.Program:
                 annotated.append(name)
                 # Guarantee at least one use so the policy is non-trivial.
                 if draw(st.booleans()):
+                    then_body: list[ast.Stmt] = [
+                        ast.ExprStmt(expr=ast.Call(func="alarm", args=[]))
+                    ]
+                    if draw(st.integers(0, 3)) == 0:
+                        then_body += _nested_sense(draw, state, channels, wrappers)
                     main_body.append(
                         ast.If(
                             cond=ast.Binary(
@@ -138,9 +164,7 @@ def programs(draw, min_annotations: int = 0) -> ast.Program:
                                 lhs=ast.Var(name=name),
                                 rhs=ast.IntLit(value=draw(st.integers(0, 10))),
                             ),
-                            then_body=[
-                                ast.ExprStmt(expr=ast.Call(func="alarm", args=[]))
-                            ],
+                            then_body=then_body,
                             else_body=[],
                         )
                     )
@@ -169,13 +193,30 @@ def programs(draw, min_annotations: int = 0) -> ast.Program:
         elif kind == "derive" and scope:
             name = state.fresh_name("d")
             main_body.append(ast.Let(name=name, expr=_int_expr(draw, scope)))
+            # A derived value may be annotated too, possibly reading no
+            # input at all (a trivial policy whose branch still carries
+            # its tag over the sensing in its body).
+            # Not counted in `annotated`: it may seed no detector check.
+            if draw(st.integers(0, 3)) == 0:
+                main_body.append(ast.AnnotStmt(kind=ast.AnnotKind.FRESH, var=name))
+                main_body.append(
+                    ast.If(
+                        cond=ast.Binary(
+                            op=">",
+                            lhs=ast.Var(name=name),
+                            rhs=ast.IntLit(value=draw(st.integers(0, 10))),
+                        ),
+                        then_body=_nested_sense(draw, state, channels, wrappers),
+                        else_body=[],
+                    )
+                )
             scope.append(name)
         elif kind == "branch" and scope:
             cond_var = draw(st.sampled_from(scope))
             threshold = draw(st.integers(-5, 15))
-            then_body: list[ast.Stmt] = [
-                ast.ExprStmt(expr=ast.Call(func="alarm", args=[]))
-            ]
+            then_body = [ast.ExprStmt(expr=ast.Call(func="alarm", args=[]))]
+            if draw(st.integers(0, 2)) == 0:
+                then_body += _nested_sense(draw, state, channels, wrappers)
             if state.globals and draw(st.booleans()):
                 g = draw(st.sampled_from(state.globals))
                 then_body.append(

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.apps import BENCHMARKS
 from repro.core.cache import CacheKey, CompileCache, compile_cached
-from repro.core.pipeline import CONFIGS, PipelineOptions
+from repro.core.passes import config_names
+from repro.core.pipeline import CONFIGS, PipelineOptions, compile_program
+from repro.lang.ast import walk_stmts
+from repro.lang.errors import SemanticError
+from repro.lang.parser import parse_program
+from repro.lang.printer import print_program
 
 SOURCE = """\
 inputs temp;
@@ -113,6 +119,72 @@ class TestInvalidation:
     def test_bad_max_entries_rejected(self):
         with pytest.raises(ValueError):
             CompileCache(max_entries=0)
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Sources parsed through ``repro.core.pipeline.parse_program``."""
+    import repro.core.pipeline as pipeline
+
+    seen: list[str] = []
+    real = pipeline.parse_program
+
+    def counting(source):
+        seen.append(source)
+        return real(source)
+
+    monkeypatch.setattr(pipeline, "parse_program", counting)
+    return seen
+
+
+class TestParseOnce:
+    def test_configs_of_one_source_share_one_parse(self, cache, parses):
+        ocelot = cache.get_or_compile(SOURCE, "ocelot")
+        jit = cache.get_or_compile(SOURCE, "jit")
+        assert parses == [SOURCE]
+        assert ocelot.program is jit.program
+
+    def test_clear_forces_a_reparse(self, cache, parses):
+        cache.get_or_compile(SOURCE, "ocelot")
+        cache.clear()
+        cache.get_or_compile(SOURCE, "jit")
+        assert parses == [SOURCE, SOURCE]
+
+    def test_evicting_a_sources_last_build_drops_its_program(self, parses):
+        cache = CompileCache(max_entries=1)
+        cache.get_or_compile(SOURCE, "ocelot")
+        cache.get_or_compile(SOURCE, "jit")  # evicts ocelot, keeps the parse
+        assert parses == [SOURCE]
+        cache.get_or_compile(OTHER_SOURCE, "ocelot")  # evicts SOURCE's last build
+        cache.get_or_compile(SOURCE, "ocelot")
+        assert parses == [SOURCE, OTHER_SOURCE, SOURCE]
+
+    def test_a_failed_compile_keeps_no_program(self, cache, parses):
+        invalid = "inputs temp;\nfn main() {\n  log(y);\n}\n"  # parses, fails validation
+        for config in ("ocelot", "jit"):
+            with pytest.raises(SemanticError):
+                cache.get_or_compile(invalid, config)
+        assert parses == [invalid, invalid]
+
+
+class TestSharedProgramStaysUnchanged:
+    @pytest.mark.parametrize("app", sorted(BENCHMARKS))
+    def test_every_config_compiles_from_one_parsed_program(self, app):
+        program = parse_program(BENCHMARKS[app].source)
+        text = print_program(program)
+        labels = _labels(program)
+        for config in config_names():
+            compile_program(program, config, PipelineOptions(strict=False))
+        assert print_program(program) == text
+        assert _labels(program) == labels
+
+
+def _labels(program) -> list[tuple[str, int]]:
+    return [
+        (name, stmt.label)
+        for name, func in program.functions.items()
+        for stmt in walk_stmts(func.body)
+    ]
 
 
 class TestModuleHelpers:

@@ -204,6 +204,38 @@ class TestStabilize:
         assert err.value.analysis == "toy"
         assert err.value.rounds == 3
 
+    def test_settled_round_skips_the_confirming_round(self):
+        state = []
+
+        def step():
+            if len(state) < 3:
+                state.append(len(state))
+
+        rounds = stabilize(
+            step, lambda: len(state), "toy", "unit", settled=lambda: len(state) == 3
+        )
+        assert rounds == 3
+        assert state == [0, 1, 2]
+
+    def test_settled_is_not_asked_on_the_last_allowed_round(self):
+        asked = []
+
+        def settled():
+            asked.append(True)
+            return True
+
+        state = []
+        with pytest.raises(ConvergenceError):
+            stabilize(
+                lambda: state.append(0),
+                lambda: len(state),
+                "toy",
+                "unit",
+                max_rounds=1,
+                settled=settled,
+            )
+        assert asked == []
+
 
 class TestTaintOnFramework:
     """The taint analysis' fixpoints are framework instances now."""

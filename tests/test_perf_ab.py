@@ -83,6 +83,29 @@ def test_more_failures_breaks_the_run():
     assert any("MORE FAILURES" in line for line in perf_ab.render("w", summary))
 
 
+@pytest.mark.parametrize(
+    "metric, base, change, words",
+    [
+        ("op_s", 0.2564, 0.2694, "(5.1% worse)"),
+        ("op_s", 0.2694, 0.2564, "(4.8% better)"),
+        ("rate", 100.0, 85.0, "(15.0% worse)"),
+        ("rate", 85.0, 100.0, "(17.6% better)"),
+    ],
+)
+def test_median_gap_reads_better_or_worse_by_sign(metric, base, change, words):
+    def run(value):
+        values = {"op_s": 1.0, "rate": 1.0, metric: value}
+        return {"host": {}, "attempted": 1, "failed": 0, "metrics": values}
+
+    summary = perf_ab.summarize([(run(base), run(change))] * 4, METRICS)
+    (line,) = [
+        line
+        for line in perf_ab.render("w", summary)
+        if line.startswith("    change wins") and f"median {base:.4f}" in line
+    ]
+    assert f"median {base:.4f} -> {change:.4f} {words};" in line
+
+
 def test_refuses_a_different_benchmark(tmp_path):
     base, change = tmp_path / "base", tmp_path / "change"
     for root in (base, change):

@@ -153,6 +153,11 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     return out
 
 
+def _gap(worse_by: float) -> str:
+    """A median gap in words: ``5.1% better`` or ``5.1% worse``."""
+    return f"{abs(worse_by):.1%} {'worse' if worse_by > 0 else 'better'}"
+
+
 def render(workload: str, summary: dict) -> list[str]:
     """The report of one workload's :func:`summarize` result."""
     n = summary["pairs"]
@@ -164,7 +169,7 @@ def render(workload: str, summary: dict) -> list[str]:
         lines += [
             f"  {name}: {values}",
             f"    change wins {m['wins']}/{n}; median {m['base_median']:.4f}"
-            f" -> {m['change_median']:.4f} ({-m['worse_by']:+.1%} better);"
+            f" -> {m['change_median']:.4f} ({_gap(m['worse_by'])});"
             f" quartiles base {m['base_quartiles'][0]:.4f}-"
             f"{m['base_quartiles'][1]:.4f}, change "
             f"{m['change_quartiles'][0]:.4f}-{m['change_quartiles'][1]:.4f};"
