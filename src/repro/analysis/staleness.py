@@ -76,7 +76,7 @@ from repro.ir import instructions as ir
 from repro.ir.instructions import InstrId
 from repro.ir.module import IRFunction, Module
 from repro.lang import ast as lang_ast
-from repro.sensors.environment import Environment, signal_period
+from repro.sensors.environment import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.detector import Check, DetectorPlan
@@ -569,20 +569,6 @@ def _consistent_fixits(
             f"(nearest common dominator of {op_a} and {op_b})"
         )
     return tuple(fixits)
-
-
-def _signal_periods(envs: Sequence[tuple[str, Environment]]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for name, env in envs:
-        periods = sorted(
-            {
-                str(signal_period(sig))
-                for sig in env.signals.values()
-                if signal_period(sig) is not None
-            }
-        )
-        out[name] = ",".join(periods) if periods else "aperiodic"
-    return out
 
 
 def _classify_check(

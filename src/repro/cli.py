@@ -61,6 +61,23 @@ from repro import telemetry
 _log = telemetry.get_logger("cli")
 
 
+def _at_least(least: int):
+    """An argparse ``type`` for integers no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: '{text}'"
+            ) from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _read_source(path: str) -> str:
     return Path(path).read_text()
 
@@ -538,7 +555,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             engine=args.engine,
             memo_dir=args.memo_dir,
-            supply_buckets=args.supply_buckets,
         )
     except (FleetError, WorkerError) as exc:
         raise SystemExit(str(exc)) from None
@@ -725,24 +741,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind a sensor channel (constant or stepping signal)",
     )
     p_verify.add_argument(
-        "--max-activations", type=int, default=1, metavar="N",
+        "--max-activations", type=_at_least(1), default=1, metavar="N",
         help="activations in the verified prefix (default: 1)",
     )
     p_verify.add_argument(
-        "--max-failures", type=int, default=2, metavar="N",
+        "--max-failures", type=_at_least(0), default=2, metavar="N",
         help="failures per explored schedule (default: 2)",
     )
     p_verify.add_argument(
-        "--max-cycles", type=int, default=200_000, metavar="N",
+        "--max-cycles", type=_at_least(1), default=200_000, metavar="N",
         help="per-activation cycle budget of the bound (default: 200000)",
     )
     p_verify.add_argument(
-        "--max-states", type=int, default=100_000, metavar="N",
+        "--max-states", type=_at_least(1), default=100_000, metavar="N",
         help="fork-state cap; hitting it degrades a proof to "
         "bound-exhausted (default: 100000)",
     )
     p_verify.add_argument(
-        "--off-cycles", type=int, default=10_000, metavar="N",
+        "--off-cycles", type=_at_least(0), default=10_000, metavar="N",
         help="recharge time charged per injected failure (default: 10000)",
     )
     p_verify.add_argument(
@@ -790,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--window",
-        type=int,
+        type=_at_least(1),
         default=None,
         metavar="CYCLES",
         help="usable-energy window in cycles (default: the standard "
@@ -909,14 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist the vector executor's activation memo here "
         "(requires --executor vector on one worker); re-runs start warm",
-    )
-    p_fleet.add_argument(
-        "--supply-buckets",
-        type=int,
-        default=None,
-        metavar="N",
-        help="charge buckets for quantized supply memo keys on the "
-        "vector executor (0 disables quantization; default 32)",
     )
     p_fleet.add_argument(
         "--histograms",

@@ -9,7 +9,7 @@ benchmarks all reuse the same compiled programs within one process.
 
 from __future__ import annotations
 
-from repro.apps import BENCHMARKS, BenchmarkMeta
+from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
 from repro.core.pipeline import CONFIGS, CompiledProgram, ConfigLike
 
@@ -21,7 +21,3 @@ def build(name: str, config: ConfigLike) -> CompiledProgram:
 
 def all_builds(name: str) -> dict[str, CompiledProgram]:
     return {config: build(name, config) for config in CONFIGS}
-
-
-def meta_of(name: str) -> BenchmarkMeta:
-    return BENCHMARKS[name]

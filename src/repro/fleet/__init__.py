@@ -8,8 +8,6 @@ simulation:
   mirroring campaign specs) with generators for heterogeneous populations;
 * :mod:`repro.fleet.device` -- materialization with shared compiled builds
   and cheaply re-seeded per-device supplies;
-* :mod:`repro.fleet.scheduler` -- a logical-time scheduler advancing many
-  machines in tau order;
 * :mod:`repro.fleet.aggregate` -- streaming, mergeable, byte-deterministic
   aggregates (violation rates, staleness/consistency histograms, duty
   cycles) that never materialize per-activation results;
@@ -30,7 +28,7 @@ Entry point: ``python -m repro fleet SPEC.json --devices N --executor vector``
 """
 
 from repro.fleet.aggregate import ClassAggregate, FleetAggregator
-from repro.fleet.device import DeviceFactory, FleetDevice
+from repro.fleet.device import DeviceFactory
 from repro.fleet.engine import (
     AGGREGATE_PARITY_SCHEME,
     FleetCheckpoint,
@@ -55,7 +53,6 @@ from repro.fleet.report import (
     fleet_table,
     histogram_table,
 )
-from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import DeviceClass, DeviceSpec, FleetError, FleetSpec
 
 __all__ = [
@@ -64,7 +61,6 @@ __all__ = [
     "ClassAggregate",
     "FleetAggregator",
     "DeviceFactory",
-    "FleetDevice",
     "FleetCheckpoint",
     "FleetResult",
     "MemoStore",
@@ -81,7 +77,6 @@ __all__ = [
     "duty_table",
     "fleet_table",
     "histogram_table",
-    "FleetScheduler",
     "DeviceClass",
     "DeviceSpec",
     "FleetError",

@@ -1,12 +1,12 @@
 """Streaming fleet aggregation: fixed-size state, any number of devices.
 
 A million-activation fleet run cannot keep per-activation results in
-memory; the aggregator consumes the scheduler's event stream one record
-at a time and retains only integer counters and fixed-width histograms
-per device class.  Every field is an integer and every operation is a
-sum, which buys three properties at once:
+memory; the aggregator consumes the executor's activation stream one
+record at a time and retains only integer counters and fixed-width
+histograms per device class.  Every field is an integer and every
+operation is a sum, which buys three properties at once:
 
-* **order independence** -- serial tau-order interleaving and per-worker
+* **order independence** -- serial device-by-device runs and per-worker
   vector runs fold the same records in different orders into the same
   state;
 * **mergeability** -- worker aggregates combine with ``merge`` (used by
@@ -225,7 +225,7 @@ class FleetAggregator:
         agg.devices += count
 
     def observe(self, spec, record) -> None:
-        """The scheduler sink: fold one activation of one device."""
+        """The serial sink: fold one activation of one device."""
         self._class(spec.class_name, spec.app, spec.config).observe(record)
 
     def observe_many(self, spec, record, count: int) -> None:
@@ -250,10 +250,6 @@ class FleetAggregator:
     @property
     def total_activations(self) -> int:
         return sum(a.activations for a in self._classes.values())
-
-    @property
-    def total_completed(self) -> int:
-        return sum(a.completed_runs for a in self._classes.values())
 
     # -- merge / serialize ---------------------------------------------------
 

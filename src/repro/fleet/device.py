@@ -1,5 +1,5 @@
 """Device materialization: from declarative :class:`DeviceSpec` to a
-runnable :class:`FleetDevice`.
+runnable :class:`~repro.runtime.harness.ActivationStepper`.
 
 Builds are shared: every device of a class resolves its program through
 the process-wide compile cache, so a thousand identical tire monitors
@@ -12,8 +12,6 @@ device's environment and supply here, so they cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
 from repro.eval.campaign import SupplySpec
@@ -22,14 +20,6 @@ from repro.runtime.engine import ENGINE_FAST
 from repro.runtime.harness import ActivationStepper
 from repro.runtime.supply import PowerSupply
 from repro.sensors.environment import Environment, bind_signal_specs
-
-
-@dataclass
-class FleetDevice:
-    """One materialized device: its spec plus a resumable activation loop."""
-
-    spec: DeviceSpec
-    stepper: ActivationStepper
 
 
 class DeviceFactory:
@@ -62,10 +52,11 @@ class DeviceFactory:
             self._supply_protos[spec.supply] = proto
         return proto.spawn(spec.seed + spec.supply.seed_offset)
 
-    def build(self, spec: DeviceSpec) -> FleetDevice:
+    def build(self, spec: DeviceSpec) -> ActivationStepper:
+        """The device's activation loop, at its first activation."""
         meta = BENCHMARKS[spec.app]
         compiled = GLOBAL_CACHE.get_or_compile(meta.source, spec.config)
-        stepper = ActivationStepper(
+        return ActivationStepper(
             compiled,
             self.environment(spec),
             self.supply(spec),
@@ -74,4 +65,3 @@ class DeviceFactory:
             max_activations=spec.max_activations,
             engine=self.engine,
         )
-        return FleetDevice(spec=spec, stepper=stepper)

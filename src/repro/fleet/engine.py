@@ -5,8 +5,9 @@ The engine turns a :class:`FleetSpec` into an aggregate:
 1. expand the spec into per-device :class:`DeviceSpec` rows (pure data);
 2. precompile every (app, config) build once into the shared cache;
 3. hand device batches to an executor -- :class:`SerialFleetExecutor`
-   runs one tau-ordered scheduler over the batch in-process (the
-   oracle); :class:`~repro.fleet.vector.VectorFleetExecutor` memoizes
+   runs each device's activations to exhaustion, one device after
+   another, in-process (the oracle);
+   :class:`~repro.fleet.vector.VectorFleetExecutor` memoizes
    activations and can deal devices round-robin to worker processes.
    Aggregation is commutative integer summation, so both executors
    produce **bit-identical** aggregates;
@@ -32,7 +33,6 @@ from repro.eval.report import Table
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.device import DeviceFactory
 from repro.fleet.memostore import write_atomically
-from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import DeviceSpec, FleetError, FleetSpec
 from repro.runtime.engine import ENGINE_FAST
 from repro.telemetry.trace import span as _span
@@ -43,17 +43,19 @@ def run_shard(
 ) -> FleetAggregator:
     """Run one batch of devices to exhaustion; the executor work unit.
 
-    Materializes the batch through one :class:`DeviceFactory` (shared
-    builds, spawned supplies), schedules it in tau order, and streams
-    every activation into a fresh aggregator.
+    Materializes each device through one :class:`DeviceFactory` (shared
+    builds, spawned supplies) in expansion order, runs its activations
+    until its stepper is exhausted, and streams every activation into a
+    fresh aggregator.  Devices are independent and the fold is
+    commutative, so one live stepper at a time suffices.
     """
     factory = DeviceFactory(engine=engine)
     aggregator = FleetAggregator()
-    materialized = []
     for spec in devices:
         aggregator.add_device(spec)
-        materialized.append(factory.build(spec))
-    FleetScheduler(materialized).run(aggregator.observe)
+        stepper = factory.build(spec)
+        while (record := stepper.step()) is not None:
+            aggregator.observe(spec, record)
     return aggregator
 
 
@@ -66,7 +68,7 @@ class FleetExecutor(Protocol):
 
 
 class SerialFleetExecutor:
-    """One scheduler over the whole batch, in-process."""
+    """Every device of the batch to exhaustion, in-process."""
 
     name = "serial"
 
@@ -83,33 +85,26 @@ def make_fleet_executor(
     processes: Optional[int] = None,
     engine: str = ENGINE_FAST,
     memo_dir: Optional[Path | str] = None,
-    supply_buckets: Optional[int] = None,
 ) -> FleetExecutor:
     """``sharded``/``parallel`` are ``vector`` on one worker per core."""
     if name == "serial":
-        if memo_dir is not None or supply_buckets is not None:
-            # The memo knobs silently doing nothing on a memo-less
+        if memo_dir is not None:
+            # A memo directory silently doing nothing on a memo-less
             # executor would read as "persistence is on" when it is not.
             raise FleetError(
-                "--memo-dir / --supply-buckets require the vector "
-                "executor, not 'serial'"
+                "--memo-dir requires the vector executor, not 'serial'"
             )
         return SerialFleetExecutor(engine=engine)
     if name not in ("vector", "sharded", "parallel"):
         raise FleetError(
             f"unknown fleet executor '{name}' (serial | sharded | vector)"
         )
-    from repro.fleet.vector import DEFAULT_SUPPLY_BUCKETS, VectorFleetExecutor
+    from repro.fleet.vector import VectorFleetExecutor
 
     if name == "vector" and processes is None:
         processes = 1
-    if supply_buckets is None:
-        supply_buckets = DEFAULT_SUPPLY_BUCKETS
     return VectorFleetExecutor(
-        engine=engine,
-        memo_dir=memo_dir,
-        supply_buckets=supply_buckets,
-        processes=processes,
+        engine=engine, memo_dir=memo_dir, processes=processes
     )
 
 
@@ -285,7 +280,6 @@ def run_fleet(
     checkpoint_every: Optional[int] = None,
     engine: str = ENGINE_FAST,
     memo_dir: Optional[Path | str] = None,
-    supply_buckets: Optional[int] = None,
 ) -> FleetResult:
     """Run (or resume) a whole fleet and aggregate it.
 
@@ -298,8 +292,7 @@ def run_fleet(
 
     ``processes`` sets the vector executor's worker count.  ``memo_dir``
     backs its activation memo with a persistent on-disk store (one
-    worker only) and ``supply_buckets`` tunes its quantized supply keys;
-    both require ``executor`` to name the vector family.
+    worker only) and requires ``executor`` to name the vector family.
     """
     if executor is None:
         executor = "serial"
@@ -309,12 +302,11 @@ def run_fleet(
             processes=processes,
             engine=engine,
             memo_dir=memo_dir,
-            supply_buckets=supply_buckets,
         )
-    elif memo_dir is not None or supply_buckets is not None:
+    elif memo_dir is not None:
         raise FleetError(
-            "memo_dir / supply_buckets configure a named executor; set "
-            "them on the vector executor instance instead"
+            "memo_dir configures a named vector executor; set it on the "
+            "vector executor instance instead"
         )
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise FleetError("checkpoint_every must be positive")

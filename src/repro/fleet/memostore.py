@@ -39,8 +39,9 @@ from pathlib import Path
 #: instead of misreplaying.  Schema 2: ``TVal`` pickles as a slotted
 #: object, and ``InstrId``/``Chain`` pickle their fields only (their
 #: cached hash is recomputed on load, since ``str`` hashes differ
-#: between processes).
-MEMO_SCHEMA = "repro-memo-2"
+#: between processes).  Schema 3: quantized keys lost their charge
+#: bucket (supply component ``("q", capacity, low_threshold)``).
+MEMO_SCHEMA = "repro-memo-3"
 
 
 def write_atomically(path: Path, data: bytes) -> None:

@@ -26,11 +26,11 @@ Surbatovich et al.).  This executor exploits that in four layers:
 * **Quantized supply keys** (:class:`QuantEntry`).  Exact supply tokens
   make every key unique on jittered fleets (per-device harvest rates
   and RNG stream positions).  Stochastic energy-driven supplies instead
-  key on the capacitor geometry plus a configurable charge *bucket*,
-  excluding everything per-device.  The bucketed key is paired with a
-  replay gate that keeps it exact: an entry is stored only for a
-  reboot-free activation and records the charge level it executed at; a
-  hit replays only for devices at or above that level.  A reboot-free
+  key on the capacitor geometry alone, excluding everything per-device
+  and the charge level itself.  The key is paired with a replay gate
+  that keeps it exact: an entry is stored only for a reboot-free
+  activation and records the charge level it executed at; a hit
+  replays only for devices at or above that level.  A reboot-free
   activation consults the supply only through charge checks monotone in
   the starting level, so the gated replay is bit-identical to real
   execution (contract spelled out on :class:`QuantEntry`, key
@@ -42,8 +42,9 @@ Surbatovich et al.).  This executor exploits that in four layers:
   per-member charge-level list.  Waves iterate cohorts, not
   devices: a homogeneous million-device fleet is *one* cohort, and each
   wave costs one memo probe and one aggregate fold, independent of
-  population.  Cohorts split when replayed charge levels straddle a
-  bucket boundary and merge when states reconverge.
+  population.  A quantized wave whose members all pass the replay gate
+  stays one cohort; a wave with members below the gate walks them one
+  by one and regroups them by post-activation time and state.
 
 * **Batched miss path** (:class:`_MissBatch`).  Misses within a class
   batch run through one driver holding the shared decoded program, cost
@@ -60,8 +61,8 @@ rejects anything else), and each kind it builds answers the memo hooks
 (``memo_token``, ``memo_capture``, ``memo_restore``) exactly.  The
 aggregate is commutative integer summation, so the vectorized fold is
 byte-identical to the serial executor on any number of workers
-(property-tested in ``tests/test_fleet_vector.py``, including bucketed
-hits and warm disk-memo runs).
+(property-tested in ``tests/test_fleet_vector.py``, including gated
+quantized hits and warm disk-memo runs).
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ from repro.runtime.detector import BitVector
 from repro.runtime.harness import ActivationRecord
 from repro.telemetry.trace import span as _span
 
-
-#: Default number of charge buckets spanning a capacitor's capacity for
-#: quantized supply keys.  Coarser (fewer) buckets collapse more devices
-#: onto one key; the replay gate keeps any granularity exact.
-DEFAULT_SUPPLY_BUCKETS = 32
 
 #: Fewest devices worth a worker process: a smaller batch runs on fewer
 #: workers, or in-process, because pool start-up and shipping the
@@ -373,12 +369,13 @@ class _Cohort:
     and a wave drops every member whose activation got stuck.  Two
     kinds:
 
-    * ``uni`` -- exact supply-token equivalence (deterministic
-      supplies, and every supply when bucketing is off): one shared
+    * ``uni`` -- exact supply-token equivalence (wall power, failure
+      schedules, harvest supplies without randomness): one shared
       supply token and capture, one representative executes.
-    * ``quant`` -- bucketed equivalence (stochastic energy-driven
-      supplies): members share the charge *bucket* but keep individual
-      levels and lazily-materialized supply objects.
+    * ``quant`` -- stochastic energy-driven supplies: members share the
+      capacitor geometry but keep individual charge levels and
+      lazily-materialized supply objects; the :class:`QuantEntry`
+      replay gate decides each member's hit.
     """
 
     __slots__ = (
@@ -392,13 +389,12 @@ class _Cohort:
         "env",
         "period",
         "nv_ref",
-        # uni
+        # the memo key's supply component: the exact token (uni) or
+        # ("q", capacity, low_threshold) (quant)
         "stoken",
+        # uni
         "capture",
         # quant
-        "static",
-        "bucket_size",
-        "bucket",
         "levels",
         "supplies",
     )
@@ -416,9 +412,6 @@ class _Cohort:
         self.nv_ref = nv_ref
         self.stoken = None
         self.capture = None
-        self.static = None
-        self.bucket_size = 0
-        self.bucket = 0
         self.levels = None
         self.supplies = None
 
@@ -431,18 +424,29 @@ class _Cohort:
         (program, environment, time, nonvolatile state, supply): the
         start time is period-quantized unless taint forbids it, and the
         supply is the exact token (``uni``) or the capacitor geometry
-        plus charge bucket (``quant``).
+        (``quant``).
         """
         nv_ref = self.nv_ref
         if self.period is None or nv_ref.tainted:
             time = self.tau
         else:
             time = self.tau % self.period
-        if self.kind == "uni":
-            supply = self.stoken
-        else:
-            supply = ("q", self.static, self.bucket_size, self.bucket)
-        return (prog_key, self.env_key, time, nv_ref.token, supply)
+        return (prog_key, self.env_key, time, nv_ref.token, self.stoken)
+
+
+def _quantized(sspec: SupplySpec) -> bool:
+    """Whether a class's supplies form ``quant`` cohorts (else ``uni``).
+
+    ``uni`` needs spawn-equivalence across per-device seeds, which holds
+    for every spec kind but one: continuous and schedule supplies are
+    seed-invariant, and a harvest supply with degenerate jitter and boot
+    band excludes every RNG from its token.  Stochastic harvest supplies
+    quantize.
+    """
+    if sspec.kind != "harvest":
+        return False
+    lo, hi = sspec.boot_fraction
+    return sspec.harvest_spread != 1.0 or hi > lo
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +478,8 @@ class VectorFleetExecutor:
         engine: str = ENGINE_FAST,
         memo: Optional[ActivationMemo] = None,
         memo_dir: Optional[Path | str] = None,
-        supply_buckets: int = DEFAULT_SUPPLY_BUCKETS,
         processes: Optional[int] = 1,
     ) -> None:
-        if supply_buckets < 0:
-            raise ValueError("supply_buckets must be >= 0 (0 disables)")
         if processes is not None and processes <= 0:
             raise ValueError("processes must be positive (or None for auto)")
         if memo_dir is not None and processes != 1:
@@ -489,7 +490,6 @@ class VectorFleetExecutor:
         self.engine = engine
         self.processes = processes
         self.memo = memo if memo is not None else ActivationMemo()
-        self.supply_buckets = supply_buckets
         self.store = MemoStore(memo_dir) if memo_dir is not None else None
         self._shard_tokens: dict = {}
         self._dirty: set = set()
@@ -522,24 +522,6 @@ class VectorFleetExecutor:
                 NVState.initial(compiled.module)
             )
         return codec, self._initials[key]
-
-    def _supply_mode(self, sspec: SupplySpec) -> str:
-        """How a class's supplies group: uni / quant / exact.
-
-        ``uni`` needs spawn-equivalence across per-device seeds, which
-        holds for every spec kind but one: continuous and schedule
-        supplies are seed-invariant, and a harvest supply with
-        degenerate jitter and boot band excludes every RNG from its
-        token.  Stochastic harvest supplies quantize, or with bucketing
-        off (``supply_buckets=0``) key each device on its own exact
-        token.
-        """
-        if sspec.kind != "harvest":
-            return "uni"
-        lo, hi = sspec.boot_fraction
-        if sspec.harvest_spread == 1.0 and hi <= lo:
-            return "uni"
-        return "quant" if self.supply_buckets > 0 else "exact"
 
     # -- persistent shards ---------------------------------------------------
 
@@ -603,8 +585,7 @@ class VectorFleetExecutor:
     ) -> FleetAggregator:
         """Deal ``devices`` round-robin to ``workers`` processes; sum up."""
         payloads = [
-            (tuple(devices[i::workers]), self.engine, self.supply_buckets)
-            for i in range(workers)
+            (tuple(devices[i::workers]), self.engine) for i in range(workers)
         ]
         aggregator = FleetAggregator()
         stats = self.memo.stats
@@ -659,35 +640,18 @@ class VectorFleetExecutor:
         order: list[_Cohort] = []
         for pos, spec in enumerate(specs):
             env_key, env, period = self._env(spec)
-            mode = self._supply_mode(spec.supply)
-            if mode == "quant":
-                static = (
-                    "energyq",
-                    spec.supply.capacity,
-                    spec.supply.low_threshold,
-                )
-                ckey = (
-                    "q",
-                    env_key,
-                    spec.budget_cycles,
-                    spec.max_activations,
-                    static,
-                )
-            elif mode == "uni":
-                ckey = (
-                    "u",
-                    env_key,
-                    spec.budget_cycles,
-                    spec.max_activations,
-                    spec.supply,
-                )
-            else:
-                ckey = ("x", pos)
+            sspec = spec.supply
+            quant = _quantized(sspec)
+            supply_key = (
+                ("q", sspec.capacity, sspec.low_threshold) if quant else sspec
+            )
+            ckey = (
+                env_key, spec.budget_cycles, spec.max_activations, supply_key
+            )
             cohort = cohorts.get(ckey)
             if cohort is None:
-                kind = "quant" if mode == "quant" else "uni"
                 cohort = _Cohort(
-                    kind,
+                    "quant" if quant else "uni",
                     [],
                     spec.budget_cycles,
                     spec.max_activations,
@@ -696,8 +660,10 @@ class VectorFleetExecutor:
                     period,
                     init_ref,
                 )
-                if kind == "quant":
-                    cohort.static = ckey[4]
+                if quant:
+                    cohort.stoken = supply_key
+                    cohort.levels = []
+                    cohort.supplies = []
                 else:
                     # Every member spawns an equivalent supply, so the
                     # first member's token and state stand for all.
@@ -707,15 +673,9 @@ class VectorFleetExecutor:
                 cohorts[ckey] = cohort
                 order.append(cohort)
             cohort.positions.append(pos)
-        for cohort in order:
-            if cohort.kind == "quant":
-                capacity = cohort.static[1]
-                cohort.bucket_size = max(
-                    1, capacity // max(1, self.supply_buckets)
-                )
-                cohort.bucket = capacity // cohort.bucket_size
-                cohort.levels = [capacity] * len(cohort.positions)
-                cohort.supplies = [None] * len(cohort.positions)
+            if quant:
+                cohort.levels.append(sspec.capacity)
+                cohort.supplies.append(None)
         return order
 
     # -- wave processing -----------------------------------------------------
@@ -765,8 +725,8 @@ class VectorFleetExecutor:
         ):
             return self._quant_replay_all(cs, entry, sink)
         # Mixed wave: walk members in deterministic order; the first
-        # reboot-free execution publishes (or tightens) the bucket entry
-        # and later members in the same wave ride it.
+        # reboot-free execution publishes (or tightens) the entry and
+        # later members in the same wave ride it.
         new_index = rep.index + 1
         regroup: dict = {}
         order: list[_Cohort] = []
@@ -794,8 +754,8 @@ class VectorFleetExecutor:
                 supply = supplies[i]
                 if supply is None:
                     supply = self._factory.supply(specs[pos])
-                # Bucketed replays track levels outside the supply
-                # object; re-sync before real execution.
+                # Gated replays track levels outside the supply object;
+                # re-sync before real execution.
                 supply.capacitor.level = level
                 record, tau_delta, post_nv = driver.run(
                     c.env, supply, c.nv_ref, rep.tau, rep.index
@@ -834,75 +794,31 @@ class VectorFleetExecutor:
         return order
 
     def _quant_replay_all(self, cs, entry: QuantEntry, sink) -> list:
-        """Whole-group bucketed replay: one drain + bucket split."""
+        """Whole-wave gated replay: one drain, one cohort."""
         members = sum(len(c.positions) for c in cs)
         self.memo.stats.hits += members
         _sink(sink, entry.record, members)
         if not entry.record.completed:
             return []
+        rep = cs[0]
+        levels = rep.levels
+        for c in cs[1:]:
+            rep.positions.extend(c.positions)
+            levels.extend(c.levels)
+            rep.supplies.extend(c.supplies)
         consumed = entry.consumed
-        by_bucket: dict = {}
-        order: list[_Cohort] = []
-        for c in cs:
-            c.tau += entry.tau_delta
-            c.index += 1
-            c.nv_ref = entry.post_nv
-            bsize = c.bucket_size
-            c.levels = [lv - consumed for lv in c.levels]
-            buckets = [lv // bsize for lv in c.levels]
-            uniq = sorted(set(buckets))
-            whole = len(uniq) == 1
-            for bucket in uniq:
-                target = by_bucket.get(bucket)
-                if whole and target is None:
-                    # Common case: the cohort stays whole; keep its
-                    # membership lists as they are.
-                    c.bucket = bucket
-                    by_bucket[bucket] = c
-                    order.append(c)
-                    continue
-                if whole:
-                    positions = c.positions
-                    levels = c.levels
-                    supplies = c.supplies
-                else:
-                    sel = [j for j, b in enumerate(buckets) if b == bucket]
-                    positions = [c.positions[j] for j in sel]
-                    levels = [c.levels[j] for j in sel]
-                    supplies = [c.supplies[j] for j in sel]
-                if target is None:
-                    split = _Cohort(
-                        "quant",
-                        list(positions),
-                        c.budget,
-                        c.cap,
-                        c.env_key,
-                        c.env,
-                        c.period,
-                        c.nv_ref,
-                    )
-                    split.tau = c.tau
-                    split.index = c.index
-                    split.static = c.static
-                    split.bucket_size = bsize
-                    split.bucket = bucket
-                    split.levels = levels
-                    split.supplies = list(supplies)
-                    by_bucket[bucket] = split
-                    order.append(split)
-                else:
-                    target.positions.extend(positions)
-                    target.supplies.extend(supplies)
-                    target.levels.extend(levels)
-        return order
+        rep.levels = [lv - consumed for lv in levels]
+        rep.tau += entry.tau_delta
+        rep.index += 1
+        rep.nv_ref = entry.post_nv
+        return [rep]
 
     @staticmethod
     def _requeue(
         regroup, order, src: _Cohort, index, tau, nv_ref, level, pos, supply
     ) -> None:
         """File one quant member into its post-activation cohort."""
-        bucket = level // src.bucket_size
-        key = (tau, nv_ref.token, bucket)
+        key = (tau, nv_ref.token)
         cohort = regroup.get(key)
         if cohort is None:
             cohort = _Cohort(
@@ -917,9 +833,7 @@ class VectorFleetExecutor:
             )
             cohort.tau = tau
             cohort.index = index
-            cohort.static = src.static
-            cohort.bucket_size = src.bucket_size
-            cohort.bucket = bucket
+            cohort.stoken = src.stoken
             cohort.levels = []
             cohort.supplies = []
             regroup[key] = cohort
@@ -957,8 +871,8 @@ def _sink(sink: dict, record, count: int) -> None:
 
 def _run_worker(payload) -> tuple[dict, int, int, int]:
     """Worker entry: a fresh in-process executor over one shard."""
-    devices, engine, supply_buckets = payload
-    executor = VectorFleetExecutor(engine=engine, supply_buckets=supply_buckets)
+    devices, engine = payload
+    executor = VectorFleetExecutor(engine=engine)
     aggregate = executor.run(devices)
     stats = executor.memo.stats
     return aggregate.to_dict(), stats.hits, stats.misses, stats.evictions

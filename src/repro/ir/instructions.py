@@ -264,21 +264,3 @@ class RetInstr(Terminator):
 
     def used_exprs(self) -> list[lang_ast.Expr]:
         return [self.expr] if self.expr is not None else []
-
-
-def used_var_names(instr: Instr) -> set[str]:
-    """All variable names read by ``instr`` (through any expression operand).
-
-    For calls, by-reference arguments count as uses of the referenced name
-    (passing ``&y`` reads the binding even though the value flows back).
-    """
-    names: set[str] = set()
-    for expr in instr.used_exprs():
-        names |= lang_ast.free_vars(expr)
-    if isinstance(instr, CallInstr):
-        names.update(instr.ref_args())
-    if isinstance(instr, StoreRefInstr):
-        names.add(instr.param)
-    if isinstance(instr, AnnotInstr):
-        names.add(instr.var)
-    return names

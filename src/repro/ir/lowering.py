@@ -114,11 +114,6 @@ class _FunctionLowerer:
         self._current.terminator = term
         self._current = None
 
-    def _start_block(self, hint: str) -> BasicBlock:
-        block = self._ir.new_block(hint)
-        self._current = block
-        return block
-
     def _fresh_temp(self) -> str:
         self._temp_counter += 1
         name = f"%t{self._temp_counter}"

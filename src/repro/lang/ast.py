@@ -342,21 +342,6 @@ def walk_stmts(body: list[Stmt]) -> Iterator[Stmt]:
             yield from walk_stmts(block)
 
 
-def stmt_exprs(stmt: Stmt) -> list[Expr]:
-    """The directly-contained expressions of a statement (non-recursive)."""
-    if isinstance(stmt, (Let, Assign, StoreRef)):
-        return [stmt.expr]
-    if isinstance(stmt, StoreIndex):
-        return [stmt.index, stmt.expr]
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, Return) and stmt.expr is not None:
-        return [stmt.expr]
-    return []
-
-
 def walk_exprs(expr: Expr) -> Iterator[Expr]:
     """Yield ``expr`` and every sub-expression, depth-first pre-order."""
     yield expr

@@ -203,10 +203,9 @@ class ActivationStepper:
     activation gets stuck (a region larger than the energy budget).
 
     :func:`run_activations` drives one stepper to exhaustion -- the
-    single-device experiments of Figure 8 / Table 2b.  The fleet
-    scheduler instead keeps thousands of steppers in a priority queue and
-    advances whichever device is earliest in logical time, which is why
-    stepping is factored out of the driving loop.
+    single-device experiments of Figure 8 / Table 2b.  The serial fleet
+    executor drives one stepper per device, device after device, and
+    folds each record into its aggregate as it is produced.
 
     A record keeps no trace, so every activation runs violations-only
     (``config.emit_observations`` is overridden to False).

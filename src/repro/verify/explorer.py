@@ -100,6 +100,21 @@ class VerifyBounds:
     max_states: int = 100_000
     off_cycles: int = 10_000
 
+    def __post_init__(self) -> None:
+        # Below these a bound explores nothing, counts failures below
+        # zero or turns time back, yet would still certify a proof "up
+        # to" it.
+        for name, least in (
+            ("max_activations", 1),
+            ("max_cycles", 1),
+            ("max_states", 1),
+            ("max_failures", 0),
+            ("off_cycles", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 @dataclass
 class ExploreStats:

@@ -315,7 +315,13 @@ def device_classes(draw, name: str):
     a deterministic harvest (no jitter, degenerate boot band), and a
     failure schedule like a verifier counterexample.  Schedule labels
     are small; one the program lacks never fires, which is valid.
+
+    Some classes bind every channel of their app to a constant: the
+    environment is then periodic, so untainted devices share quantized
+    keys at different times and charge levels, and only the replay gate
+    keeps such a hit exact.
     """
+    from repro.apps import BENCHMARKS
     from repro.eval.campaign import EnvironmentSpec, SupplySpec
     from repro.fleet.spec import DeviceClass
 
@@ -346,12 +352,21 @@ def device_classes(draw, name: str):
         )
     else:
         supply = SupplySpec.continuous()
+    app = draw(st.sampled_from(FLEET_APPS))
+    overrides: tuple = ()
+    if draw(st.booleans()):
+        channels = sorted(BENCHMARKS[app].env_factory(0).signals)
+        overrides = tuple(
+            (channel, str(draw(st.integers(0, 4000)))) for channel in channels
+        )
     return DeviceClass(
         name=name,
-        app=draw(st.sampled_from(FLEET_APPS)),
+        app=app,
         config=draw(st.sampled_from(FLEET_CONFIGS)),
         count=draw(st.integers(1, 4)),
-        environment=EnvironmentSpec(env_seed=draw(st.integers(0, 20))),
+        environment=EnvironmentSpec(
+            env_seed=draw(st.integers(0, 20)), overrides=overrides
+        ),
         supply=supply,
         harvest_jitter=draw(st.sampled_from([0.0, 0.25, 0.5])),
         phase_jitter=draw(st.sampled_from([0, 0, 4000])),

@@ -1,4 +1,4 @@
-"""Fleet simulator tests: specs, scheduling, parity, checkpoint/resume."""
+"""Fleet simulator tests: specs, aggregation, parity, checkpoint/resume."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from repro.fleet import (
     run_fleet,
     run_shard,
 )
-from repro.fleet.device import DeviceFactory
-from repro.fleet.scheduler import FleetScheduler
 from repro.runtime.harness import ActivationRecord
 from repro.runtime.supply import ContinuousPower
 from tests.strategies import fleet_specs
@@ -128,55 +126,6 @@ class TestFleetSpec:
             FleetSpec.from_json("{")
         with pytest.raises(FleetError, match="classes"):
             FleetSpec.from_json("{}")
-
-
-class TestScheduler:
-    def test_advances_devices_in_tau_order(self):
-        spec = small_spec()
-        factory = DeviceFactory()
-        devices = [factory.build(d) for d in spec.expand()]
-        events = list(FleetScheduler(devices).events())
-        assert events, "fleet produced no activations"
-        # Reconstruct each activation's start tau: a device's activation
-        # starts at the tau its stepper showed when popped.  The scheduler
-        # must never run a device whose tau is ahead of another live
-        # device's tau; equivalently, per-device activation indices are
-        # contiguous and the global stream is reproducible.
-        per_device: dict[str, list[int]] = {}
-        for dev_spec, record in events:
-            per_device.setdefault(dev_spec.device_id, []).append(record.index)
-        for indices in per_device.values():
-            assert indices == list(range(len(indices)))
-
-    def test_scheduler_matches_single_device_harness(self):
-        """Interleaving devices must not change any device's outcome."""
-        from repro.runtime.harness import run_activations
-        from repro.apps import BENCHMARKS
-        from repro.core.cache import GLOBAL_CACHE
-
-        spec = small_spec()
-        factory = DeviceFactory()
-        devices = [factory.build(d) for d in spec.expand()]
-        fleet_counts: dict[str, int] = {}
-        for dev_spec, _record in FleetScheduler(devices).events():
-            fleet_counts[dev_spec.device_id] = (
-                fleet_counts.get(dev_spec.device_id, 0) + 1
-            )
-
-        solo_factory = DeviceFactory()
-        for dev in spec.expand():
-            meta = BENCHMARKS[dev.app]
-            compiled = GLOBAL_CACHE.get_or_compile(meta.source, dev.config)
-            solo = solo_factory.build(dev)
-            result = run_activations(
-                compiled,
-                solo.stepper._env,
-                solo.stepper._supply,
-                budget_cycles=dev.budget_cycles,
-                costs=meta.cost_model(),
-                max_activations=dev.max_activations,
-            )
-            assert len(result.records) == fleet_counts.get(dev.device_id, 0)
 
 
 class TestAggregator:

@@ -3,15 +3,15 @@
 The vector executor's whole value proposition is "same bytes, fewer
 instructions": these tests pin the byte-identity against the serial
 executor, in-process and on workers (including under hypothesis-generated
-fleets, with quantized supply keys at aggressive bucket sizes, with
-bucketing off, and warm disk-backed memo runs), prove the memo key cannot
-produce false hits (perturbing one nonvolatile bit, one stored value, one
-taint or one environment segment changes its token, and the executor's
-own key, ``_Cohort.memo_key``, changes exactly when a charge level
-crosses a bucket boundary or the capacitor geometry changes), and check
-that the intended hits actually happen (a homogeneous deterministic
-fleet replays almost everything; a jittered fleet scores nonzero hits
-via quantization).
+fleets, with quantized supply keys behind the replay gate, a fleet
+whose devices share keys across charge levels, and warm disk-backed
+memo runs), prove the memo key cannot produce false hits (perturbing
+one nonvolatile bit, one stored value, one taint or one environment
+segment changes its token, and the executor's own key,
+``_Cohort.memo_key``, changes with the capacitor geometry but not with
+the charge level), and check that the intended hits actually happen (a
+homogeneous deterministic fleet replays almost everything; a jittered
+fleet scores nonzero hits via quantization).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
-from repro.eval.campaign import SupplySpec
+from repro.eval.campaign import EnvironmentSpec, SupplySpec
 from repro.fleet import (
     ActivationMemo,
     DeviceClass,
@@ -36,6 +36,7 @@ from repro.fleet import (
     FleetSpec,
     MemoStore,
     NVCodec,
+    QuantEntry,
     VectorFleetExecutor,
     aggregate_fingerprint,
     checkpoint_fingerprint,
@@ -47,6 +48,7 @@ from repro.fleet.memostore import MEMO_SCHEMA
 from repro.ir.instructions import InstrId
 from repro.runtime.engine import ENGINE_FAST
 from repro.runtime.executor import NVState
+from repro.runtime.harness import ActivationRecord
 from repro.runtime.supply import FailurePoint, ScheduledFailures
 from repro.runtime.values import InputEvent, TVal
 from repro.sensors.environment import Environment, constant, steps
@@ -142,9 +144,9 @@ def jittered_spec(count: int = 12, **overrides) -> FleetSpec:
 TIRE_PROG = ("tire", "ocelot", ENGINE_FAST)
 
 
-def _initial_cohorts(devices, buckets: int = 32):
+def _initial_cohorts(devices):
     """The cohorts a vector executor forms for one tire/ocelot batch."""
-    executor = VectorFleetExecutor(supply_buckets=buckets)
+    executor = VectorFleetExecutor()
     meta = BENCHMARKS["tire"]
     compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
     plan = compiled.detector_plan()
@@ -152,9 +154,9 @@ def _initial_cohorts(devices, buckets: int = 32):
     return executor._initial_cohorts(list(devices), init_ref)
 
 
-def _key_of(devices, buckets: int = 32):
+def _key_of(devices):
     """The memo key of a single device's first activation."""
-    (cohort,) = _initial_cohorts(devices, buckets)
+    (cohort,) = _initial_cohorts(devices)
     return cohort.memo_key(TIRE_PROG)
 
 
@@ -337,37 +339,60 @@ class TestHitRates:
 
 
 class TestQuantizedSupplyTokens:
-    """Soundness of the executor's bucketed keys (no-false-hit contract).
+    """Soundness of the executor's quantized keys (no-false-hit contract).
 
     Every key here comes from ``_Cohort.memo_key`` over cohorts that
     ``_initial_cohorts`` formed, so the tests check the key the executor
     actually probes the memo with.
     """
 
-    @given(
-        buckets=st.sampled_from([1, 2, 5, 32, 500]),
-        level=st.integers(601, 3000),
-        other=st.integers(601, 3000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bucket_crossing_perturbation_changes_key(
-        self, buckets, level, other
-    ):
-        # File two members of one quant cohort at two charge levels the
-        # way a wave does; their next keys differ exactly when the levels
-        # sit in different buckets of the 3000-unit capacitor.
-        (src,) = _initial_cohorts(jittered_spec(count=2).expand(), buckets)
+    def test_members_at_different_levels_share_one_cohort_and_key(self):
+        # File two members of one quant cohort at opposite ends of the
+        # 3000-unit capacitor's usable range the way a mixed wave does:
+        # the charge level is no part of the key, so they ride one
+        # cohort.  A wave that admits them and a third member filed in
+        # another wave drains all three at once into one cohort.
+        (src,) = _initial_cohorts(jittered_spec(count=3).expand())
         assert src.kind == "quant"
         regroup: dict = {}
         order: list = []
-        for pos, lv in enumerate((level, other)):
+        for pos, level in enumerate((3000, 601)):
             VectorFleetExecutor._requeue(
-                regroup, order, src, 1, 700, src.nv_ref, lv, pos, None
+                regroup, order, src, 1, 700, src.nv_ref, level, pos, None
             )
-        key = {p: c.memo_key(TIRE_PROG) for c in order for p in c.positions}
-        bucket_size = max(1, 3000 // buckets)
-        crosses = level // bucket_size != other // bucket_size
-        assert (key[0] != key[1]) == crosses
+        (cohort,) = order
+        assert cohort.positions == [0, 1] and cohort.levels == [3000, 601]
+        key = cohort.memo_key(TIRE_PROG)
+        assert key == (
+            TIRE_PROG, src.env_key, 700, src.nv_ref.token, ("q", 3000, 600)
+        )
+        other: list = []
+        VectorFleetExecutor._requeue(
+            {}, other, src, 1, 700, src.nv_ref, 1500, 2, None
+        )
+        assert other[0].memo_key(TIRE_PROG) == key
+        entry = QuantEntry(
+            record=ActivationRecord(
+                index=1,
+                completed=True,
+                violations=0,
+                cycles_on=50,
+                cycles_off=0,
+                reboots=0,
+            ),
+            tau_delta=50,
+            post_nv=src.nv_ref,
+            consumed=100,
+            exec_level=601,
+        )
+        sink: dict = {}
+        (after,) = VectorFleetExecutor()._quant_replay_all(
+            [cohort, other[0]], entry, sink
+        )
+        assert after.positions == [0, 1, 2]
+        assert after.levels == [2900, 501, 1400]
+        assert (after.tau, after.index) == (750, 2)
+        assert [count for _, count in sink.values()] == [3]
 
     def test_quantized_token_ignores_per_device_randomness(self):
         # Devices with different seeds, harvest rates and boot bands:
@@ -380,14 +405,15 @@ class TestQuantizedSupplyTokens:
         )
         assert len({d.seed for d in devices}) == 3
         assert len({d.supply.harvest_rate for d in devices}) == 3
-        assert len({_key_of([d], buckets=32) for d in devices}) == 1
-        assert len({_key_of([d], buckets=0) for d in devices}) == 3
-        (shared,) = _initial_cohorts(devices, buckets=32)
+        factory = DeviceFactory()
+        assert len({factory.supply(d).memo_token() for d in devices}) == 3
+        assert len({_key_of([d]) for d in devices}) == 1
+        (shared,) = _initial_cohorts(devices)
         assert shared.positions == [0, 1, 2]
 
     def test_quantized_token_tracks_geometry(self):
-        # One capacity (so one bucket size and index) but a different
-        # low threshold, and a different capacity: each must split keys.
+        # One capacity but a different low threshold, and a different
+        # capacity: each must split keys.
         device = jittered_spec(count=1).expand()[0]
         keys = {
             _key_of(
@@ -405,43 +431,59 @@ class TestQuantizedSupplyTokens:
         assert len(keys) == 3
 
     def test_quantized_token_conservative_fallbacks(self):
-        # Bucketing off: every stochastic device is its own uni cohort,
-        # keyed on its supply's exact token.
-        devices = jittered_spec(count=4).expand()
-        cohorts = _initial_cohorts(devices, buckets=0)
-        assert [c.kind for c in cohorts] == ["uni"] * 4
-        assert [c.positions for c in cohorts] == [[0], [1], [2], [3]]
-        factory = DeviceFactory()
-        for cohort, device in zip(cohorts, devices, strict=True):
-            assert (
-                cohort.memo_key(TIRE_PROG)[-1]
-                == factory.supply(device).memo_token()
-            )
         # Wall power never quantizes: one exact-keyed cohort.
         wall = uniform_spec(count=3).expand()
         wall = [replace(d, supply=SupplySpec.continuous()) for d in wall]
-        (cohort,) = _initial_cohorts(wall, buckets=32)
+        (cohort,) = _initial_cohorts(wall)
         assert cohort.kind == "uni"
         assert cohort.memo_key(TIRE_PROG)[-1] == ("wall",)
 
-    # Bucket count 0 goes last (hypothesis favours a list's head) and the
-    # example count is 12, so about nine examples per run still reach the
-    # quantized replay gate while a sixth check exact keys.
-    @given(
-        spec=fleet_specs(), buckets=st.sampled_from([1, 2, 5, 32, 500, 0])
-    )
+    @given(spec=fleet_specs())
     @settings(max_examples=12, deadline=None)
-    def test_bucketed_replay_matches_serial_property(self, spec, buckets):
-        # The acceptance property: byte parity under quantized keys at
-        # aggressive bucket sizes, across random apps x configs x
-        # jittered fleets.  Coarse buckets collapse more devices onto
-        # one key; the reboot-free replay gate must keep every hit
-        # bit-identical to real execution.  Zero buckets keys every
-        # stochastic device on its exact supply token.
+    def test_quantized_replay_matches_serial_property(self, spec):
+        # The acceptance property: byte parity under quantized keys
+        # across random apps x configs x jittered fleets, some in
+        # constant environments where devices at different charge
+        # levels share keys.  The reboot-free replay gate must keep
+        # every hit bit-identical to real execution.
         devices = spec.expand()
         serial = run_shard(devices)
-        vector = VectorFleetExecutor(supply_buckets=buckets).run(devices)
+        vector = VectorFleetExecutor().run(devices)
         assert vector.to_json() == serial.to_json()
+
+    def test_replay_gate_matches_serial_in_a_constant_environment(self):
+        # Every channel constant and the NV state untainted make the
+        # time token one value, so devices share keys at whatever charge
+        # level they reach; only the replay gate keeps a hit from a
+        # device below the level its entry ran at.
+        spec = FleetSpec(
+            classes=(
+                DeviceClass(
+                    name="tire-constant",
+                    app="tire",
+                    config="ocelot",
+                    count=24,
+                    environment=EnvironmentSpec(
+                        overrides=(
+                            ("accel", "150"),
+                            ("pres", "3200"),
+                            ("temp", "28"),
+                        )
+                    ),
+                    supply=SupplySpec(
+                        harvest_rate=150, boot_fraction=(0.65, 1.0)
+                    ),
+                ),
+            ),
+            fleet_seed=7,
+            budget_cycles=60_000,
+            name="constant",
+        )
+        devices = spec.expand()
+        executor = VectorFleetExecutor()
+        vector = executor.run(devices)
+        assert vector.to_json() == run_shard(devices).to_json()
+        assert executor.memo.stats.hits > 0
 
     def test_jittered_fleet_scores_nonzero_hits(self):
         spec = jittered_spec(count=12)
@@ -536,7 +578,7 @@ class TestPersistentMemo:
             )
         )
         assert store.load("token-a") == {}
-        assert MEMO_SCHEMA == "repro-memo-2"
+        assert MEMO_SCHEMA == "repro-memo-3"
 
     def test_interleaved_saves_of_one_shard(self, tmp_path, monkeypatch):
         """A second save landing between the first save's write and its
@@ -566,15 +608,14 @@ class TestPersistentMemo:
         spec = uniform_spec(count=2)
         with pytest.raises(FleetError, match="vector"):
             run_fleet(spec, "serial", memo_dir=tmp_path)
-        with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, "serial", supply_buckets=8)
         # ``sharded`` is the vector executor on one worker per core, whose
         # memos are not merged back into the store.
         with pytest.raises(FleetError, match="vector"):
             run_fleet(spec, "sharded", memo_dir=tmp_path)
-        # An instance is already configured; the knobs would do nothing.
+        # An instance is already configured; the directory would do
+        # nothing.
         with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, VectorFleetExecutor(), supply_buckets=8)
+            run_fleet(spec, VectorFleetExecutor(), memo_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
 

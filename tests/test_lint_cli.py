@@ -157,6 +157,18 @@ class TestLint:
         data = json.loads(capsys.readouterr().out)
         assert data["window_cycles"] == 123456
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_window_below_one_is_a_parse_error(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "tire", "--window", value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse's usage, then the one error line
+        assert captured.err.splitlines()[-1] == (
+            f"repro lint: error: argument --window: must be >= 1, got {value}"
+        )
+
     def test_benchmark_names_resolve(self, capsys):
         assert main(["lint", "tire"]) == 0
         out = capsys.readouterr().out

@@ -182,6 +182,28 @@ class TestVerdicts:
         assert verdict.stats.truncated > 0
 
 
+class TestBounds:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_activations", 0),
+            ("max_cycles", -1),
+            ("max_states", 0),
+            ("max_failures", -1),
+            ("off_cycles", -1),
+        ],
+    )
+    def test_bound_below_its_least_is_rejected(self, field, value):
+        # Each would certify a proof over nothing (or over a negative
+        # failure count).
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            VerifyBounds(**{field: value})
+
+    def test_failure_free_bound_is_legal(self):
+        verdict = verify_program(*_build("ocelot"), VerifyBounds(max_failures=0))
+        assert verdict.kind == VERDICT_PROOF
+
+
 class TestPruning:
     @pytest.mark.parametrize("fails", [1, 2])
     def test_prune_parity_and_strict_savings(self, fails):
@@ -250,6 +272,30 @@ class TestCli:
         ids = {node["id"] for node in doc["nodes"]}
         for edge in doc["edges"]:
             assert edge["parent"] in ids and edge["child"] in ids
+
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [
+            ("--max-activations", "0", 1),
+            ("--max-cycles", "-1", 1),
+            ("--max-states", "0", 1),
+            ("--max-failures", "-1", 0),
+            ("--off-cycles", "-1", 0),
+        ],
+    )
+    def test_bound_flag_below_its_least_is_a_parse_error(
+        self, flag, value, least, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "tire", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no certificate
+        # argparse's usage, then the one error line
+        assert captured.err.splitlines()[-1] == (
+            f"repro verify: error: argument {flag}: must be >= {least}, "
+            f"got {value}"
+        )
 
     def test_verify_bound_exhausted_exit_two(self, capsys):
         code = main(
