@@ -3,14 +3,11 @@
 The fleet engine's pitch is device scaling: same-class devices batch
 through the memoizing vector executor, which replays equivalent
 activations instead of stepping them, and independent devices split
-across worker processes.  This benchmark times the same fleet both
-ways and, run as a script, records devices/second in
-``BENCH_fleet.json`` at the repo root so the scaling trajectory is
-tracked alongside the code::
+across worker processes.  This benchmark times the same fleets both
+ways and records devices/second in ``BENCH_fleet.json``::
 
     python benchmarks/bench_fleet.py          # write BENCH_fleet.json
-    python benchmarks/bench_fleet.py --quick  # CI gate: small fleet, no record
-    pytest benchmarks/bench_fleet.py          # pytest-benchmark timings
+    python benchmarks/bench_fleet.py --quick  # CI gate: small fleets, no record
 
 Four tiers:
 
@@ -20,36 +17,27 @@ Four tiers:
   have something to win -- the record carries the gate decision and its
   reason);
 * **memo** -- a homogeneous fleet (one device class, deterministic
-  supply randomness) through the vector executor, recording the memo
-  hit rate and devices/second against a serial baseline measured on a
-  sample of the same class.  The full run sizes this tier at 500k
-  devices (the cohort engine's cost per wave is population-independent);
-  ``--quick`` runs a small version and *fails* (exit 1) if the vector
-  executor stops beating serial by at least 10x -- the memoizer's win is
+  supply randomness) through the vector executor, against a serial
+  baseline measured on a sample of the same class.  The full run sizes
+  this tier at 500k devices (the cohort engine's cost per wave is
+  population-independent); ``--quick`` fails if the vector executor
+  stops beating serial by at least 10x -- the memoizer's win is
   core-count independent, so this gate holds on single-core CI too;
 * **jittered** -- a stochastic fleet with per-device harvest-rate jitter
   sharing one environment: the case exact supply tokens could never hit
   on.  Quantized supply keys replay the reboot-free prefix across the
-  whole population, so the gate asserts a *nonzero* hit rate (it was
-  exactly 0 before quantization) on top of byte parity;
+  whole population, so the gate asserts a *nonzero* hit rate on top of
+  byte parity;
 * **persistent** -- the jittered fleet run twice through ``--memo-dir``
-  style persistence: the cold run populates the on-disk store, the warm
-  run must report ``disk_loads > 0``, a strictly better hit rate, and a
-  byte-identical aggregate.
+  style persistence: the warm run must report ``disk_loads > 0``, a
+  strictly better hit rate, and a byte-identical aggregate.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import tempfile
-from pathlib import Path
 
-try:  # only the pytest entry points need it; script mode runs without
-    import pytest
-except ModuleNotFoundError:  # pragma: no cover - exercised in CI smoke
-    pytest = None
+import benchkit
 
 from repro.eval.campaign import SupplySpec
 from repro.fleet import (
@@ -63,10 +51,8 @@ from repro.fleet import (
 )
 from repro.telemetry import MetricsRegistry, absorb_fleet
 
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
-
-def bench_spec(devices: int = 240, budget: int = 25_000) -> FleetSpec:
+def bench_spec(devices: int, budget: int) -> FleetSpec:
     """A representative heterogeneous fleet, rescaled to ``devices``."""
     spec = FleetSpec(
         name="bench-fleet",
@@ -101,7 +87,7 @@ def bench_spec(devices: int = 240, budget: int = 25_000) -> FleetSpec:
     return spec.with_total_devices(devices)
 
 
-def uniform_spec(devices: int, budget: int = 25_000) -> FleetSpec:
+def uniform_spec(devices: int, budget: int) -> FleetSpec:
     """A homogeneous fleet: the vector executor's representative case.
 
     One class, deterministic supply randomness (no harvest spread,
@@ -129,13 +115,12 @@ def uniform_spec(devices: int, budget: int = 25_000) -> FleetSpec:
     )
 
 
-def jittered_spec(devices: int, budget: int = 25_000) -> FleetSpec:
+def jittered_spec(devices: int, budget: int) -> FleetSpec:
     """A stochastic, per-device-jittered fleet sharing one environment.
 
     Every device draws its own harvest rate (RF shadowing) and boot/off
-    randomness, so exact supply tokens are unique per device and the
-    memoizer used to score exactly zero hits here.  Quantized supply
-    keys ride the reboot-free prefix -- the devices share charge
+    randomness, so exact supply tokens are unique per device.  Quantized
+    supply keys ride the reboot-free prefix -- the devices share charge
     trajectories until their first power failure scatters them.
     """
     return FleetSpec(
@@ -155,58 +140,27 @@ def jittered_spec(devices: int, budget: int = 25_000) -> FleetSpec:
     )
 
 
-def test_fleet_serial(benchmark):
-    spec = bench_spec(devices=60, budget=15_000)
-    precompile_fleet(spec)
-    result = benchmark(run_fleet, spec, SerialFleetExecutor())
-    assert result.devices == 60
-
-
-def _slow(fn):
-    return pytest.mark.slow(fn) if pytest is not None else fn
-
-
-@_slow
-def test_fleet_parallel(benchmark):
-    spec = bench_spec(devices=120, budget=15_000)
-    precompile_fleet(spec)  # forked workers inherit warm builds
-    result = benchmark.pedantic(
-        run_fleet,
-        args=(spec, VectorFleetExecutor(processes=None)),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.devices == 120
-
-
-def measure(devices: int = 240, budget: int = 25_000, rounds: int = 3) -> dict:
+def measure_parallel(devices: int, budget: int, rounds: int) -> dict:
     """Serial vs. vector-on-every-core fleet throughput, best-of-``rounds``.
 
-    Legs are timed through a :class:`MetricsRegistry` -- the same
-    machinery behind the CLI's ``--metrics-out`` -- so this record and
-    the metrics schema agree on field names; the final serial run is
-    absorbed into the registry and published under ``"metrics"``.
+    The final serial run is absorbed into the registry and published
+    under ``"metrics"``.
     """
-    spec = bench_spec(devices=devices, budget=budget)
+    spec = bench_spec(devices, budget)
     precompile_fleet(spec)
-
     registry = MetricsRegistry()
-    serial = None
-    serial_fp = parallel_fp = None
-    for _ in range(rounds):
-        with registry.timer("bench.fleet.serial.seconds"):
-            serial = run_fleet(spec, SerialFleetExecutor())
-        serial_fp = aggregate_fingerprint(serial)
-
-        with registry.timer("bench.fleet.parallel.seconds"):
-            parallel = run_fleet(spec, VectorFleetExecutor(processes=None))
-        parallel_fp = aggregate_fingerprint(parallel)
-
-    assert serial_fp == parallel_fp, "serial and parallel aggregates differ"
+    results = benchkit.best_of(registry, rounds, {
+        "bench.fleet.serial.seconds":
+            lambda: run_fleet(spec, SerialFleetExecutor()),
+        "bench.fleet.parallel.seconds":
+            lambda: run_fleet(spec, VectorFleetExecutor(processes=None)),
+    })
+    serial, parallel = (runs[-1] for runs in results.values())
+    assert aggregate_fingerprint(serial) == aggregate_fingerprint(
+        parallel
+    ), "serial and parallel aggregates differ"
     absorb_fleet(registry, serial)
-    histograms = registry.to_dict()["histograms"]
-    serial_s = histograms["bench.fleet.serial.seconds"]["min"]
-    parallel_s = histograms["bench.fleet.parallel.seconds"]["min"]
+    serial_s, parallel_s = (registry.histogram(name).min for name in results)
     return {
         "benchmark": "fleet-throughput",
         "spec": {
@@ -216,7 +170,7 @@ def measure(devices: int = 240, budget: int = 25_000, rounds: int = 3) -> dict:
             "activations": serial.aggregate.total_activations,
         },
         "rounds": rounds,
-        "cores": os.cpu_count() or 1,
+        **benchkit.host(),
         "serial_seconds": round(serial_s, 4),
         "parallel_seconds": round(parallel_s, 4),
         "serial_devices_per_second": round(devices / serial_s, 2),
@@ -226,36 +180,32 @@ def measure(devices: int = 240, budget: int = 25_000, rounds: int = 3) -> dict:
     }
 
 
-def measure_memo_tier(
-    devices: int = 100_000,
-    budget: int = 25_000,
-    serial_sample: int = 200,
+def measure_vector_tier(
+    make_spec, devices: int, budget: int, serial_sample: int
 ) -> dict:
-    """Vectorized throughput on a homogeneous fleet vs. a serial baseline.
+    """The vector executor on ``make_spec``'s fleet vs. a serial baseline.
 
     The serial baseline runs on a ``serial_sample``-device slice of the
-    same class (serial cost is linear in devices, so per-device rates
+    same fleet (serial cost is linear in devices, so per-device rates
     compare directly); byte parity is asserted on that slice before the
     full vectorized run is timed.
     """
     sample_count = min(serial_sample, devices)
-    sample = uniform_spec(sample_count, budget=budget)
+    sample = make_spec(sample_count, budget)
     precompile_fleet(sample)
-
     registry = MetricsRegistry()
-    with registry.timer("bench.fleet.memo.serial.seconds"):
+    with registry.timer("serial"):
         serial = run_fleet(sample, SerialFleetExecutor())
-    vector_sample = run_fleet(sample, VectorFleetExecutor())
-    assert aggregate_fingerprint(vector_sample) == aggregate_fingerprint(
-        serial
-    ), "serial and vector aggregates differ"
-
-    full = uniform_spec(devices, budget=budget)
-    with registry.timer("bench.fleet.memo.vector.seconds"):
+    assert aggregate_fingerprint(
+        run_fleet(sample, VectorFleetExecutor())
+    ) == aggregate_fingerprint(serial), (
+        f"serial and vector aggregates differ on {sample.name}"
+    )
+    full = make_spec(devices, budget)
+    with registry.timer("vector"):
         vector = run_fleet(full, VectorFleetExecutor())
-    serial_s = registry.seconds("bench.fleet.memo.serial.seconds")
-    vector_s = registry.seconds("bench.fleet.memo.vector.seconds")
-
+    serial_s = registry.seconds("serial")
+    vector_s = registry.seconds("vector")
     serial_dps = sample_count / serial_s
     vector_dps = devices / vector_s
     return {
@@ -274,64 +224,20 @@ def measure_memo_tier(
     }
 
 
-def measure_jittered_tier(
-    devices: int = 2_000,
-    budget: int = 25_000,
-    serial_sample: int = 200,
-) -> dict:
-    """Vectorized run of a per-device-jittered fleet: nonzero hit rate.
-
-    Byte parity against serial is asserted on a sample slice (the jitter
-    makes serial cost dominate at full size); the full vectorized run
-    records the quantized-key hit rate, which must be > 0 -- exact
-    supply tokens scored exactly 0 here.
-    """
-    sample_count = min(serial_sample, devices)
-    sample = jittered_spec(sample_count, budget=budget)
-    precompile_fleet(sample)
-
-    registry = MetricsRegistry()
-    with registry.timer("bench.fleet.jittered.serial.seconds"):
-        serial = run_fleet(sample, SerialFleetExecutor())
-    vector_sample = run_fleet(sample, VectorFleetExecutor())
-    assert aggregate_fingerprint(vector_sample) == aggregate_fingerprint(
-        serial
-    ), "serial and vector aggregates differ on the jittered fleet"
-
-    full = jittered_spec(devices, budget=budget)
-    with registry.timer("bench.fleet.jittered.vector.seconds"):
-        vector = run_fleet(full, VectorFleetExecutor())
-    serial_s = registry.seconds("bench.fleet.jittered.serial.seconds")
-    vector_s = registry.seconds("bench.fleet.jittered.vector.seconds")
-    return {
-        "devices": devices,
-        "serial_sample_devices": sample_count,
-        "budget_cycles": budget,
-        "activations": vector.aggregate.total_activations,
-        "serial_seconds": round(serial_s, 4),
-        "vector_seconds": round(vector_s, 4),
-        "serial_devices_per_second": round(sample_count / serial_s, 2),
-        "vector_devices_per_second": round(devices / vector_s, 2),
-        "memo_hit_rate": round(vector.memo["hit_rate"], 6),
-        "memo_hits": vector.memo["hits"],
-        "memo_misses": vector.memo["misses"],
-    }
-
-
-def measure_persistent_tier(devices: int = 500, budget: int = 25_000) -> dict:
+def measure_persistent_tier(devices: int, budget: int) -> dict:
     """Cold vs. warm runs of the jittered fleet through an on-disk memo.
 
     The cold run populates the store; the warm run (a fresh executor, as
     a fresh process would be) must load entries from disk, score a
     strictly better hit rate, and produce byte-identical aggregates.
     """
-    spec = jittered_spec(devices, budget=budget)
+    spec = jittered_spec(devices, budget)
     precompile_fleet(spec)
     registry = MetricsRegistry()
     with tempfile.TemporaryDirectory(prefix="bench-memo-") as memo_dir:
-        with registry.timer("bench.fleet.persistent.cold.seconds"):
+        with registry.timer("cold"):
             cold = run_fleet(spec, "vector", memo_dir=memo_dir)
-        with registry.timer("bench.fleet.persistent.warm.seconds"):
+        with registry.timer("warm"):
             warm = run_fleet(spec, "vector", memo_dir=memo_dir)
     assert aggregate_fingerprint(cold) == aggregate_fingerprint(
         warm
@@ -340,28 +246,25 @@ def measure_persistent_tier(devices: int = 500, budget: int = 25_000) -> dict:
     assert (
         warm.memo["hit_rate"] > cold.memo["hit_rate"]
     ), "disk-backed warm run did not improve the hit rate"
-    cold_s = registry.seconds("bench.fleet.persistent.cold.seconds")
-    warm_s = registry.seconds("bench.fleet.persistent.warm.seconds")
     return {
         "devices": devices,
         "budget_cycles": budget,
-        "cold_seconds": round(cold_s, 4),
-        "warm_seconds": round(warm_s, 4),
+        "cold_seconds": round(registry.seconds("cold"), 4),
+        "warm_seconds": round(registry.seconds("warm"), 4),
         "cold_hit_rate": round(cold.memo["hit_rate"], 6),
         "warm_hit_rate": round(warm.memo["hit_rate"], 6),
         "warm_disk_loads": warm.memo["disk_loads"],
     }
 
 
-def parallel_gate(record: dict) -> dict:
-    """The parallel-speedup gate decision for ``record``, with its reason.
+def parallel_gate(cores: int) -> dict:
+    """The parallel-speedup gate decision on ``cores``, with its reason.
 
     On a single-core host the vector executor runs in-process, so
     ``parallel_speedup`` measures the memo alone and may sit near 1.0
-    -- expected behavior, not a regression: the assertion is skipped
-    and the record says why.
+    -- expected behavior, not a regression: the gate is skipped and the
+    record says why.
     """
-    cores = record["cores"]
     if cores < 2:
         return {
             "cores": cores,
@@ -376,73 +279,40 @@ def parallel_gate(record: dict) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="fleet throughput benchmark")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI gate: >=200 devices, parity always, speedup on multi-core, "
-        "vector >=10x serial on a homogeneous fleet",
+def measure(quick: bool) -> dict:
+    # (heterogeneous, memo, jittered, persistent) devices; the serial
+    # baseline samples of the memo and jittered tiers.
+    sizes, budget, sample, rounds = (
+        ((200, 2_000, 300, 150), 20_000, 100, 1)
+        if quick
+        else ((240, 500_000, 2_000, 500), 25_000, 200, 3)
     )
-    args = parser.parse_args(argv)
+    record = measure_parallel(sizes[0], budget, rounds)
+    record["parallel_gate"] = parallel_gate(record["cores"])
+    record["memo_tier"] = measure_vector_tier(
+        uniform_spec, sizes[1], budget, sample
+    )
+    record["jittered_tier"] = measure_vector_tier(
+        jittered_spec, sizes[2], budget, sample
+    )
+    record["persistent_tier"] = measure_persistent_tier(sizes[3], budget)
+    return record
 
-    if args.quick:
-        record = measure(devices=200, budget=20_000, rounds=1)
-        record["parallel_gate"] = parallel_gate(record)
-        record["memo_tier"] = measure_memo_tier(
-            devices=2_000, budget=20_000, serial_sample=100
-        )
-        record["jittered_tier"] = measure_jittered_tier(
-            devices=300, budget=20_000, serial_sample=100
-        )
-        record["persistent_tier"] = measure_persistent_tier(
-            devices=150, budget=20_000
-        )
-        print(json.dumps(record, indent=2))
-        vector_speedup = record["memo_tier"]["vector_speedup"]
-        if vector_speedup < 10.0:
-            print(
-                "FAIL: vector executor below 10x serial on a homogeneous "
-                f"fleet ({vector_speedup=})"
-            )
-            return 1
-        print(f"ok: vector speedup {vector_speedup}x (memoized)")
-        jittered_hits = record["jittered_tier"]["memo_hit_rate"]
-        if jittered_hits <= 0.0:
-            print(
-                "FAIL: zero memo hits on the jittered fleet "
-                f"({jittered_hits=}); quantized supply keys regressed"
-            )
-            return 1
-        print(f"ok: jittered-fleet hit rate {jittered_hits} (quantized keys)")
-        print(
-            "ok: persistent memo warm run loaded "
-            f"{record['persistent_tier']['warm_disk_loads']} entries "
-            f"(hit rate {record['persistent_tier']['cold_hit_rate']} cold "
-            f"-> {record['persistent_tier']['warm_hit_rate']} warm)"
-        )
-        gate = record["parallel_gate"]
-        speedup = record["parallel_speedup"]
-        if not gate["gated"]:
-            print(f"note: parallel gate skipped -- {gate['reason']} "
-                  f"(speedup {speedup}x)")
-            return 0
-        if speedup <= 1.0:
-            print(f"FAIL: parallel fleet no faster than serial ({speedup=})")
-            return 1
-        print(f"ok: parallel speedup {speedup}x on {record['cores']} cores")
-        return 0
 
-    record = measure()
-    record["parallel_gate"] = parallel_gate(record)
-    record["memo_tier"] = measure_memo_tier(devices=500_000)
-    record["jittered_tier"] = measure_jittered_tier(devices=2_000)
-    record["persistent_tier"] = measure_persistent_tier(devices=500)
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"record written to {RECORD_PATH}")
-    return 0
+def gates(record: dict) -> list[benchkit.Gate]:
+    vector_speedup = record["memo_tier"]["vector_speedup"]
+    hits = record["jittered_tier"]["memo_hit_rate"]
+    gate = record["parallel_gate"]
+    speedup = record["parallel_speedup"]
+    return [
+        (vector_speedup >= 10.0, "vector executor on a homogeneous fleet "
+         f"{vector_speedup}x serial (gate >= 10x)"),
+        (hits > 0.0, f"jittered-fleet memo hit rate {hits} (gate > 0)"),
+        (not gate["gated"] or speedup > 1.0,
+         f"parallel speedup {speedup}x on {gate['cores']} cores; "
+         f"{gate['reason']}"),
+    ]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(benchkit.main("fleet", measure, gates))

@@ -9,7 +9,6 @@ across apps and build configurations)::
 
     python benchmarks/bench_machine.py          # write BENCH_machine.json
     python benchmarks/bench_machine.py --quick  # CI gate, no record
-    pytest benchmarks/bench_machine.py          # pytest-benchmark timings
 
 Both engines drive identical activation streams (same builds, same
 spawned supplies, same environments); the benchmark asserts the streams
@@ -19,7 +18,7 @@ full suites in ``tests/test_engine_parity.py`` and
 ``tests/test_opt_parity.py``.  Per-config records include
 ``checks_executed`` (detector bit-vector scans), and the
 ``check_optimizer`` section compares ``tire/ocelot`` against
-``tire/ocelot-opt`` on the same supply stream.  ``--quick`` *fails*
+``tire/ocelot-opt`` on the same supply stream.  ``--quick`` fails
 (exit 1) if the fast engine is not at least as fast as the reference,
 if ``ocelot-opt`` does not execute strictly fewer checks than
 ``ocelot``, or if it loses on instructions/s beyond timer noise; the
@@ -29,20 +28,14 @@ elimination for the region-enforced app.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-from pathlib import Path
+from collections import Counter
+from functools import partial
 
-from repro.apps import BENCHMARKS
-from repro.core.cache import GLOBAL_CACHE
-from repro.eval.profiles import STANDARD_PROFILE
-from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
-from repro.runtime.executor import NVState
-from repro.runtime.supply import ContinuousPower
+import benchkit
+
+from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, FastMachine
+from repro.runtime.executor import Machine
 from repro.telemetry import MetricsRegistry
-
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_machine.json"
 
 #: (app, config, supply kind): a mix of region-heavy, JIT-only, and
 #: checkpoint-free execution shapes.
@@ -54,10 +47,13 @@ WORKLOAD = (
     ("activity", "ocelot", "continuous"),
 )
 
+#: each engine's activation entry point
+RUN = {ENGINE_REFERENCE: Machine.run, ENGINE_FAST: FastMachine.run}
+
 #: The check-optimizer gate compares these two workload pairs: same app,
 #: same supply stream, baseline vs. optimized pipeline.
-GATE_BASE = ("tire", "ocelot", "harvest")
-GATE_OPT = ("tire", "ocelot-opt", "harvest")
+GATE_BASE = "tire/ocelot/harvest"
+GATE_OPT = "tire/ocelot-opt/harvest"
 
 #: Wall-clock tolerance for the instructions/s leg of the gate: the two
 #: configs execute identical instruction streams, so "not slower" is the
@@ -65,133 +61,58 @@ GATE_OPT = ("tire", "ocelot-opt", "harvest")
 GATE_IPS_TOLERANCE = 0.95
 
 
-def _drive(engine: str, app: str, config: str, supply_kind: str, budget: int):
-    """Run one device's activation stream to its logical-time budget.
+def _run_engine(engine: str, budget: int, registry: MetricsRegistry) -> dict:
+    """Drive the whole workload under one engine; each pair's counters.
 
-    Returns the counters the parity check compares and the instruction
-    total the throughput number divides by.
+    Each pair is timed under its own name, so the check-optimizer gate
+    can compare configs.
     """
-    meta = BENCHMARKS[app]
-    compiled = GLOBAL_CACHE.get_or_compile(meta.source, config)
-    costs = meta.cost_model()
-    plan = compiled.detector_plan()
-    env = meta.env_factory(13)
-    supply = (
-        ContinuousPower()
-        if supply_kind == "continuous"
-        else STANDARD_PROFILE.make_supply(seed=5).spawn(31)
-    )
-    nv = NVState.initial(compiled.module)
-    tau = 0
-    instructions = activations = reboots = violations = checks = 0
-    while tau < budget:
-        machine = create_machine(
-            engine, compiled, env, supply,
-            costs=costs, plan=plan, nv=nv, start_tau=tau,
-        )
-        result = machine.run()
-        tau = machine.tau
-        instructions += result.stats.instructions
-        reboots += result.stats.reboots
-        violations += result.stats.violations
-        checks += machine.detector_queries
-        activations += 1
-        if not result.stats.completed:
-            break
-    return {
-        "instructions": instructions,
-        "activations": activations,
-        "reboots": reboots,
-        "violations": violations,
-        "checks_executed": checks,
-    }
+    counters = {}
+    for app, config, supply_kind in WORKLOAD:
+        pair = f"{app}/{config}/{supply_kind}"
+        with registry.timer(f"bench.machine.{engine}.{pair}.seconds"):
+            counters[pair] = benchkit.drive(
+                engine, RUN[engine], app, config, supply_kind, budget
+            )
+    return counters
 
 
-def _run_engine(
-    engine: str, budget: int, registry: MetricsRegistry | None = None
-) -> tuple[dict, float, dict]:
-    """Drive the whole workload under one engine.
-
-    Returns (summed counters, wall seconds, per-pair records); per-pair
-    records carry each (app, config, supply) leg's counters and wall
-    time, which the check-optimizer gate compares across configs.  Legs
-    are timed through a :class:`MetricsRegistry` -- the machinery behind
-    the CLI's ``--metrics-out`` -- so perf records and the metrics
-    schema agree on field names.
-    """
-    if registry is None:
-        registry = MetricsRegistry()
-    totals = {
-        "instructions": 0,
-        "activations": 0,
-        "reboots": 0,
-        "violations": 0,
-        "checks_executed": 0,
-    }
-    pairs: dict[str, dict] = {}
-    engine_timer = f"bench.machine.{engine}.seconds"
-    engine_before = registry.seconds(engine_timer)
-    with registry.timer(engine_timer):
-        for app, config, supply_kind in WORKLOAD:
-            pair = "/".join((app, config, supply_kind))
-            leg_timer = f"bench.machine.{engine}.{pair}.seconds"
-            leg_before = registry.seconds(leg_timer)
-            with registry.timer(leg_timer):
-                counters = _drive(engine, app, config, supply_kind, budget)
-            for key, value in counters.items():
-                totals[key] += value
-            pairs[pair] = {
-                **counters,
-                "seconds": registry.seconds(leg_timer) - leg_before,
-            }
-    return totals, registry.seconds(engine_timer) - engine_before, pairs
+def _total(counters: dict) -> Counter:
+    total = Counter()
+    for pair in counters.values():
+        total.update(pair)
+    return total
 
 
-def _warm_builds() -> None:
-    for app, config, _ in WORKLOAD:
-        GLOBAL_CACHE.get_or_compile(BENCHMARKS[app].source, config)
-
-
-def measure(budget: int = 1_500_000, rounds: int = 3) -> dict:
+def measure(quick: bool) -> dict:
     """Reference vs. fast instructions/second, best-of-``rounds``."""
-    _warm_builds()
+    budget, rounds = (300_000, 1) if quick else (1_500_000, 3)
+    benchkit.warm_builds(WORKLOAD)
     registry = MetricsRegistry()
-    times: dict[str, list[float]] = {ENGINE_REFERENCE: [], ENGINE_FAST: []}
-    counters: dict[str, dict] = {}
-    best_pairs: dict[str, dict] = {}
-    for _ in range(rounds):
-        for engine in (ENGINE_REFERENCE, ENGINE_FAST):
-            totals, seconds, pairs = _run_engine(engine, budget, registry)
-            times[engine].append(seconds)
-            previous = counters.setdefault(engine, totals)
-            assert previous == totals, f"{engine} engine is nondeterministic"
-            if engine == ENGINE_FAST:
-                for pair, record in pairs.items():
-                    best = best_pairs.get(pair)
-                    if best is None or record["seconds"] < best["seconds"]:
-                        best_pairs[pair] = record
-    assert counters[ENGINE_REFERENCE] == counters[ENGINE_FAST], (
-        "engines diverged on the bench workload: "
-        f"{counters[ENGINE_REFERENCE]} != {counters[ENGINE_FAST]}"
+    runs = benchkit.best_of(registry, rounds, {
+        f"bench.machine.{engine}.seconds":
+            partial(_run_engine, engine, budget, registry)
+        for engine in (ENGINE_REFERENCE, ENGINE_FAST)
+    })
+    ref, fast = ([_total(run) for run in engine] for engine in runs.values())
+    for totals in (ref, fast):
+        assert all(t == totals[0] for t in totals), "an engine is nondeterministic"
+    assert ref[0] == fast[0], (
+        f"engines diverged on the bench workload: {ref[0]} != {fast[0]}"
     )
-    ref_s = min(times[ENGINE_REFERENCE])
-    fast_s = min(times[ENGINE_FAST])
-    instructions = counters[ENGINE_FAST]["instructions"]
-    activations = counters[ENGINE_FAST]["activations"]
-    configs = {
-        pair: {
-            "instructions": record["instructions"],
-            "checks_executed": record["checks_executed"],
-            "violations": record["violations"],
-            "seconds": round(record["seconds"], 4),
-            "instructions_per_second": round(
-                record["instructions"] / record["seconds"]
-            ),
+    ref_s, fast_s = (registry.histogram(name).min for name in runs)
+    instructions, activations = fast[0]["instructions"], fast[0]["activations"]
+    configs = {}
+    for pair, pc in runs[f"bench.machine.{ENGINE_FAST}.seconds"][-1].items():
+        seconds = registry.histogram(f"bench.machine.fast.{pair}.seconds").min
+        configs[pair] = {
+            "instructions": pc["instructions"],
+            "checks_executed": pc["detector_queries"],
+            "violations": pc["violations"],
+            "seconds": round(seconds, 4),
+            "instructions_per_second": round(pc["instructions"] / seconds),
         }
-        for pair, record in best_pairs.items()
-    }
-    gate_base = configs["/".join(GATE_BASE)]
-    gate_opt = configs["/".join(GATE_OPT)]
+    base, opt = configs[GATE_BASE], configs[GATE_OPT]
     return {
         "benchmark": "machine-throughput",
         "workload": {
@@ -199,10 +120,10 @@ def measure(budget: int = 1_500_000, rounds: int = 3) -> dict:
             "budget_cycles": budget,
             "instructions": instructions,
             "activations": activations,
-            "reboots": counters[ENGINE_FAST]["reboots"],
+            "reboots": fast[0]["reboots"],
         },
         "rounds": rounds,
-        "cores": os.cpu_count() or 1,
+        **benchkit.host(),
         "reference_seconds": round(ref_s, 4),
         "fast_seconds": round(fast_s, 4),
         "reference_instructions_per_second": round(instructions / ref_s),
@@ -212,90 +133,36 @@ def measure(budget: int = 1_500_000, rounds: int = 3) -> dict:
         "speedup": round(ref_s / fast_s, 3),
         "configs": configs,
         "check_optimizer": {
-            "baseline": "/".join(GATE_BASE),
-            "optimized": "/".join(GATE_OPT),
-            "baseline_checks_executed": gate_base["checks_executed"],
-            "optimized_checks_executed": gate_opt["checks_executed"],
-            "baseline_instructions_per_second": gate_base[
-                "instructions_per_second"
-            ],
-            "optimized_instructions_per_second": gate_opt[
-                "instructions_per_second"
-            ],
+            "baseline": GATE_BASE,
+            "optimized": GATE_OPT,
+            "baseline_checks_executed": base["checks_executed"],
+            "optimized_checks_executed": opt["checks_executed"],
+            "baseline_instructions_per_second": base["instructions_per_second"],
+            "optimized_instructions_per_second": opt["instructions_per_second"],
             "checks_eliminated_fraction": round(
-                1
-                - gate_opt["checks_executed"]
-                / max(1, gate_base["checks_executed"]),
-                4,
+                1 - opt["checks_executed"] / max(1, base["checks_executed"]), 4
             ),
         },
         "metrics": registry.to_dict(command="bench_machine"),
     }
 
 
-# -- pytest-benchmark entry points -------------------------------------------
-
-
-def test_reference_engine(benchmark):
-    _warm_builds()
-    totals = benchmark(_run_engine, ENGINE_REFERENCE, 300_000)[0]
-    assert totals["instructions"] > 0
-
-
-def test_fast_engine(benchmark):
-    _warm_builds()
-    totals = benchmark(_run_engine, ENGINE_FAST, 300_000)[0]
-    assert totals["instructions"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="abstract-machine throughput benchmark"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI gate: small budget, engine parity, fast >= reference",
-    )
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        record = measure(budget=300_000, rounds=1)
-        print(json.dumps(record, indent=2))
-        speedup = record["speedup"]
-        if speedup < 1.0:
-            print(f"FAIL: fast engine slower than the reference ({speedup=})")
-            return 1
-        gate = record["check_optimizer"]
-        base_checks = gate["baseline_checks_executed"]
-        opt_checks = gate["optimized_checks_executed"]
-        if opt_checks >= base_checks:
-            print(
-                "FAIL: ocelot-opt executed no fewer checks than ocelot "
-                f"({opt_checks} >= {base_checks})"
-            )
-            return 1
-        base_ips = gate["baseline_instructions_per_second"]
-        opt_ips = gate["optimized_instructions_per_second"]
-        if opt_ips < base_ips * GATE_IPS_TOLERANCE:
-            print(
-                "FAIL: ocelot-opt lost on instructions/s "
-                f"({opt_ips} < {base_ips} within {GATE_IPS_TOLERANCE} tolerance)"
-            )
-            return 1
-        print(
-            f"ok: fast engine {speedup}x the reference (parity enforced); "
-            f"ocelot-opt executed {opt_checks} checks vs ocelot's "
-            f"{base_checks} at {opt_ips} vs {base_ips} instructions/s"
-        )
-        return 0
-
-    record = measure()
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"record written to {RECORD_PATH}")
-    return 0
+def gates(record: dict) -> list[benchkit.Gate]:
+    speedup = record["speedup"]
+    gate = record["check_optimizer"]
+    base_checks = gate["baseline_checks_executed"]
+    opt_checks = gate["optimized_checks_executed"]
+    base_ips = gate["baseline_instructions_per_second"]
+    opt_ips = gate["optimized_instructions_per_second"]
+    return [
+        (speedup >= 1.0, f"fast engine {speedup}x the reference (gate >= 1.0; "
+         "parity enforced)"),
+        (opt_checks < base_checks, f"ocelot-opt executed {opt_checks} checks "
+         f"vs ocelot's {base_checks} (gate: fewer)"),
+        (opt_ips >= base_ips * GATE_IPS_TOLERANCE, f"ocelot-opt at {opt_ips} vs "
+         f"ocelot's {base_ips} instructions/s (gate >= {GATE_IPS_TOLERANCE}x)"),
+    ]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(benchkit.main("machine", measure, gates))

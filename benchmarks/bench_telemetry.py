@@ -8,7 +8,6 @@ number::
 
     python benchmarks/bench_telemetry.py          # write BENCH_telemetry.json
     python benchmarks/bench_telemetry.py --quick  # CI gate, no record
-    pytest benchmarks/bench_telemetry.py          # pytest-benchmark timings
 
 Four legs drive the same fast-engine workload (same builds, same
 spawned supplies, same environments):
@@ -27,34 +26,25 @@ spawned supplies, same environments):
 
 All four legs must agree on instructions, activations, reboots,
 violations, and detector queries -- telemetry that perturbed execution
-would trip the parity assert before any timing is reported.  The legs
-are timed through the same metrics registry the CLI's ``--metrics-out``
-uses, so this record and the metrics schema agree on field names.
-``--quick`` *fails* (exit 1) if the disabled path costs more than
+would trip the parity assert before any timing is reported.
+``--quick`` fails (exit 1) if the disabled path costs more than
 ``GATE_OVERHEAD`` over the raw path.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-from pathlib import Path
+from collections import Counter
+from functools import partial
 
-from repro.apps import BENCHMARKS
-from repro.core.cache import GLOBAL_CACHE
-from repro.eval.profiles import STANDARD_PROFILE
-from repro.runtime.engine import ENGINE_FAST, create_machine
-from repro.runtime.executor import NVState
-from repro.runtime.supply import ContinuousPower
+import benchkit
+
+from repro.runtime.engine import ENGINE_FAST, FastMachine
 from repro.telemetry import (
     MetricsRegistry,
     absorb_run,
     disable_tracing,
     enable_tracing,
 )
-
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 
 #: (app, config, supply kind): region-heavy, JIT-only, and continuous
 #: execution shapes, mirroring the machine-throughput workload.
@@ -72,112 +62,53 @@ MODES = ("raw", "disabled", "tracing", "metrics")
 GATE_OVERHEAD = 1.02
 
 
-def _drive(app: str, config: str, supply_kind: str, budget: int, mode: str):
-    """Run one device's activation stream to its logical-time budget."""
-    meta = BENCHMARKS[app]
-    compiled = GLOBAL_CACHE.get_or_compile(meta.source, config)
-    costs = meta.cost_model()
-    plan = compiled.detector_plan()
-    env = meta.env_factory(13)
-    supply = (
-        ContinuousPower()
-        if supply_kind == "continuous"
-        else STANDARD_PROFILE.make_supply(seed=5).spawn(31)
-    )
-    registry = MetricsRegistry() if mode == "metrics" else None
-    nv = NVState.initial(compiled.module)
-    tau = 0
-    instructions = activations = reboots = violations = queries = 0
-    while tau < budget:
-        machine = create_machine(
-            ENGINE_FAST, compiled, env, supply,
-            costs=costs, plan=plan, nv=nv, start_tau=tau,
-        )
-        result = (
-            machine._run_to_completion() if mode == "raw" else machine.run()
-        )
-        if registry is not None:
-            absorb_run(registry, result)
-        tau = machine.tau
-        instructions += result.stats.instructions
-        reboots += result.stats.reboots
-        violations += result.stats.violations
-        queries += machine.detector_queries
-        activations += 1
-        if not result.stats.completed:
-            break
-    return {
-        "instructions": instructions,
-        "activations": activations,
-        "reboots": reboots,
-        "violations": violations,
-        "detector_queries": queries,
-    }
+def _absorbing(registry: MetricsRegistry):
+    def activate(machine):
+        result = machine.run()
+        absorb_run(registry, result)
+        return result
+
+    return activate
 
 
-def _run_mode(mode: str, budget: int, registry: MetricsRegistry) -> dict:
-    """Drive the whole workload under one telemetry mode, timed."""
-    totals = {
-        "instructions": 0,
-        "activations": 0,
-        "reboots": 0,
-        "violations": 0,
-        "detector_queries": 0,
-    }
+def _run_mode(mode: str, budget: int) -> Counter:
+    """Drive the whole workload under one telemetry mode."""
+    totals = Counter()
     if mode == "tracing":
         enable_tracing()
     try:
-        with registry.timer(f"bench.telemetry.{mode}.seconds"):
-            for app, config, supply_kind in WORKLOAD:
-                counters = _drive(app, config, supply_kind, budget, mode)
-                for key, value in counters.items():
-                    totals[key] += value
+        for app, config, supply_kind in WORKLOAD:
+            if mode == "raw":
+                activate = FastMachine._run_to_completion
+            elif mode == "metrics":
+                activate = _absorbing(MetricsRegistry())
+            else:
+                activate = FastMachine.run
+            totals.update(benchkit.drive(
+                ENGINE_FAST, activate, app, config, supply_kind, budget
+            ))
     finally:
-        if mode == "tracing":
-            disable_tracing()
+        disable_tracing()
     return totals
 
 
-def _warm_builds() -> None:
-    for app, config, _ in WORKLOAD:
-        GLOBAL_CACHE.get_or_compile(BENCHMARKS[app].source, config)
-
-
-def measure(budget: int = 1_500_000, rounds: int = 7) -> dict:
-    """Per-mode seconds (best-of-``rounds``) with counter parity.
-
-    Overhead ratios are ratios of best-of-``rounds`` times.  Scheduler
-    noise only ever *inflates* a sample, so the per-mode minimum
-    converges on the true time from above and the ratio of minimums is
-    the robust overhead estimate -- a lone preempted round cannot flip
-    the gate the way a mean (or a thin median) can.
-    """
-    _warm_builds()
+def measure(quick: bool) -> dict:
+    """Per-mode seconds (best-of-``rounds``) with counter parity."""
+    budget, rounds = (300_000, 12) if quick else (1_500_000, 7)
+    benchkit.warm_builds(WORKLOAD)
     registry = MetricsRegistry()
-    counters: dict[str, dict] = {}
-    samples: dict[str, list[float]] = {mode: [] for mode in MODES}
-    for _ in range(rounds):
-        for mode in MODES:
-            totals = _run_mode(mode, budget, registry)
-            previous = counters.setdefault(mode, totals)
-            assert previous == totals, f"{mode} leg is nondeterministic"
-            histogram = registry.to_dict()["histograms"][
-                f"bench.telemetry.{mode}.seconds"
-            ]
-            samples[mode].append(
-                histogram["total"] - sum(samples[mode])
-            )
-    baseline = counters["raw"]
-    for mode in MODES:
-        assert counters[mode] == baseline, (
-            f"telemetry perturbed execution: {mode} leg diverged from raw "
-            f"({counters[mode]} != {baseline})"
+    runs = benchkit.best_of(registry, rounds, {
+        f"bench.telemetry.{mode}.seconds": partial(_run_mode, mode, budget)
+        for mode in MODES
+    })
+    baseline = runs["bench.telemetry.raw.seconds"][0]
+    for name, totals in runs.items():
+        assert all(t == baseline for t in totals), (
+            f"telemetry perturbed execution: {name} diverged from raw"
         )
-    seconds = {mode: min(samples[mode]) for mode in MODES}
-    ratios = {
-        "disabled_overhead": seconds["disabled"] / seconds["raw"],
-        "tracing_overhead": seconds["tracing"] / seconds["disabled"],
-        "metrics_overhead": seconds["metrics"] / seconds["disabled"],
+    seconds = {
+        mode: registry.histogram(f"bench.telemetry.{mode}.seconds").min
+        for mode in MODES
     }
     instructions = baseline["instructions"]
     return {
@@ -190,67 +121,27 @@ def measure(budget: int = 1_500_000, rounds: int = 7) -> dict:
             "detector_queries": baseline["detector_queries"],
         },
         "rounds": rounds,
-        "cores": os.cpu_count() or 1,
+        **benchkit.host(),
         "seconds": {mode: round(seconds[mode], 4) for mode in MODES},
         "instructions_per_second": {
             mode: round(instructions / seconds[mode]) for mode in MODES
         },
-        "disabled_overhead": round(ratios["disabled_overhead"], 4),
-        "tracing_overhead": round(ratios["tracing_overhead"], 4),
-        "metrics_overhead": round(ratios["metrics_overhead"], 4),
+        "disabled_overhead": round(seconds["disabled"] / seconds["raw"], 4),
+        "tracing_overhead": round(seconds["tracing"] / seconds["disabled"], 4),
+        "metrics_overhead": round(seconds["metrics"] / seconds["disabled"], 4),
         "metrics": registry.to_dict(command="bench_telemetry"),
     }
 
 
-# -- pytest-benchmark entry points -------------------------------------------
-
-
-def test_disabled_leg(benchmark):
-    _warm_builds()
-    totals = benchmark(_run_mode, "disabled", 300_000, MetricsRegistry())
-    assert totals["instructions"] > 0
-
-
-def test_tracing_leg(benchmark):
-    _warm_builds()
-    totals = benchmark(_run_mode, "tracing", 300_000, MetricsRegistry())
-    assert totals["instructions"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="telemetry overhead benchmark"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI gate: small budget, counter parity, <2% disabled overhead",
-    )
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        record = measure(budget=300_000, rounds=12)
-        print(json.dumps(record, indent=2))
-        overhead = record["disabled_overhead"]
-        if overhead > GATE_OVERHEAD:
-            print(
-                "FAIL: disabled telemetry costs more than "
-                f"{GATE_OVERHEAD}x the raw hot path ({overhead=})"
-            )
-            return 1
-        print(
-            f"ok: disabled telemetry at {overhead}x the raw hot path "
-            f"(gate {GATE_OVERHEAD}x, counter parity enforced); tracing at "
-            f"{record['tracing_overhead']}x disabled"
-        )
-        return 0
-
-    record = measure()
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"record written to {RECORD_PATH}")
-    return 0
+def gates(record: dict) -> list[benchkit.Gate]:
+    overhead = record["disabled_overhead"]
+    return [(
+        overhead <= GATE_OVERHEAD,
+        f"disabled telemetry at {overhead}x the raw hot path (gate <= "
+        f"{GATE_OVERHEAD}x, counter parity enforced); tracing at "
+        f"{record['tracing_overhead']}x disabled",
+    )]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(benchkit.main("telemetry", measure, gates))

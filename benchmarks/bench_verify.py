@@ -22,10 +22,7 @@ strictly fewer states on every region-bearing leg.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-from pathlib import Path
+import benchkit
 
 from repro.analysis.staleness import analyze_staleness
 from repro.apps import BENCHMARKS
@@ -33,8 +30,6 @@ from repro.core.cache import GLOBAL_CACHE
 from repro.sensors.environment import Environment
 from repro.telemetry import MetricsRegistry, absorb_verify
 from repro.verify import VerifyBounds, verify_program
-
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_verify.json"
 
 #: (app, config, max_failures): region-heavy proofs, a JIT
 #: counterexample, and the DINO-style whole-program transform.
@@ -133,14 +128,13 @@ def _leg(
     }
 
 
-def measure(budget: int = 200_000) -> dict:
-    """Per-leg verdicts and throughput, timed through a metrics registry.
+def measure(quick: bool) -> dict:
+    """Per-leg verdicts and throughput.
 
-    Legs are timed with :meth:`MetricsRegistry.timer` -- the machinery
-    behind the CLI's ``--metrics-out`` -- so this record and the metrics
-    schema agree on field names; each pruned verdict's explorer stats
-    are absorbed and published under ``"metrics"``.
+    Each pruned verdict's explorer stats are absorbed into the registry
+    and published under ``"metrics"``.
     """
+    budget = 60_000 if quick else 200_000
     legs = {}
     registry = MetricsRegistry()
     with registry.timer("bench.verify.total.seconds"):
@@ -158,7 +152,7 @@ def measure(budget: int = 200_000) -> dict:
         "benchmark": "verify-throughput",
         "workload": [f"{a}/{c} (failures<={f})" for a, c, f in WORKLOAD],
         "budget_cycles": budget,
-        "cores": os.cpu_count() or 1,
+        **benchkit.host(),
         "total_seconds": round(total, 4),
         "total_states_explored": explored,
         "states_per_second": round(explored / total),
@@ -170,70 +164,24 @@ def measure(budget: int = 200_000) -> dict:
     }
 
 
-def _gate(record: dict) -> int:
-    failed = False
+def gates(record: dict) -> list[benchkit.Gate]:
+    verdicts = []
     for name, leg in record["legs"].items():
-        if not leg["verdicts_agree"]:
-            print(
-                f"FAIL: {name}: pruned verdict "
-                f"{leg['pruned']['verdict']} != unpruned "
-                f"{leg['unpruned']['verdict']}"
-            )
-            failed = True
-        if not leg["guided_agrees"]:
-            print(
-                f"FAIL: {name}: guided verdict "
-                f"{leg['guided']['verdict']} != pruned "
-                f"{leg['pruned']['verdict']}"
-            )
-            failed = True
-        if leg["guided_ratio"] > 1.0:
-            print(
-                f"FAIL: {name}: guidance explored more states "
-                f"(ratio {leg['guided_ratio']})"
-            )
-            failed = True
-        config = name.split("/", 1)[1]
-        if config in REGION_CONFIGS and leg["prune_ratio"] >= 1.0:
-            print(
-                f"FAIL: {name}: pruning explored no fewer states "
-                f"(ratio {leg['prune_ratio']})"
-            )
-            failed = True
-    if failed:
-        return 1
-    print(
-        f"ok: {record['total_states_explored']} states at "
-        f"{record['states_per_second']}/s, mean prune ratio "
-        f"{record['mean_prune_ratio']}, verdicts agree on every leg"
-    )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="bounded model-checker throughput benchmark"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI gate: small budget, prune parity, strict prune savings",
-    )
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        record = measure(budget=60_000)
-        print(json.dumps(record, indent=2))
-        return _gate(record)
-
-    record = measure()
-    code = _gate(record)
-    if code != 0:
-        return code
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"record written to {RECORD_PATH}")
-    return 0
+        pruned = leg["pruned"]["verdict"]
+        verdicts += [
+            (leg["verdicts_agree"], f"{name}: pruned verdict {pruned}, "
+             f"unpruned {leg['unpruned']['verdict']} (gate: equal)"),
+            (leg["guided_agrees"], f"{name}: guided verdict "
+             f"{leg['guided']['verdict']}, pruned {pruned} (gate: equal)"),
+            (leg["guided_ratio"] <= 1.0,
+             f"{name}: guided ratio {leg['guided_ratio']} (gate <= 1.0)"),
+        ]
+        if name.split("/", 1)[1] in REGION_CONFIGS:
+            verdicts.append((leg["prune_ratio"] < 1.0,
+                             f"{name}: prune ratio {leg['prune_ratio']} "
+                             "(gate < 1.0)"))
+    return verdicts
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(benchkit.main("verify", measure, gates, gate_full=True))

@@ -357,17 +357,6 @@ def walk_exprs(expr: Expr) -> Iterator[Expr]:
         yield from walk_exprs(expr.index)
 
 
-def free_vars(expr: Expr) -> set[str]:
-    """Variable names read by ``expr`` (references count as reads)."""
-    names: set[str] = set()
-    for sub in walk_exprs(expr):
-        if isinstance(sub, (Var, Ref)):
-            names.add(sub.name)
-        elif isinstance(sub, Index):
-            names.add(sub.array)
-    return names
-
-
 def assign_labels(program: Program) -> None:
     """Assign per-function instruction labels, in lexical order.
 

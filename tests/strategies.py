@@ -394,3 +394,48 @@ def fleet_specs(draw):
         max_activations=draw(st.sampled_from([100_000, 5])),
         name="prop-fleet",
     )
+
+
+@st.composite
+def constant_harvest_fleet_specs(draw):
+    """A :class:`FleetSpec` whose devices share keys across charge levels.
+
+    One or two stochastic-harvest classes of 8-24 devices, every channel
+    of each class's app bound to a constant, and budgets long enough for
+    devices to drift apart in charge before they stop.  Untainted
+    devices then share quantized keys at whatever charge level they
+    reach, so hits from below an entry's execution level are common and
+    only the replay gate keeps them exact; :func:`fleet_specs` reaches
+    such keys too rarely to catch a missing gate.
+    """
+    from repro.apps import BENCHMARKS
+    from repro.eval.campaign import EnvironmentSpec, SupplySpec
+    from repro.fleet.spec import DeviceClass, FleetSpec
+
+    classes = []
+    for idx in range(draw(st.integers(1, 2))):
+        app = draw(st.sampled_from(FLEET_APPS))
+        channels = sorted(BENCHMARKS[app].env_factory(0).signals)
+        overrides = tuple(
+            (channel, str(draw(st.integers(0, 4000)))) for channel in channels
+        )
+        classes.append(
+            DeviceClass(
+                name=f"cls{idx}",
+                app=app,
+                config=draw(st.sampled_from(FLEET_CONFIGS)),
+                count=draw(st.integers(8, 24)),
+                environment=EnvironmentSpec(overrides=overrides),
+                supply=SupplySpec(
+                    harvest_rate=draw(st.integers(150, 600)),
+                    seed_offset=draw(st.integers(0, 50)),
+                ),
+                harvest_jitter=draw(st.sampled_from([0.0, 0.25, 0.5])),
+            )
+        )
+    return FleetSpec(
+        classes=tuple(classes),
+        fleet_seed=draw(st.integers(0, 2**32)),
+        budget_cycles=draw(st.integers(30_000, 60_000)),
+        name="prop-constant-fleet",
+    )

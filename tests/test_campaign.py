@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.core.cache import GLOBAL_CACHE
+import repro.eval.campaign as campaign
+from repro.core.cache import GLOBAL_CACHE, CompileCache
 from repro.eval.campaign import (
     MODE_INJECTION,
     CampaignError,
@@ -171,6 +172,12 @@ class TestExecution:
         serial_agg = serial_result.aggregate()
         parallel_agg = parallel.aggregate()
         assert serial_agg == parallel_agg
+
+    def test_cold_run_compiles_each_build_once(self, monkeypatch):
+        monkeypatch.setattr(campaign, "GLOBAL_CACHE", CompileCache())
+        spec = small_spec(environments=(EnvironmentSpec("default", env_seed=0),))
+        result = run_campaign(spec, SerialExecutor())
+        assert result.compiles == len(spec.apps) * len(spec.configs)
 
     def test_cached_second_run_zero_recompiles(self, serial_result):
         before = GLOBAL_CACHE.stats.snapshot()

@@ -52,7 +52,7 @@ from repro.runtime.harness import ActivationRecord
 from repro.runtime.supply import FailurePoint, ScheduledFailures
 from repro.runtime.values import InputEvent, TVal
 from repro.sensors.environment import Environment, constant, steps
-from tests.strategies import fleet_specs
+from tests.strategies import constant_harvest_fleet_specs, fleet_specs
 
 
 def uniform_spec(count: int = 40, **overrides) -> FleetSpec:
@@ -438,14 +438,14 @@ class TestQuantizedSupplyTokens:
         assert cohort.kind == "uni"
         assert cohort.memo_key(TIRE_PROG)[-1] == ("wall",)
 
-    @given(spec=fleet_specs())
+    @given(spec=constant_harvest_fleet_specs())
     @settings(max_examples=12, deadline=None)
     def test_quantized_replay_matches_serial_property(self, spec):
         # The acceptance property: byte parity under quantized keys
-        # across random apps x configs x jittered fleets, some in
-        # constant environments where devices at different charge
-        # levels share keys.  The reboot-free replay gate must keep
-        # every hit bit-identical to real execution.
+        # across random apps x configs x jittered fleets in constant
+        # environments, where devices at different charge levels share
+        # keys.  The reboot-free replay gate must keep every hit
+        # bit-identical to real execution.
         devices = spec.expand()
         serial = run_shard(devices)
         vector = VectorFleetExecutor().run(devices)

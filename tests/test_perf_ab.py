@@ -1,8 +1,9 @@
-"""``tools/perf_ab.py``'s verdicts on fixed numbers."""
+"""``tools/perf_ab.py``: its verdicts on fixed numbers, and its worktree mode."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,38 @@ def test_refuses_a_different_benchmark(tmp_path):
     (change / "BENCHMARK.json").write_text('{"bound": 1}\n')
     with pytest.raises(perf_ab.Refused, match="BENCHMARK.json"):
         perf_ab.check_same_benchmark(base, change)
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=root, check=True, capture_output=True, text=True
+    ).stdout
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A git repository whose committed benchmark has no workloads."""
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text('{"workloads": []}\n')
+    _git(root, "init", "-q")
+    _git(root, "add", "BENCHMARK.json")
+    _git(root, "-c", "user.name=perf-ab", "-c", "user.email=perf-ab@example.com",
+         "commit", "-q", "-m", "benchmark")
+    monkeypatch.setattr(perf_ab, "ROOT", root)
+    return root
+
+
+def test_a_git_revision_runs_in_a_worktree_that_is_removed(repo):
+    assert perf_ab.main(["HEAD"]) == 0
+    assert len(_git(repo, "worktree", "list").splitlines()) == 1
+
+
+def test_a_revision_with_another_benchmark_is_refused(repo):
+    (repo / "BENCHMARK.json").write_text('{"workloads": [], "bound": 1}\n')
+    assert perf_ab.main(["HEAD"]) == 2
+    assert len(_git(repo, "worktree", "list").splitlines()) == 1
+
+
+def test_an_unknown_revision_is_refused(repo):
+    assert perf_ab.main(["no-such-rev"]) == 2

@@ -166,10 +166,59 @@ BY_REFERENCE_FACTS = {
     ],
 }
 
+#: ``let r = h`` reads ``h`` before ``h = g`` grows it in the last sweep
+#: of ``f``'s first solve, so that solve returns no chain while ``*out``
+#: carries one: ``main``'s call would record the chain's hop kind as
+#: ``pbr`` (hop kinds are first-writer-wins) if ``f`` stopped after one
+#: solve.  Only the confirming solve makes ``retBy`` the first writer.
+RETURN_BEFORE_GROWTH = """\
+inputs a;
+nonvolatile g = 0;
+nonvolatile h = 0;
+
+fn f(&out) {
+  let r = h;
+  h = g;
+  let v = input(a);
+  g = v;
+  *out = v;
+  return r;
+}
+
+fn show(p) {
+  log(p);
+}
+
+fn main() {
+  let x = 0;
+  let y = f(&x);
+  Fresh(x);
+  show(x);
+  log(y);
+}
+"""
+
+RETURN_BEFORE_GROWTH_FACTS = {
+    "annot_inputs": {"(main, 5)": ["(main, 3)::(f, 5)"]},
+    "annot_chains": {"(main, 5)": ["(main, 5)"]},
+    "uses": {"fresh@main:5": ["(main, 6)", "(main, 6)::(show, 3)"]},
+    "summaries": [
+        "f local &out (input: (f, 5), fromTp: local(5))",
+        "f local ret (input: (f, 5), fromTp: local(5))",
+        "show (main, 6) p (input: (f, 5), fromTp: retBy(main, 3))",
+    ],
+}
+
 PINNED = [
     pytest.param(GLOBAL_VIA_CALLEE, True, GLOBAL_VIA_CALLEE_FACTS, id="global-via-callee"),
     pytest.param(LOOP_BRANCH, False, LOOP_BRANCH_FACTS, id="loop-branch"),
     pytest.param(BY_REFERENCE, True, BY_REFERENCE_FACTS, id="by-reference"),
+    pytest.param(
+        RETURN_BEFORE_GROWTH,
+        True,
+        RETURN_BEFORE_GROWTH_FACTS,
+        id="return-before-growth",
+    ),
 ]
 
 
