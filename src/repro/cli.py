@@ -51,6 +51,7 @@ from repro.core.pipeline import PipelineOptions
 from repro.eval.profiles import STANDARD_PROFILE
 from repro.ir.lowering import lower_program
 from repro.ir.printer import print_module
+from repro.lang.errors import LangError, SourceSpan
 from repro.lang.parser import parse_program
 from repro.runtime.engine import ENGINE_FAST, ENGINES
 from repro.runtime.harness import run_once
@@ -82,6 +83,22 @@ def _read_source(path: str) -> str:
     return Path(path).read_text()
 
 
+def _read_program(path: str) -> str:
+    """Program text of ``path``, or a one-line SystemExit naming it."""
+    try:
+        return _read_source(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read '{path}': {exc}") from None
+
+
+def _front_end_error(path: str, exc: LangError) -> SystemExit:
+    """A one-line exit for a lex, parse or semantic error in ``path``,
+    naming the file and, when the error has one, its ``line:col``."""
+    if exc.span == SourceSpan.synthetic():
+        return SystemExit(f"{path}: {exc.message}")
+    return SystemExit(f"{path}:{exc.span}: {exc.message}")
+
+
 def _write_metrics(args: argparse.Namespace, command: str) -> None:
     """Dump the process-wide registry if ``--metrics-out`` was given."""
     path = getattr(args, "metrics_out", None)
@@ -98,13 +115,21 @@ def _resolve_config(name: str) -> BuildConfig:
         raise SystemExit(str(exc)) from None
 
 
+def _compile_text(path: str, source: str, config: str):
+    """Compile ``source`` (read from ``path``) through the process-wide
+    compile cache."""
+    resolved = _resolve_config(config)
+    try:
+        return compile_cached(
+            source, config=resolved, options=PipelineOptions(strict=False)
+        )
+    except LangError as exc:
+        raise _front_end_error(path, exc) from None
+
+
 def _compile(path: str, config: str):
     """Compile a file through the process-wide compile cache."""
-    return compile_cached(
-        _read_source(path),
-        config=_resolve_config(config),
-        options=PipelineOptions(strict=False),
-    )
+    return _compile_text(path, _read_program(path), config)
 
 
 def _parse_env(module_channels: list[str], specs: list[str]) -> Environment:
@@ -152,11 +177,7 @@ def _resolve_target_source(target: str) -> str:
 
 def _compile_target(target: str, config: str):
     """Compile a file-or-benchmark target through the compile cache."""
-    return compile_cached(
-        _resolve_target_source(target),
-        config=_resolve_config(config),
-        options=PipelineOptions(strict=False),
-    )
+    return _compile_text(target, _resolve_target_source(target), config)
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -192,11 +213,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     """Compile and dump stage artifacts (``--emit ir|taint|timings|...``)."""
-    source = _resolve_target_source(args.target)
-    config = _resolve_config(args.config)
-    compiled = compile_cached(
-        source, config=config, options=PipelineOptions(strict=False)
-    )
+    compiled = _compile_target(args.target, args.config)
     kinds: list[str] = []
     for entry in args.emit or ["summary"]:
         kinds.extend(k.strip() for k in entry.split(",") if k.strip())
@@ -208,12 +225,17 @@ def cmd_build(args: argparse.Namespace) -> int:
         if len(kinds) > 1:
             print(f"== {kind} ==")
         print(text)
-    return 0 if compiled.check.ok or not config.enforces else 1
+    enforcing = _resolve_config(args.config).enforces
+    return 0 if compiled.check.ok or not enforcing else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Checker mode (Section 8): validate manual regions, insert nothing."""
-    module = lower_program(parse_program(_read_source(args.file)))
+    source = _read_program(args.file)
+    try:
+        module = lower_program(parse_program(source))
+    except LangError as exc:
+        raise _front_end_error(args.file, exc) from None
     taint = analyze_module(module)
     policies = build_policies(taint)
     report = check_atomic_regions(module, policies)

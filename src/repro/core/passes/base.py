@@ -65,17 +65,14 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineOptions:
-    """Compilation knobs; defaults match the paper's evaluation setup.
+    """Compilation knobs that apply to *every* configuration.
 
-    Options apply to *every* configuration compiled with them; per-config
-    deviations (an ablation that drops output guards, say) belong in the
-    pass parameters of a registered :class:`~repro.core.passes.BuildConfig`
-    instead.
+    What a build computes is set by the pass parameters of its
+    :class:`~repro.core.passes.BuildConfig` (an ablation that drops output
+    guards, say, is ``Lower(guard_outputs=False)``); options only decide
+    whether a build that fails its checks raises.
     """
 
-    guard_outputs: bool = True
-    unroll_loops: bool = True
-    include_trivial: bool = False
     #: raise if a correctness-promising config fails the checks
     strict: bool = True
 

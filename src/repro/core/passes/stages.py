@@ -2,16 +2,14 @@
 
 Each pass is a frozen dataclass so pipelines are pure data: parameters
 participate in the pipeline fingerprint, and therefore in compile-cache
-keys.  A parameter of ``None`` means "defer to the build's
-:class:`~repro.core.passes.base.PipelineOptions`"; a concrete value pins
-the behavior for the configuration regardless of options (how ablation
-configs like ``ocelot-noguard`` are declared).
+keys.  Ablation configs like ``ocelot-noguard`` are declared by swapping
+in a pass with a different parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from repro.analysis.policies import build_policies
 from repro.analysis.taint import analyze_module
@@ -57,29 +55,21 @@ class Lower:
     """Lower the AST to the CFG-based IR (``getAnnotations`` input).
 
     ``keep_manual_atomics=False`` strips programmer regions (the pure JIT
-    baseline).  ``guard_outputs`` / ``unroll_loops`` override the
-    corresponding :class:`PipelineOptions` fields when not ``None``.
+    baseline); ``guard_outputs`` and ``unroll_loops`` are the
+    :class:`~repro.ir.lowering.LoweringOptions` of the same names.
     """
 
     name: ClassVar[str] = "lower"
 
     keep_manual_atomics: bool = True
-    guard_outputs: Optional[bool] = None
-    unroll_loops: Optional[bool] = None
+    guard_outputs: bool = True
+    unroll_loops: bool = True
 
     def run(self, ctx: BuildContext) -> None:
         options = LoweringOptions(
-            guard_outputs=(
-                ctx.options.guard_outputs
-                if self.guard_outputs is None
-                else self.guard_outputs
-            ),
+            guard_outputs=self.guard_outputs,
             keep_manual_atomics=self.keep_manual_atomics,
-            unroll_loops=(
-                ctx.options.unroll_loops
-                if self.unroll_loops is None
-                else self.unroll_loops
-            ),
+            unroll_loops=self.unroll_loops,
         )
         ctx.module = lower_program(ctx.program, options=options, info=ctx.info)
         ctx.diag(
@@ -137,23 +127,19 @@ class BuildPolicies:
 class InferRegions:
     """Atomic-region inference + insertion (Algorithm 1).
 
-    ``include_trivial`` overrides the option of the same name when set.
+    ``include_trivial`` also materializes regions for trivially enforced
+    policies.
     """
 
     name: ClassVar[str] = "infer-regions"
 
-    include_trivial: Optional[bool] = None
-
-    def _include_trivial(self, ctx: BuildContext) -> bool:
-        if self.include_trivial is None:
-            return ctx.options.include_trivial
-        return self.include_trivial
+    include_trivial: bool = False
 
     def run(self, ctx: BuildContext) -> None:
         ctx.policy_map, ctx.regions = infer_atomic(
             ctx.need_module(),
             ctx.need_policies(),
-            include_trivial=self._include_trivial(ctx),
+            include_trivial=self.include_trivial,
         )
         ctx.diag(self.name, f"inserted {len(ctx.regions)} inferred region(s)")
 
@@ -183,20 +169,15 @@ class Check:
 
     enforced: bool = True
     use_region_map: bool = True
-    include_trivial: Optional[bool] = None
+    include_trivial: bool = False
 
     def run(self, ctx: BuildContext) -> None:
-        include_trivial = (
-            ctx.options.include_trivial
-            if self.include_trivial is None
-            else self.include_trivial
-        )
         ctx.check = check_program(
             ctx.need_module(),
             ctx.need_policies(),
             ctx.need_taint(),
             ctx.policy_map if self.use_region_map else None,
-            include_trivial=include_trivial,
+            include_trivial=self.include_trivial,
         )
         for failure in ctx.check.failures:
             ctx.diag(self.name, failure, level=DIAG_ERROR)

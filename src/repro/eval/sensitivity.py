@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps import BENCHMARKS
+from repro.core.cache import GLOBAL_CACHE
 from repro.eval.profiles import EnergyProfile
 from repro.eval.report import Table
 from repro.runtime.harness import run_activations
@@ -39,10 +40,7 @@ def sweep_harvest_rate(
     budget: int = 120_000,
     seed: int = 0,
 ) -> list[HarvestPoint]:
-    from repro.eval.builds import all_builds
-
     meta = BENCHMARKS[app]
-    builds = all_builds(app)
     costs = meta.cost_model()
     points: list[HarvestPoint] = []
     for rate in rates:
@@ -50,7 +48,7 @@ def sweep_harvest_rate(
         cycles: dict[str, tuple[float, float]] = {}
         for config in ("jit", "ocelot"):
             outcome = run_activations(
-                builds[config],
+                GLOBAL_CACHE.get_or_compile(meta.source, config),
                 meta.env_factory(seed),
                 profile.make_supply(seed=seed + 7),
                 budget_cycles=budget,
@@ -80,10 +78,7 @@ def sweep_capacity(
     budget: int = 150_000,
     seed: int = 0,
 ) -> list[CapacityPoint]:
-    from repro.eval.builds import all_builds
-
     meta = BENCHMARKS[app]
-    builds = all_builds(app)
     costs = meta.cost_model()
     points: list[CapacityPoint] = []
     for capacity in capacities:
@@ -91,7 +86,7 @@ def sweep_capacity(
         rates: dict[str, tuple[float, int]] = {}
         for config in ("jit", "ocelot"):
             outcome = run_activations(
-                builds[config],
+                GLOBAL_CACHE.get_or_compile(meta.source, config),
                 meta.env_factory(seed),
                 profile.make_supply(seed=seed + 13),
                 budget_cycles=budget,

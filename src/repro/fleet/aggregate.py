@@ -74,36 +74,15 @@ class ClassAggregate:
 
     def observe(self, record) -> None:
         """Fold one :class:`ActivationRecord` into the counters."""
-        self.activations += 1
-        self.cycles_on += record.cycles_on
-        self.cycles_off += record.cycles_off
-        self.reboots += record.reboots
-        self.violations += record.violations
-        self.fresh_violations += record.fresh_violations
-        self.consistent_violations += record.consistent_violations
-        self.detector_queries += record.detector_queries
-        if not record.completed:
-            self.stuck_devices += 1
-            return
-        self.completed_runs += 1
-        if record.violating:
-            self.violating_runs += 1
-        self.fresh_hist[_bucket(record.fresh_violations)] += 1
-        self.consistent_hist[_bucket(record.consistent_violations)] += 1
-        total = record.cycles_on + record.cycles_off
-        if total > 0:
-            # Integer binning keeps the histogram exact across platforms.
-            self.duty_hist[
-                min(DUTY_BINS - 1, (record.cycles_on * DUTY_BINS) // total)
-            ] += 1
+        self.observe_many(record, 1)
 
     def observe_many(self, record, count: int) -> None:
         """Fold ``count`` identical activation records at once.
 
         The vectorized executor replays one memoized record for a whole
         group of equivalent devices; since every counter is a sum, the
-        multiplied fold equals ``count`` repetitions of :meth:`observe`
-        exactly -- no rounding, so byte determinism survives batching.
+        multiplied fold equals ``count`` single folds exactly -- no
+        rounding, so byte determinism survives batching.
         """
         if count <= 0:
             return
@@ -125,6 +104,7 @@ class ClassAggregate:
         self.consistent_hist[_bucket(record.consistent_violations)] += count
         total = record.cycles_on + record.cycles_off
         if total > 0:
+            # Integer binning keeps the histogram exact across platforms.
             self.duty_hist[
                 min(DUTY_BINS - 1, (record.cycles_on * DUTY_BINS) // total)
             ] += count
@@ -212,15 +192,10 @@ class FleetAggregator:
             self._classes[name] = agg
         return agg
 
-    def add_device(self, spec) -> None:
-        """Register a device before it runs (devices with zero completed
-        activations still count toward the population)."""
-        agg = self._class(spec.class_name, spec.app, spec.config)
-        agg.devices += 1
-
     def add_devices(self, spec, count: int) -> None:
-        """Register ``count`` same-class devices at once (batch peer of
-        :meth:`add_device`; population counts are plain sums)."""
+        """Register ``count`` same-class devices before they run (devices
+        with zero completed activations still count toward the
+        population)."""
         agg = self._class(spec.class_name, spec.app, spec.config)
         agg.devices += count
 

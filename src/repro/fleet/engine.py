@@ -52,7 +52,7 @@ def run_shard(
     factory = DeviceFactory(engine=engine)
     aggregator = FleetAggregator()
     for spec in devices:
-        aggregator.add_device(spec)
+        aggregator.add_devices(spec, 1)
         stepper = factory.build(spec)
         while (record := stepper.step()) is not None:
             aggregator.observe(spec, record)

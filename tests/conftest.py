@@ -11,6 +11,7 @@ os.environ.setdefault("REPRO_DEBUG_VERIFY", "1")
 
 import pytest  # noqa: E402
 
+from repro.core.passes import Lower, get_config  # noqa: E402
 from repro.core.pipeline import compile_source  # noqa: E402
 from repro.sensors.environment import Environment, steps  # noqa: E402
 
@@ -82,6 +83,14 @@ fn main() {
   log(total);
 }
 """
+
+
+#: The JIT-only baseline with counted loops kept as real back edges.
+JIT_LOOPS = get_config("jit").replacing(
+    "jit-loops",
+    "JIT-only, repeat bodies not unrolled",
+    lower=Lower(keep_manual_atomics=False, unroll_loops=False),
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablations of the design choices the cost model and supply rest on.
 
 * **Undo-log cost ablation**: CEM's Atomics-only overhead is driven by the
   per-nonvolatile-word undo-log cost; sweeping it shows the Figure 7
@@ -17,6 +17,7 @@ from repro.core.pipeline import compile_source
 from repro.eval.profiles import EnergyProfile
 from repro.runtime.harness import run_activations, run_continuous
 from repro.runtime.supply import ContinuousPower
+from repro.sensors.environment import Environment
 
 
 def cem_atomics_ratio(costs):
@@ -36,22 +37,16 @@ def cem_atomics_ratio(costs):
     return cycles["atomics"] / cycles["jit"]
 
 
-def test_undo_log_cost_drives_cem_blowup(benchmark):
-    meta = BENCHMARKS["cem"]
-    base = meta.cost_model()
-
-    def sweep():
-        cheap = cem_atomics_ratio(replace(base, region_per_nv_word=0))
-        expensive = cem_atomics_ratio(replace(base, region_per_nv_word=6))
-        return cheap, expensive
-
-    cheap, expensive = benchmark(sweep)
+def test_undo_log_cost_drives_cem_blowup():
+    base = BENCHMARKS["cem"].cost_model()
+    cheap = cem_atomics_ratio(replace(base, region_per_nv_word=0))
+    expensive = cem_atomics_ratio(replace(base, region_per_nv_word=6))
     assert cheap < 1.4, f"free undo log still slow: {cheap:.2f}"
     assert expensive > 2.5, f"expensive undo log too cheap: {expensive:.2f}"
     assert expensive > cheap * 1.8
 
 
-def test_boot_jitter_decorrelates_failures(benchmark):
+def test_boot_jitter_decorrelates_failures():
     meta = BENCHMARKS["greenhouse"]
     compiled = compile_source(meta.source, "jit")
 
@@ -69,29 +64,19 @@ def test_boot_jitter_decorrelates_failures(benchmark):
             rates.append(outcome.violation_rate)
         return sum(rates) / len(rates)
 
-    def sweep():
-        return measure((1.0, 1.0)), measure((0.65, 1.0))
-
-    deterministic, jittered = benchmark(sweep)
+    deterministic, jittered = measure((1.0, 1.0)), measure((0.65, 1.0))
     # Jitter must not hide violations; typically it exposes more phases.
     assert jittered >= 0.0
     assert jittered >= deterministic - 0.05
 
 
-def test_nested_region_flattening_is_cheap(benchmark):
+def test_nested_region_flattening_is_cheap():
     nested = "fn main() { atomic { atomic { atomic { work(50); } } } }"
     flat = "fn main() { atomic { work(50); } }"
-
-    def measure():
-        out = {}
-        for tag, src in (("nested", nested), ("flat", flat)):
-            compiled = compile_source(src, "ocelot")
-            from repro.sensors.environment import Environment
-
-            result = run_continuous(compiled, Environment())
-            out[tag] = result.stats.cycles_on
-        return out
-
-    cycles = benchmark(measure)
+    cycles = {}
+    for tag, src in (("nested", nested), ("flat", flat)):
+        compiled = compile_source(src, "ocelot")
+        result = run_continuous(compiled, Environment())
+        cycles[tag] = result.stats.cycles_on
     # Inner start/end pairs cost only counter bookkeeping.
     assert cycles["nested"] - cycles["flat"] <= 8

@@ -64,6 +64,7 @@ class TestCompilation:
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_ocelot_inferred_regions_exist(self, builds, name):
+        assert builds[name]["ocelot"].taint.annot_inputs
         assert builds[name]["ocelot"].regions
 
 

@@ -351,3 +351,37 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+#: Program inputs each command must reject with one line naming the path:
+#: name -> (file text, or None for no file; what the line must also say).
+BAD_PROGRAMS = {
+    "syntax-error": ("fn main( {\n", ":1:10: expected identifier"),
+    "undefined-variable": (
+        "fn main() {\n  log(x);\n}\n",
+        ":2:7: use of undefined variable 'x'",
+    ),
+    "missing-file": (None, "No such file"),
+}
+
+PROGRAM_COMMANDS = (
+    "build", "run", "trace", "explain", "verify", "lint",
+    "compile", "check", "feasibility",
+)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROGRAMS))
+@pytest.mark.parametrize("command", PROGRAM_COMMANDS)
+def test_bad_program_is_a_one_line_error(command, case, tmp_path, capsys):
+    text, detail = BAD_PROGRAMS[case]
+    path = tmp_path / "prog.ocl"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(path)])
+    message = str(excinfo.value)
+    assert excinfo.value.code not in (0, None)
+    assert str(path) in message and detail in message
+    assert "\n" not in message
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err

@@ -44,9 +44,7 @@ class TestKeying:
 
     def test_options_change_key(self):
         default = CacheKey.make(SOURCE, "ocelot", PipelineOptions())
-        tweaked = CacheKey.make(
-            SOURCE, "ocelot", PipelineOptions(include_trivial=True)
-        )
+        tweaked = CacheKey.make(SOURCE, "ocelot", PipelineOptions(strict=False))
         assert default != tweaked
 
     def test_default_options_key_matches_explicit_default(self):
@@ -78,9 +76,7 @@ class TestHitMiss:
 
     def test_different_options_miss(self, cache):
         cache.get_or_compile(SOURCE, "ocelot")
-        cache.get_or_compile(
-            SOURCE, "ocelot", PipelineOptions(include_trivial=True)
-        )
+        cache.get_or_compile(SOURCE, "ocelot", PipelineOptions(strict=False))
         assert cache.stats.misses == 2
 
     def test_different_config_misses(self, cache):
@@ -192,14 +188,14 @@ class TestModuleHelpers:
         compiled = compile_cached(SOURCE, "ocelot", cache=cache)
         assert compile_cached(SOURCE, "ocelot", cache=cache) is compiled
 
-    def test_builds_module_shares_global_cache(self):
+    def test_global_cache_shares_builds(self):
         from repro.core.cache import GLOBAL_CACHE
-        from repro.eval.builds import build
 
-        compiled = build("greenhouse", "ocelot")
-        assert build("greenhouse", "ocelot") is compiled
+        source = BENCHMARKS["greenhouse"].source
+        compiled = GLOBAL_CACHE.get_or_compile(source, "ocelot")
+        assert GLOBAL_CACHE.get_or_compile(source, "ocelot") is compiled
         before = GLOBAL_CACHE.stats.hits
-        build("greenhouse", "ocelot")
+        GLOBAL_CACHE.get_or_compile(source, "ocelot")
         assert GLOBAL_CACHE.stats.hits == before + 1
 
 

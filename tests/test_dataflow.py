@@ -323,12 +323,11 @@ fn main() {
 
 
 def _loop_module():
-    from repro.core.passes.base import PipelineOptions
     from repro.core.pipeline import compile_source
 
-    return compile_source(
-        LOOP_SRC, "jit", options=PipelineOptions(unroll_loops=False)
-    ).module
+    from tests.conftest import JIT_LOOPS
+
+    return compile_source(LOOP_SRC, JIT_LOOPS).module
 
 
 class TestIntervalWidening:

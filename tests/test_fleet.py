@@ -158,7 +158,7 @@ class TestAggregator:
             app = "tire"
             config = "ocelot"
 
-        agg.add_device(Spec())
+        agg.add_devices(Spec(), 1)
         agg.observe(Spec(), self.make_record(cycles_on=700, cycles_off=300))
         agg.observe(
             Spec(),

@@ -180,11 +180,9 @@ class TestWindows:
         assert not result.window(site, BOOT).never
 
     def test_loop_widens_hi_keeps_finite_lo(self):
-        from repro.core.passes.base import PipelineOptions
+        from tests.conftest import JIT_LOOPS
 
-        compiled = compile_source(
-            SRC_LOOP, "jit", options=PipelineOptions(unroll_loops=False)
-        )
+        compiled = compile_source(SRC_LOOP, JIT_LOOPS)
         plan = build_detector_plan(compiled.policies)
         result = analyze_windows(compiled.module, plan.bit_chains)
         site = min(plan.checks)
