@@ -19,10 +19,9 @@ import benchkit
 
 from repro.core.cache import GLOBAL_CACHE
 from repro.eval.campaign import (
+    CampaignExecutor,
     CampaignSpec,
     EnvironmentSpec,
-    MultiprocessExecutor,
-    SerialExecutor,
     SupplySpec,
     run_campaign,
 )
@@ -57,12 +56,12 @@ def measure(quick: bool) -> dict:
 
     def cold():
         GLOBAL_CACHE.clear()
-        result = run_campaign(spec, SerialExecutor())
+        result = run_campaign(spec, CampaignExecutor())
         assert result.compiles > 0
         return result
 
     def cached():
-        result = run_campaign(spec, SerialExecutor())
+        result = run_campaign(spec, CampaignExecutor())
         assert result.compiles == 0
         return result
 
@@ -71,7 +70,9 @@ def measure(quick: bool) -> dict:
         "bench.campaign.cold.seconds": cold,
         "bench.campaign.cached.seconds": cached,
         "bench.campaign.cached_multiprocess.seconds":
-            lambda: run_campaign(spec, MultiprocessExecutor()),
+            lambda: run_campaign(
+                spec, CampaignExecutor(processes=benchkit.host()["cores"])
+            ),
     })
     absorb_campaign(registry, results["bench.campaign.cached.seconds"][-1])
     cold_s, cached_s, parallel_s = (

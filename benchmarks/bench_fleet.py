@@ -153,7 +153,9 @@ def measure_parallel(devices: int, budget: int, rounds: int) -> dict:
         "bench.fleet.serial.seconds":
             lambda: run_fleet(spec, SerialFleetExecutor()),
         "bench.fleet.parallel.seconds":
-            lambda: run_fleet(spec, VectorFleetExecutor(processes=None)),
+            lambda: run_fleet(
+                spec, VectorFleetExecutor(processes=benchkit.host()["cores"])
+            ),
     })
     serial, parallel = (runs[-1] for runs in results.values())
     assert aggregate_fingerprint(serial) == aggregate_fingerprint(

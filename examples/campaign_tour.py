@@ -12,9 +12,9 @@ Run with::
 
 from repro.core.cache import GLOBAL_CACHE
 from repro.eval.campaign import (
+    CampaignExecutor,
     CampaignSpec,
     EnvironmentSpec,
-    SerialExecutor,
     SupplySpec,
     run_campaign,
 )
@@ -39,7 +39,7 @@ def main() -> None:
           f"({len(spec.apps)} apps x {len(spec.configs)} configs x "
           f"{len(spec.environments)} environments)")
 
-    result = run_campaign(spec, SerialExecutor())
+    result = run_campaign(spec, CampaignExecutor(processes=1))
     print(result.table().render_text())
     print()
 

@@ -19,7 +19,8 @@ The package implements the paper's full system stack in Python:
 * :mod:`repro.energy` / :mod:`repro.sensors` -- the simulated testbed,
 * :mod:`repro.apps` -- the six benchmark applications (Table 1),
 * :mod:`repro.eval` -- the evaluation harness regenerating every table and
-  figure of Section 7 (run ``python -m repro.eval``).
+  figure of Section 7 (run ``python -m repro eval``; ``--jobs N`` spreads
+  its job matrices over N worker processes).
 
 Quickstart::
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from repro.analysis.policies import build_policies
@@ -497,14 +498,13 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.eval.campaign import (
         CampaignError,
+        CampaignExecutor,
         CampaignSpec,
         lint_table,
         run_campaign,
     )
     from repro.parallel import WorkerError
 
-    if args.jobs is not None and args.jobs <= 0:
-        raise SystemExit(f"bad --jobs {args.jobs}: need a positive count")
     try:
         text = _read_source(args.spec)
     except OSError as exc:
@@ -519,9 +519,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit(f"bad campaign spec '{args.spec}': {exc}") from None
     if args.lint:
         print(lint_table(spec).render_text())
-    executor = "multiprocess" if args.parallel else "serial"
     try:
-        result = run_campaign(spec, executor, processes=args.jobs)
+        result = run_campaign(spec, CampaignExecutor(args.jobs))
     except WorkerError as exc:
         raise SystemExit(str(exc)) from None
     telemetry.absorb_campaign(telemetry.METRICS, result)
@@ -547,8 +546,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
     from repro.parallel import WorkerError
 
-    if args.jobs is not None and args.jobs <= 0:
-        raise SystemExit(f"bad --jobs {args.jobs}: need a positive count")
     try:
         text = _read_source(args.spec)
     except OSError as exc:
@@ -559,19 +556,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             spec = spec.with_total_devices(args.devices)
     except FleetError as exc:
         raise SystemExit(f"bad fleet spec '{args.spec}': {exc}") from None
-    if args.executor is not None:
-        if args.parallel and args.executor != "sharded":
-            raise SystemExit(
-                f"--parallel conflicts with --executor {args.executor}; "
-                "pick one"
-            )
-        executor = args.executor
-    else:
-        executor = "sharded" if args.parallel else "serial"
     try:
         result = run_fleet(
             spec,
-            executor,
+            args.executor,
             processes=args.jobs,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -598,17 +586,23 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from repro.eval.runner import main as eval_main
+    from repro.eval.campaign import CampaignExecutor
+    from repro.eval.runner import run_all
+    from repro.parallel import WorkerError
 
-    forwarded = []
-    if args.markdown:
-        forwarded.append("--markdown")
-    if args.parallel:
-        forwarded.append("--parallel")
-    if args.jobs is not None:
-        forwarded.extend(["--jobs", str(args.jobs)])
-    forwarded.extend(["--seed", str(args.seed)])
-    return eval_main(forwarded)
+    started = time.time()
+    try:
+        tables = run_all(seed=args.seed, executor=CampaignExecutor(args.jobs))
+    except WorkerError as exc:
+        raise SystemExit(str(exc)) from None
+    for table in tables:
+        if args.markdown:
+            print(table.render_markdown())
+        else:
+            print(table.render_text())
+        print()
+    _log.info(f"(evaluation completed in {time.time() - started:.1f}s)")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,6 +664,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "execution engine: 'fast' is the pre-decoded core, "
                 f"'reference' the Appendix H semantics oracle{extra}"
             ),
+        )
+
+    def add_jobs_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--jobs",
+            type=_at_least(1),
+            default=1,
+            metavar="N",
+            help="worker processes (default: 1, in-process)",
         )
 
     p_compile = sub.add_parser("compile", help="compile a program")
@@ -857,28 +860,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas.set_defaults(func=cmd_feasibility)
 
     p_eval = sub.add_parser("eval", help="regenerate the paper's evaluation")
-    p_eval.add_argument("--markdown", action="store_true")
+    p_eval.add_argument(
+        "--markdown", action="store_true", help="emit Markdown instead of text"
+    )
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--parallel", action="store_true")
-    p_eval.add_argument("--jobs", type=int, default=None, metavar="N")
+    add_jobs_flag(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_campaign = sub.add_parser(
         "campaign", help="run a declarative evaluation campaign"
     )
     p_campaign.add_argument("spec", help="JSON campaign spec file")
-    p_campaign.add_argument(
-        "--parallel",
-        action="store_true",
-        help="use the multiprocessing executor",
-    )
-    p_campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --parallel (default: one per core)",
-    )
+    add_jobs_flag(p_campaign)
     p_campaign.add_argument(
         "--output",
         metavar="PATH",
@@ -908,26 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--executor",
-        choices=("serial", "sharded", "vector"),
-        default=None,
-        help="fleet executor (vector = memoized batch execution; "
-        "sharded = vector on --jobs workers; all produce bit-identical "
-        "aggregates)",
+        choices=("serial", "vector"),
+        default="serial",
+        help="fleet executor (vector = memoized batch execution, on --jobs "
+        "workers; both produce bit-identical aggregates; default: serial)",
     )
-    p_fleet.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the vector executor on --jobs worker processes "
-        "(shorthand for --executor sharded)",
-    )
-    p_fleet.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: one per core with --parallel, "
-        "one with --executor vector)",
-    )
+    add_jobs_flag(p_fleet)
     p_fleet.add_argument(
         "--checkpoint",
         metavar="PATH",

@@ -122,17 +122,6 @@ class CompileCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
-
-    def lookup(self, key: CacheKey) -> Optional[CompiledProgram]:
-        """The cached build for ``key``, or None; does not touch stats."""
-        with self._lock:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._entries.move_to_end(key)
-            return compiled
-
     def get_or_compile(
         self,
         source: str,

@@ -1,21 +1,19 @@
 """Evaluation harness: one module per paper table/figure.
 
-Run everything with ``python -m repro.eval``.
+Run everything with ``python -m repro eval`` (``--jobs N`` for workers).
 """
 
 from repro.eval.campaign import (
     AggregateRow,
     CampaignError,
+    CampaignExecutor,
     CampaignResult,
     CampaignSpec,
     EnvironmentSpec,
     JobResult,
     JobSpec,
-    MultiprocessExecutor,
-    SerialExecutor,
     SupplySpec,
     execute_job,
-    make_executor,
     run_campaign,
 )
 from repro.eval.figure7 import figure7, measure_figure7
@@ -43,16 +41,14 @@ from repro.eval.timeline import Timeline, build_timeline, render_timeline
 __all__ = [
     "AggregateRow",
     "CampaignError",
+    "CampaignExecutor",
     "CampaignResult",
     "CampaignSpec",
     "EnvironmentSpec",
     "JobResult",
     "JobSpec",
-    "MultiprocessExecutor",
-    "SerialExecutor",
     "SupplySpec",
     "execute_job",
-    "make_executor",
     "run_campaign",
     "figure7",
     "measure_figure7",

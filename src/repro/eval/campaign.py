@@ -7,7 +7,7 @@ three, the shipped ablations, or user-registered
 :class:`~repro.core.passes.BuildConfig` pipelines.  A
 :class:`CampaignSpec` describes that grid declaratively; :func:`run_campaign`
 expands it into picklable :class:`JobSpec` entries, executes them through a
-pluggable executor (:class:`SerialExecutor` or :class:`MultiprocessExecutor`),
+pluggable executor (:class:`CampaignExecutor` on any number of workers),
 and aggregates the per-job outcomes into a :class:`CampaignResult` with a
 stable JSON encoding.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Protocol, Sequence
@@ -606,49 +605,26 @@ class Executor(Protocol):
     def run(self, jobs: Sequence[JobSpec]) -> list[JobResult]: ...
 
 
-class SerialExecutor:
-    """In-process execution, one job at a time (deterministic baseline)."""
+class CampaignExecutor:
+    """Run jobs on ``processes`` workers (:func:`repro.parallel.fork_map`).
 
-    name = "serial"
-
-    def run(self, jobs: Sequence[JobSpec]) -> list[JobResult]:
-        return [execute_job(job) for job in jobs]
-
-
-class MultiprocessExecutor:
-    """Fan jobs out across worker processes (:func:`repro.parallel.fork_map`).
-
-    Workers inherit the parent's warm compile cache where ``fork``
-    exists and resolve the jobs' build configurations by name either
-    way; a worker that dies raises :class:`~repro.parallel.WorkerError`.
+    One worker runs the jobs in-process, in order (the deterministic
+    baseline).  More fan them out: workers inherit the parent's warm
+    compile cache where ``fork`` exists and resolve the jobs' build
+    configurations by name either way; a worker that dies raises
+    :class:`~repro.parallel.WorkerError`.
     """
 
-    name = "multiprocess"
-
-    def __init__(self, processes: Optional[int] = None) -> None:
-        if processes is not None and processes <= 0:
-            raise ValueError("processes must be positive (or None for auto)")
+    def __init__(self, processes: int = 1) -> None:
+        if processes <= 0:
+            raise ValueError("processes must be positive")
         self.processes = processes
+        self.name = "serial" if processes == 1 else "multiprocess"
 
     def run(self, jobs: Sequence[JobSpec]) -> list[JobResult]:
-        if len(jobs) <= 1:
-            return SerialExecutor().run(jobs)
         return fork_map(
-            execute_job,
-            jobs,
-            {job.config for job in jobs},
-            self.processes or os.cpu_count() or 1,
+            execute_job, jobs, {job.config for job in jobs}, self.processes
         )
-
-
-def make_executor(
-    name: str, processes: Optional[int] = None
-) -> SerialExecutor | MultiprocessExecutor:
-    if name == "serial":
-        return SerialExecutor()
-    if name in ("multiprocess", "parallel"):
-        return MultiprocessExecutor(processes=processes)
-    raise CampaignError(f"unknown executor '{name}' (serial | multiprocess)")
 
 
 # ---------------------------------------------------------------------------
@@ -842,15 +818,11 @@ def precompile(spec: CampaignSpec) -> int:
 
 
 def run_campaign(
-    spec: CampaignSpec,
-    executor: Executor | str | None = None,
-    processes: Optional[int] = None,
+    spec: CampaignSpec, executor: Optional[Executor] = None
 ) -> CampaignResult:
     """Expand ``spec``, execute every job, and aggregate the results."""
     if executor is None:
-        executor = SerialExecutor()
-    elif isinstance(executor, str):
-        executor = make_executor(executor, processes=processes)
+        executor = CampaignExecutor()
     started = time.perf_counter()
     with _span("campaign", "campaign", spec=spec.name, executor=executor.name):
         compiles = precompile(spec)

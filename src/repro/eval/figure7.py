@@ -58,7 +58,7 @@ def continuous_spec(
 def measure_figure7(
     activations: int = CONTINUOUS_ACTIVATIONS,
     seed: int = 0,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     configs: tuple[ConfigLike, ...] = CONFIGS,
 ) -> list[Figure7Row]:
     spec = continuous_spec(activations, seed, configs)

@@ -64,7 +64,7 @@ def measure_figure8(
     budget: int = STANDARD_BUDGET_CYCLES,
     seed: int = 0,
     continuous: list[Figure7Row] | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     configs: tuple[ConfigLike, ...] = CONFIGS,
 ) -> list[Figure8Row]:
     continuous = (

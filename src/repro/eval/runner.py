@@ -1,19 +1,15 @@
 """Run the whole evaluation and render every table and figure.
 
-``python -m repro.eval`` prints the full set; ``--markdown`` emits the
+``python -m repro eval`` prints the full set; ``--markdown`` emits the
 Markdown used to refresh EXPERIMENTS.md.  Every measured table runs on
-the campaign engine, so ``--parallel`` fans the underlying job matrices
+the campaign engine, so ``--jobs N`` fans the underlying job matrices
 out across worker processes while builds come from the shared compile
 cache.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
-
-from repro.eval.campaign import Executor, make_executor
+from repro.eval.campaign import Executor
 from repro.eval.figure7 import figure7, measure_figure7
 from repro.eval.figure8 import figure8, measure_figure8
 from repro.eval.report import Table
@@ -23,7 +19,7 @@ from repro.eval.table3 import table3
 from repro.eval.table4 import table4
 
 
-def run_all(seed: int = 0, executor: Executor | str | None = None) -> list[Table]:
+def run_all(seed: int = 0, executor: Executor | None = None) -> list[Table]:
     """Every table/figure of the evaluation, measured fresh."""
     continuous = measure_figure7(seed=seed, executor=executor)
     tables = [
@@ -38,47 +34,3 @@ def run_all(seed: int = 0, executor: Executor | str | None = None) -> list[Table
         table4(),
     ]
     return tables
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--markdown", action="store_true", help="emit Markdown instead of text"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the job matrices through the multiprocessing executor",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --parallel (default: one per core)",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs <= 0:
-        parser.error(f"--jobs {args.jobs}: need a positive count")
-
-    executor = (
-        make_executor("multiprocess", processes=args.jobs)
-        if args.parallel
-        else None
-    )
-    started = time.time()
-    tables = run_all(seed=args.seed, executor=executor)
-    for table in tables:
-        if args.markdown:
-            print(table.render_markdown())
-        else:
-            print(table.render_text())
-        print()
-    elapsed = time.time() - started
-    print(f"(evaluation completed in {elapsed:.1f}s)", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -75,7 +75,7 @@ def measure_table2a(
     configs: tuple[str, ...] = ("ocelot", "jit"),
     off_cycles: int = 25_000,
     seed: int = 0,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
 ) -> list[Table2aRow]:
     result = run_campaign(injection_spec(configs, off_cycles, seed), executor)
     by_cell = cells(result)
@@ -136,7 +136,7 @@ def measure_table2b(
     profile: EnergyProfile = STANDARD_PROFILE,
     budget: int = STANDARD_BUDGET_CYCLES,
     seed: int = 0,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
 ) -> list[Table2bRow]:
     result = run_campaign(
         intermittent_spec(configs, profile, budget, seed), executor

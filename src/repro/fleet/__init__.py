@@ -11,8 +11,8 @@ simulation:
 * :mod:`repro.fleet.aggregate` -- streaming, mergeable, byte-deterministic
   aggregates (violation rates, staleness/consistency histograms, duty
   cycles) that never materialize per-activation results;
-* :mod:`repro.fleet.engine` -- the serial executor (the oracle), the
-  executor registry, and checkpoint/resume so long runs split across
+* :mod:`repro.fleet.engine` -- the serial executor (the oracle),
+  :func:`run_fleet`, and checkpoint/resume so long runs split across
   invocations;
 * :mod:`repro.fleet.vector` -- the production executor: activation
   memoization with quantized supply keys, cohort wave batching over
@@ -24,7 +24,7 @@ simulation:
 * :mod:`repro.fleet.report` -- tables and parity fingerprints.
 
 Entry point: ``python -m repro fleet SPEC.json --devices N --executor vector``
-(``--parallel`` runs the same executor on one worker per core).
+(``--jobs N`` runs the same executor on N worker processes).
 """
 
 from repro.fleet.aggregate import ClassAggregate, FleetAggregator
@@ -35,7 +35,6 @@ from repro.fleet.engine import (
     FleetResult,
     SerialFleetExecutor,
     checkpoint_fingerprint,
-    make_fleet_executor,
     precompile_fleet,
     run_fleet,
     run_shard,
@@ -69,7 +68,6 @@ __all__ = [
     "SerialFleetExecutor",
     "VectorFleetExecutor",
     "checkpoint_fingerprint",
-    "make_fleet_executor",
     "precompile_fleet",
     "run_fleet",
     "run_shard",

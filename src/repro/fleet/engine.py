@@ -80,34 +80,6 @@ class SerialFleetExecutor:
             return run_shard(devices, engine=self.engine)
 
 
-def make_fleet_executor(
-    name: str,
-    processes: Optional[int] = None,
-    engine: str = ENGINE_FAST,
-    memo_dir: Optional[Path | str] = None,
-) -> FleetExecutor:
-    """``sharded``/``parallel`` are ``vector`` on one worker per core."""
-    if name == "serial":
-        if memo_dir is not None:
-            # A memo directory silently doing nothing on a memo-less
-            # executor would read as "persistence is on" when it is not.
-            raise FleetError(
-                "--memo-dir requires the vector executor, not 'serial'"
-            )
-        return SerialFleetExecutor(engine=engine)
-    if name not in ("vector", "sharded", "parallel"):
-        raise FleetError(
-            f"unknown fleet executor '{name}' (serial | sharded | vector)"
-        )
-    from repro.fleet.vector import VectorFleetExecutor
-
-    if name == "vector" and processes is None:
-        processes = 1
-    return VectorFleetExecutor(
-        engine=engine, memo_dir=memo_dir, processes=processes
-    )
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing
 
@@ -274,8 +246,8 @@ def precompile_fleet(spec: FleetSpec) -> int:
 
 def run_fleet(
     spec: FleetSpec,
-    executor: FleetExecutor | str | None = None,
-    processes: Optional[int] = None,
+    executor: FleetExecutor | str = "serial",
+    processes: int = 1,
     checkpoint_path: Optional[Path | str] = None,
     checkpoint_every: Optional[int] = None,
     engine: str = ENGINE_FAST,
@@ -290,23 +262,36 @@ def run_fleet(
     fingerprint does not match ``spec`` is an error, not a silent
     restart.
 
-    ``processes`` sets the vector executor's worker count.  ``memo_dir``
-    backs its activation memo with a persistent on-disk store (one
-    worker only) and requires ``executor`` to name the vector family.
+    ``executor`` is ``"serial"``, ``"vector"`` or an executor instance.
+    ``processes`` (the worker count) and ``memo_dir`` (a persistent
+    activation memo, one worker only) configure the named vector
+    executor; with any other executor they raise :class:`FleetError`
+    instead of silently doing nothing.
     """
-    if executor is None:
-        executor = "serial"
-    if isinstance(executor, str):
-        executor = make_fleet_executor(
-            executor,
-            processes=processes,
-            engine=engine,
-            memo_dir=memo_dir,
+    if executor == "serial":
+        if processes != 1:
+            raise FleetError(
+                f"--jobs {processes} needs the vector executor, not 'serial'"
+            )
+        if memo_dir is not None:
+            raise FleetError(
+                "--memo-dir needs the vector executor, not 'serial'"
+            )
+        executor = SerialFleetExecutor(engine=engine)
+    elif executor == "vector":
+        from repro.fleet.vector import VectorFleetExecutor
+
+        executor = VectorFleetExecutor(
+            engine=engine, memo_dir=memo_dir, processes=processes
         )
-    elif memo_dir is not None:
+    elif isinstance(executor, str):
         raise FleetError(
-            "memo_dir configures a named vector executor; set it on the "
-            "vector executor instance instead"
+            f"unknown fleet executor '{executor}' (serial | vector)"
+        )
+    elif processes != 1 or memo_dir is not None:
+        raise FleetError(
+            "processes and memo_dir configure the executor named 'vector'; "
+            "an executor instance carries its own"
         )
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise FleetError("checkpoint_every must be positive")

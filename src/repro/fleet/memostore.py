@@ -17,7 +17,9 @@ the token itself is stored inside the payload, so a digest collision or
 a stray file can never smuggle entries into the wrong program.  Loads
 are corruption-tolerant: any unreadable, truncated, or schema-mismatched
 shard degrades to a cold cache instead of an error (a miss costs one
-re-execution; a wrong hit would cost correctness).
+re-execution; a wrong hit would cost correctness), with one logged
+warning and a ``fleet.memo.rejected_shards`` count, so a store that
+never warms is visible.
 
 Entries are pickled.  Pickle byte-streams are not canonical across
 processes (hash randomization perturbs set iteration order), which is
@@ -32,6 +34,11 @@ import os
 import pickle
 import uuid
 from pathlib import Path
+
+from repro.telemetry.logging import get_logger
+from repro.telemetry.metrics import METRICS
+
+_log = get_logger("fleet.memostore")
 
 #: Version of the on-disk entry schema.  Bump whenever the pickled
 #: entry layout (``MemoEntry`` / ``QuantEntry`` fields, key structure,
@@ -78,23 +85,25 @@ class MemoStore:
         return self.root / f"memo-{digest}.pkl"
 
     def load(self, shard_token: str) -> dict:
-        """Entries of one shard; ``{}`` for missing/corrupt/mismatched."""
+        """Entries of one shard; ``{}`` for missing/corrupt/mismatched.
+
+        A missing shard is a cold start and stays silent; a shard that
+        exists but cannot be used is rejected with a warning.
+        """
         path = self.shard_path(shard_token)
         try:
             payload = pickle.loads(path.read_bytes())
         except FileNotFoundError:
             return {}
-        except Exception:  # corrupt pickles raise nearly anything
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != MEMO_SCHEMA
-            or payload.get("shard") != shard_token
-        ):
-            return {}
+        except Exception as exc:  # corrupt pickles raise nearly anything
+            return _reject(path, f"unreadable ({type(exc).__name__}: {exc})")
+        if not isinstance(payload, dict) or payload.get("schema") != MEMO_SCHEMA:
+            return _reject(path, f"not a {MEMO_SCHEMA} shard")
+        if payload.get("shard") != shard_token:
+            return _reject(path, "written for another program")
         entries = payload.get("entries")
         if not isinstance(entries, dict):
-            return {}
+            return _reject(path, "malformed entries")
         self.loads += 1
         return entries
 
@@ -115,3 +124,10 @@ class MemoStore:
         write_atomically(self.shard_path(shard_token), blob)
         self.stores += 1
         return True
+
+
+def _reject(path: Path, reason: str) -> dict:
+    """Log and count one unusable shard; the run goes on cold."""
+    _log.warning(f"ignoring memo shard {path}: {reason}")
+    METRICS.counter("fleet.memo.rejected_shards").inc()
+    return {}

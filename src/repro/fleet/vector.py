@@ -67,7 +67,6 @@ quantized hits and warm disk-memo runs).
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -463,12 +462,11 @@ class VectorFleetExecutor:
     with ``memo_dir`` it also persists across processes through a
     :class:`~repro.fleet.memostore.MemoStore`.
 
-    With ``processes`` above one (``None``: one per core), device ``i``
-    of a batch goes to worker ``i mod n`` through
-    :func:`repro.parallel.fork_map`; each worker runs a fresh executor
-    over its share and the parent sums their aggregates and memo
-    counts.  Worker memos are not merged back, so ``memo_dir`` needs
-    one worker.
+    With ``processes`` above one, device ``i`` of a batch goes to worker
+    ``i mod n`` through :func:`repro.parallel.fork_map`; each worker runs
+    a fresh executor over its share and the parent sums their aggregates
+    and memo counts.  Worker memos are not merged back, so ``memo_dir``
+    needs one worker.
     """
 
     name = "vector"
@@ -478,10 +476,10 @@ class VectorFleetExecutor:
         engine: str = ENGINE_FAST,
         memo: Optional[ActivationMemo] = None,
         memo_dir: Optional[Path | str] = None,
-        processes: Optional[int] = 1,
+        processes: int = 1,
     ) -> None:
-        if processes is not None and processes <= 0:
-            raise ValueError("processes must be positive (or None for auto)")
+        if processes <= 0:
+            raise ValueError("processes must be positive")
         if memo_dir is not None and processes != 1:
             raise FleetError(
                 "--memo-dir needs the vector executor on one worker "
@@ -565,8 +563,7 @@ class VectorFleetExecutor:
     def run(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
         with _span("fleet.vector", "fleet", devices=len(devices)):
             workers = min(
-                self.processes or os.cpu_count() or 1,
-                len(devices) // MIN_DEVICES_PER_WORKER,
+                self.processes, len(devices) // MIN_DEVICES_PER_WORKER
             )
             if workers > 1:
                 return self._run_workers(devices, workers)

@@ -33,7 +33,10 @@ def fork_map(
     Results keep ``items`` order; ``configs`` names the build
     configurations the items use.  An exception raised by ``fn`` reaches
     the caller unchanged; a worker that dies raises :class:`WorkerError`.
+    With at most one worker to start, the items run in-process.
     """
+    if min(processes, len(items)) <= 1:
+        return [fn(item) for item in items]
     # Imported here so that single-process runs never load the pool.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -282,20 +282,6 @@ class WallTracer:
                 event["args"] = args
             self.events.append(event)
 
-    def instant(self, name: str, cat: str = "host", **args) -> None:
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "s": "t",
-            "ts": self._now_us(),
-            "pid": WALL_PID,
-            "tid": 0,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
 
 #: The active wall tracer, or None (the default: tracing disabled).
 _ACTIVE: Optional[WallTracer] = None

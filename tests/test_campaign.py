@@ -15,16 +15,14 @@ from repro.core.cache import GLOBAL_CACHE, CompileCache
 from repro.eval.campaign import (
     MODE_INJECTION,
     CampaignError,
+    CampaignExecutor,
     CampaignResult,
     CampaignSpec,
     EnvironmentSpec,
     JobResult,
-    MultiprocessExecutor,
-    SerialExecutor,
     SupplySpec,
     cells,
     execute_job,
-    make_executor,
     run_campaign,
 )
 
@@ -128,7 +126,7 @@ class TestSpecJson:
 class TestExecution:
     @pytest.fixture(scope="class")
     def serial_result(self):
-        return run_campaign(small_spec(), SerialExecutor())
+        return run_campaign(small_spec(), CampaignExecutor())
 
     def test_every_job_reports(self, serial_result):
         assert len(serial_result.jobs) == small_spec().size
@@ -166,7 +164,7 @@ class TestExecution:
         assert differing > 0
 
     def test_serial_parallel_parity(self, serial_result):
-        parallel = run_campaign(small_spec(), MultiprocessExecutor(processes=3))
+        parallel = run_campaign(small_spec(), CampaignExecutor(processes=3))
         assert parallel.executor == "multiprocess"
         assert parallel.fingerprint() == serial_result.fingerprint()
         serial_agg = serial_result.aggregate()
@@ -176,12 +174,12 @@ class TestExecution:
     def test_cold_run_compiles_each_build_once(self, monkeypatch):
         monkeypatch.setattr(campaign, "GLOBAL_CACHE", CompileCache())
         spec = small_spec(environments=(EnvironmentSpec("default", env_seed=0),))
-        result = run_campaign(spec, SerialExecutor())
+        result = run_campaign(spec, CampaignExecutor())
         assert result.compiles == len(spec.apps) * len(spec.configs)
 
     def test_cached_second_run_zero_recompiles(self, serial_result):
         before = GLOBAL_CACHE.stats.snapshot()
-        again = run_campaign(small_spec(), SerialExecutor())
+        again = run_campaign(small_spec(), CampaignExecutor())
         after = GLOBAL_CACHE.stats.snapshot()
         assert after["compiles"] == before["compiles"], "second run recompiled"
         assert again.compiles == 0
@@ -274,16 +272,14 @@ class TestEnvironmentOverrides:
 
 
 class TestExecutors:
-    def test_make_executor_names(self):
-        assert make_executor("serial").name == "serial"
-        assert make_executor("multiprocess").name == "multiprocess"
-        assert make_executor("parallel").name == "multiprocess"
-        with pytest.raises(CampaignError):
-            make_executor("quantum")
+    def test_executor_names(self):
+        assert CampaignExecutor().name == "serial"
+        assert CampaignExecutor(processes=1).name == "serial"
+        assert CampaignExecutor(processes=2).name == "multiprocess"
 
     def test_multiprocess_rejects_bad_process_count(self):
         with pytest.raises(ValueError):
-            MultiprocessExecutor(processes=0)
+            CampaignExecutor(processes=0)
 
     def test_single_job_runs_inline(self):
         spec = CampaignSpec(
@@ -291,7 +287,7 @@ class TestExecutors:
             configs=("ocelot",),
             budget_cycles=30_000,
         )
-        result = run_campaign(spec, MultiprocessExecutor(processes=4))
+        result = run_campaign(spec, CampaignExecutor(processes=4))
         assert len(result.jobs) == 1
 
     def test_job_is_pure_function_of_spec(self):

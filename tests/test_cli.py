@@ -250,6 +250,22 @@ class TestCampaign:
         report = json.loads(capsys.readouterr().out)
         assert {job["config"] for job in report["jobs"]} == {"ocelot", "jit"}
 
+    def test_campaign_jobs_run_on_workers(self, spec_file, capsys):
+        import json
+
+        def jobs(report):
+            for job in report["jobs"]:
+                del job["wall_time"], job["compile_cached"]
+            return report["jobs"]
+
+        assert main(["campaign", spec_file]) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert main(["campaign", spec_file, "--jobs", "2"]) == 0
+        parallel = json.loads(capsys.readouterr().out)
+        assert serial["executor"] == "serial"
+        assert parallel["executor"] == "multiprocess"
+        assert jobs(parallel) == jobs(serial)
+
     def test_bad_spec_reports_clear_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -338,6 +354,15 @@ class TestFleet:
         three = json.loads(out3.read_text())
         assert three["aggregate"] == one["aggregate"]
         assert three["resumed_devices"] == 5
+
+    def test_workers_on_serial_executor_are_a_one_line_error(
+        self, spec_file
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", spec_file, "--executor", "serial", "--jobs", "2"])
+        assert excinfo.value.code == (
+            "--jobs 2 needs the vector executor, not 'serial'"
+        )
 
     def test_bad_fleet_spec_reports_clear_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -158,9 +158,11 @@ class TestVectorWorkers:
             == result.aggregate.total_activations
         )
 
-    def test_sharded_and_parallel_report_vector(self):
-        for name in ("sharded", "parallel"):
-            payload = run_fleet(self._spec(4), name).to_dict()
+    def test_vector_on_workers_reports_vector(self):
+        for processes in (1, 2):
+            payload = run_fleet(
+                self._spec(4), "vector", processes=processes
+            ).to_dict()
             assert payload["executor"] == "vector"
             assert payload["executor_used"] == "vector"
             assert payload["engine"] == "fast"

@@ -14,6 +14,7 @@ from repro.fleet import (
     FleetCheckpoint,
     FleetError,
     FleetSpec,
+    SerialFleetExecutor,
     aggregate_fingerprint,
     checkpoint_fingerprint,
     duty_table,
@@ -204,22 +205,33 @@ class TestAggregator:
 
 
 class TestExecutorParity:
-    def test_serial_and_sharded_agree_byte_for_byte(self, monkeypatch):
+    def test_serial_and_vector_workers_agree_byte_for_byte(
+        self, monkeypatch
+    ):
         # One device per worker is enough, so this small fleet really
         # fans out to two processes.
         monkeypatch.setattr("repro.fleet.vector.MIN_DEVICES_PER_WORKER", 1)
         spec = small_spec()
         serial = run_fleet(spec, "serial")
         for processes in (1, 2):
-            sharded = run_fleet(spec, "sharded", processes=processes)
+            vector = run_fleet(spec, "vector", processes=processes)
             assert aggregate_fingerprint(serial) == aggregate_fingerprint(
-                sharded
+                vector
             )
-            assert serial.aggregate.to_json() == sharded.aggregate.to_json()
+            assert serial.aggregate.to_json() == vector.aggregate.to_json()
 
-    def test_unknown_executor_rejected(self):
+    @pytest.mark.parametrize("name", ["warp-drive", "sharded", "parallel"])
+    def test_unknown_executor_rejected(self, name):
         with pytest.raises(FleetError, match="unknown fleet executor"):
-            run_fleet(small_spec(), "warp-drive")
+            run_fleet(small_spec(), name)
+
+    def test_workers_on_serial_executor_rejected(self):
+        # A worker count the executor cannot use is an error, not a
+        # silently serial run.
+        with pytest.raises(FleetError, match="vector"):
+            run_fleet(small_spec(), "serial", processes=2)
+        with pytest.raises(FleetError, match="instance carries its own"):
+            run_fleet(small_spec(), SerialFleetExecutor(), processes=2)
 
 
 class TestCheckpointResume:

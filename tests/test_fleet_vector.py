@@ -608,10 +608,9 @@ class TestPersistentMemo:
         spec = uniform_spec(count=2)
         with pytest.raises(FleetError, match="vector"):
             run_fleet(spec, "serial", memo_dir=tmp_path)
-        # ``sharded`` is the vector executor on one worker per core, whose
-        # memos are not merged back into the store.
+        # Worker memos are not merged back into the store.
         with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, "sharded", memo_dir=tmp_path)
+            run_fleet(spec, "vector", processes=2, memo_dir=tmp_path)
         # An instance is already configured; the directory would do
         # nothing.
         with pytest.raises(FleetError, match="vector"):

@@ -1,10 +1,11 @@
 """The shared process pool behind campaigns and fleets (``repro.parallel``).
 
-``fork_map`` keeps item order and hands a worker's exception back
-unchanged.  A worker that dies without answering must surface as
-``WorkerError`` within seconds, not as a hang: each dead-worker case runs
-in a fresh interpreter under a 60 s timeout, so a pool that hangs fails
-its test instead of hanging the suite.
+``fork_map`` keeps item order, hands a worker's exception back
+unchanged, and runs in-process when it would start one worker.  A worker
+that dies without answering must surface as ``WorkerError`` within
+seconds, not as a hang: each dead-worker case runs in a fresh
+interpreter under a 60 s timeout, so a pool that hangs fails its test
+instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ def _reject(value: int) -> int:
     raise ValueError(f"bad item {value}")
 
 
+def _pid(_item) -> int:
+    return os.getpid()
+
+
 class TestForkMap:
     def test_results_keep_item_order(self):
         items = list(range(12))
@@ -37,6 +42,11 @@ class TestForkMap:
     def test_worker_exception_reaches_the_caller(self):
         with pytest.raises(ValueError, match="bad item"):
             fork_map(_reject, [1, 2], (), 2)
+
+    def test_one_worker_runs_in_process(self):
+        assert fork_map(_pid, [0, 1, 2], (), 1) == [os.getpid()] * 3
+        assert fork_map(_pid, [0], (), 4) == [os.getpid()]
+        assert os.getpid() not in fork_map(_pid, [0, 1], (), 2)
 
 
 #: Replaces the campaign's job runner: workers die on cem/jit jobs only.
@@ -120,7 +130,7 @@ def run():
         apps=("cem",), configs=("ocelot", "jit"), seeds=(0, 1),
         budget_cycles=20_000,
     )
-    campaign.run_campaign(spec, campaign.MultiprocessExecutor(processes=2))
+    campaign.run_campaign(spec, campaign.CampaignExecutor(processes=2))
 """
             + _TIMED
         )
@@ -150,8 +160,7 @@ def run():
             + """
 from repro.cli import main
 
-main(["campaign", "examples/campaign_small.json", "--parallel",
-      "--jobs", "2"])
+main(["campaign", "examples/campaign_small.json", "--jobs", "2"])
 """
         )
         _assert_one_line_cli_error(done)
@@ -163,7 +172,7 @@ main(["campaign", "examples/campaign_small.json", "--parallel",
 from repro.cli import main
 
 main(["fleet", "examples/fleet_small.json", "--devices", "40",
-      "--parallel", "--jobs", "2"])
+      "--executor", "vector", "--jobs", "2"])
 """
         )
         _assert_one_line_cli_error(done)

@@ -245,15 +245,11 @@ class TestCampaignCustomConfigs:
         )
 
     def test_derived_configs_sweep_with_executor_parity(self):
-        from repro.eval.campaign import (
-            MultiprocessExecutor,
-            SerialExecutor,
-            run_campaign,
-        )
+        from repro.eval.campaign import CampaignExecutor, run_campaign
 
         spec = self.spec(("ocelot-noguard", "atomics-trivial"))
-        serial = run_campaign(spec, SerialExecutor())
-        parallel = run_campaign(spec, MultiprocessExecutor(processes=2))
+        serial = run_campaign(spec, CampaignExecutor())
+        parallel = run_campaign(spec, CampaignExecutor(processes=2))
         assert serial.fingerprint() == parallel.fingerprint()
         assert {j.config for j in serial.jobs} == {
             "ocelot-noguard",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.pipeline import (
     CONFIGS,
-    CompileError,
     PipelineOptions,
     compile_all_configs,
     compile_source,

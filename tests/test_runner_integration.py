@@ -1,9 +1,11 @@
-"""Whole-harness integration: ``python -m repro.eval`` end to end."""
+"""Whole-harness integration: ``python -m repro eval`` end to end."""
 
 import pytest
 
+import repro.eval.campaign as campaign
 from repro.cli import main as cli_main
-from repro.eval.runner import main as eval_main, run_all
+from repro.eval.runner import run_all
+from repro.parallel import fork_map
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +39,23 @@ class TestRunAll:
 
 class TestEntryPoints:
     def test_eval_main_text(self, capsys):
-        assert eval_main(["--seed", "0"]) == 0
+        assert cli_main(["eval", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "Table 2a" in out
+
+    def test_eval_jobs_reach_the_pool(self, capsys, monkeypatch):
+        assert cli_main(["eval", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        workers = []
+
+        def spy(fn, items, configs, processes):
+            workers.append(processes)
+            return fork_map(fn, items, configs, processes)
+
+        monkeypatch.setattr(campaign, "fork_map", spy)
+        assert cli_main(["eval", "--jobs", "2"]) == 0
+        assert workers and set(workers) == {2}
+        assert capsys.readouterr().out == serial
 
     def test_cli_eval_markdown(self, capsys):
         assert cli_main(["eval", "--markdown", "--seed", "0"]) == 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.intervals import (
     NEVER,
-    ZERO,
     CycleIntervalLattice,
     Interval,
 )

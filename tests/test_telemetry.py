@@ -456,6 +456,49 @@ class TestCliTelemetry:
         assert counters["fleet.memo.disk_loads"] > 0
         assert counters["fleet.memo.misses"] > 0
 
+    def test_rejected_memo_shard_warns_and_counts(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "fleet.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "rejected-shard",
+                    "fleet_seed": 3,
+                    "budget_cycles": 15000,
+                    "classes": [
+                        {"name": "tire", "app": "tire", "config": "ocelot",
+                         "count": 6, "harvest_jitter": 0.5}
+                    ],
+                }
+            )
+        )
+        memo_dir = tmp_path / "memo"
+        metrics = tmp_path / "metrics.json"
+
+        def run(name):
+            out = tmp_path / f"{name}.json"
+            assert main(["fleet", str(spec), "--executor", "vector",
+                         "--memo-dir", str(memo_dir), "--output", str(out),
+                         "--metrics-out", str(metrics)]) == 0
+            warnings = [
+                line for line in capsys.readouterr().err.splitlines()
+                if "memo shard" in line
+            ]
+            counters = json.loads(metrics.read_text())["counters"]
+            return json.loads(out.read_text()), warnings, counters
+
+        cold, warnings, counters = run("cold")
+        assert warnings == []  # a missing shard is a cold start
+        assert "fleet.memo.rejected_shards" not in counters
+        (shard,) = memo_dir.glob("memo-*.pkl")
+        shard.write_bytes(b"\x80corrupt garbage")
+        rerun, warnings, counters = run("rerun")
+        assert len(warnings) == 1 and str(shard) in warnings[0]
+        assert counters["fleet.memo.rejected_shards"] == 1
+        assert counters["fleet.memo.disk_loads"] == 0
+        assert rerun["aggregate"] == cold["aggregate"]
+
     def test_quiet_silences_status(self, tmp_path, capsys):
         from repro.cli import main
 

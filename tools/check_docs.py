@@ -24,7 +24,6 @@ import argparse
 import os
 import re
 import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
