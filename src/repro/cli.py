@@ -31,6 +31,7 @@ configurations.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -970,7 +971,17 @@ def main(argv: list[str] | None = None) -> int:
         verbosity = -1
     telemetry.configure_logging(verbosity)
     telemetry.METRICS.clear()
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``... | head``).  Point stdout at
+        # the null device so the interpreter's exit flush cannot raise
+        # again, and fail without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

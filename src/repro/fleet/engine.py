@@ -250,7 +250,7 @@ def run_fleet(
     processes: int = 1,
     checkpoint_path: Optional[Path | str] = None,
     checkpoint_every: Optional[int] = None,
-    engine: str = ENGINE_FAST,
+    engine: Optional[str] = None,
     memo_dir: Optional[Path | str] = None,
 ) -> FleetResult:
     """Run (or resume) a whole fleet and aggregate it.
@@ -263,10 +263,10 @@ def run_fleet(
     restart.
 
     ``executor`` is ``"serial"``, ``"vector"`` or an executor instance.
+    ``engine`` (None: ``fast``) configures a named executor, and
     ``processes`` (the worker count) and ``memo_dir`` (a persistent
-    activation memo, one worker only) configure the named vector
-    executor; with any other executor they raise :class:`FleetError`
-    instead of silently doing nothing.
+    activation memo, one worker only) the named vector executor; each
+    raises :class:`FleetError` where it would silently do nothing.
     """
     if executor == "serial":
         if processes != 1:
@@ -277,12 +277,12 @@ def run_fleet(
             raise FleetError(
                 "--memo-dir needs the vector executor, not 'serial'"
             )
-        executor = SerialFleetExecutor(engine=engine)
+        executor = SerialFleetExecutor(engine=engine or ENGINE_FAST)
     elif executor == "vector":
         from repro.fleet.vector import VectorFleetExecutor
 
         executor = VectorFleetExecutor(
-            engine=engine, memo_dir=memo_dir, processes=processes
+            engine=engine or ENGINE_FAST, memo_dir=memo_dir, processes=processes
         )
     elif isinstance(executor, str):
         raise FleetError(
@@ -292,6 +292,11 @@ def run_fleet(
         raise FleetError(
             "processes and memo_dir configure the executor named 'vector'; "
             "an executor instance carries its own"
+        )
+    elif engine is not None:
+        raise FleetError(
+            "engine configures a named executor; an executor instance "
+            "carries its own"
         )
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise FleetError("checkpoint_every must be positive")
@@ -367,7 +372,7 @@ def run_fleet(
         aggregate=aggregate,
         executor=executor.name,
         executor_used="+".join(used) if used else executor.name,
-        engine=getattr(executor, "engine", engine),
+        engine=getattr(executor, "engine", ENGINE_FAST),
         devices=len(devices),
         wall_time=time.perf_counter() - started,
         resumed_devices=start_index,

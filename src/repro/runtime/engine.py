@@ -30,14 +30,18 @@ per distinct ``sites`` tuple -- the reference machine instead rebuilds
 the tuple from the frame stack at every detector trigger.
 
 Hot straight-line code runs as *segments* (:class:`Segment`): each
-maximal run of ops -- through unconditional jumps, up to the first
-call, branch or return -- becomes one generated function that runs
-every op body inline over unboxed values and commits ``tau``,
-``cycles_on``, ``instructions`` and the frame position once.  The run
-loop enters a segment only when no per-op check inside it could fire
-(no failure can be scheduled, the energy model is the stock one in
-ints, and the run's summed cost stays within ``max_cycles`` and above
-the capacitor's trip point).  That is exact by the argument of
+maximal run of ops -- through unconditional jumps, calls to leaf
+functions (whose bodies run inline, their frames pushed and popped) and
+region ops, up to the first branch, return or other call -- becomes one
+generated function that runs every op body inline over unboxed values
+and commits ``tau``, ``cycles_on``, ``instructions``,
+``detector_queries`` and the frame position once.  Where every op's
+provenance chain is known at generation time, each site's detector
+actions are resolved then.  The run loop enters a segment only when no
+per-op check inside it could fire (no failure can be scheduled, the
+energy model is the stock one in ints, and the run's summed cost, its
+region ops' costs bounded from above, stays within ``max_cycles`` and
+above the capacitor's trip point).  That is exact by the argument of
 Surbatovich et al.: no power failure can fire inside a straight-line
 run whose whole energy fits above the trip point, so one check per run
 changes no observation.  Otherwise, and in :meth:`FastMachine.step`,
@@ -65,7 +69,7 @@ from repro.ir import instructions as ir
 from repro.ir.module import IRError, Module
 from repro.lang import ast as lang_ast
 from repro.runtime import observations as obs
-from repro.runtime.detector import DetectorPlan
+from repro.runtime.detector import OP_FULL, OP_MARKER, DetectorPlan
 from repro.runtime.executor import (
     AtomContext,
     ExecError,
@@ -114,8 +118,9 @@ _ENERGY_GENERIC = 2
 # Segment roles of a decoded op (see :class:`Segment`).
 _ROLE_STEP = 0  # straight-line op: runs inside a segment
 _ROLE_JUMP = 1  # unconditional jump: the segment continues at its target
-_ROLE_END = 2  # call, branch or return: a segment's last op
-_ROLE_HEAD = 3  # atomic_start/atomic_end: only as a segment's first op
+_ROLE_END = 2  # branch, return, call to a non-leaf: a segment's last op
+_ROLE_REGION = 3  # atomic_start/atomic_end: its cost joins the entry bound
+_ROLE_CALL = 4  # call to a leaf function: the segment runs its body inline
 
 
 class EngineError(ValueError):
@@ -198,14 +203,17 @@ class CompiledCode:
     build's compile-cache entry owns.
     """
 
-    __slots__ = ("module", "plan", "costs", "functions", "entry")
+    __slots__ = ("module", "plan", "costs", "functions", "entry", "entry_sites")
 
-    def __init__(self, module, plan, costs, functions, entry):
+    def __init__(self, module, plan, costs, functions, entry, entry_sites=None):
         self.module = module
         self.plan = plan
         self.costs = costs
         self.functions = functions
         self.entry = entry
+        #: ``()`` when no call targets the entry function, so the
+        #: provenance chain of each of its ops is known at decode time
+        self.entry_sites: Optional[tuple] = entry_sites
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +366,7 @@ def _decode_instr(
     costs: CostModel,
     bit_uids: frozenset[ir.InstrId],
     actions_map: dict,
+    canon: dict,
     blocks: dict[str, list[Op]],
     functions: dict[str, FastFunction],
 ) -> Op:
@@ -369,14 +378,15 @@ def _decode_instr(
         entry = _cache.get(sites)
         if entry is None:
             chain = Chain(ids=sites + (uid,))
+            chain = canon.get(chain, chain)
             entry = (chain, actions_map.get(chain))
             _cache[sites] = entry
         return entry
 
     def op(run, cycles, estimate=None, role=None):
         # A segment sums static costs, so it needs them to be
-        # nonnegative ints (region heads check their own costs).
-        if role is not None and role != _ROLE_HEAD and (
+        # nonnegative ints (region ops check their own costs).
+        if role is not None and role != _ROLE_REGION and (
             type(cycles) is not int or cycles < 0
         ):
             role = None
@@ -636,7 +646,7 @@ def _decode_instr(
                 )
             return cyc + costs.region_entry_cycles(words, omega_words)
 
-        return op(run_start, None, estimate_start, _head_role(costs, cyc))
+        return op(run_start, None, estimate_start, _region_role(costs, cyc))
 
     if isinstance(instr, ir.AtomicEnd):
         inner = costs.region_inner
@@ -658,7 +668,7 @@ def _decode_instr(
                 )
             return cyc + commit
 
-        return op(run_end, cyc, role=_head_role(costs, cyc))
+        return op(run_end, cyc, role=_region_role(costs, cyc))
 
     if isinstance(instr, ir.OutputInstr):
         arg_fns = tuple(compile_expr(a) for a in instr.args)
@@ -725,6 +735,10 @@ def compile_code(
     """
     bit_uids = frozenset(chain.op for chain in plan.bit_chains)
     actions_map = plan.runtime_actions()
+    # chain_at hands out the plan's own bit chains, so the bit vector
+    # holds the very objects the checks (and the fleet's state codec)
+    # probe it with: set and dict probes hit on identity, not __eq__.
+    canon = {chain: chain for chain in plan.bit_chains}
     functions: dict[str, FastFunction] = {}
     for name, fn in module.functions.items():
         fast = FastFunction(name, fn.entry)
@@ -738,20 +752,14 @@ def compile_code(
                 ops.append(
                     _decode_instr(
                         instr, module, plan, costs, bit_uids,
-                        actions_map, fast.blocks, functions,
+                        actions_map, canon, fast.blocks, functions,
                     )
                 )
             if block.terminator is not None:
                 ops.append(
                     _decode_instr(
-                        block.terminator,
-                        module,
-                        plan,
-                        costs,
-                        bit_uids,
-                        actions_map,
-                        fast.blocks,
-                        functions,
+                        block.terminator, module, plan, costs, bit_uids,
+                        actions_map, canon, fast.blocks, functions,
                     )
                 )
             else:
@@ -769,13 +777,24 @@ def compile_code(
                         ),
                     )
                 )
+    called = {
+        instr.func
+        for fn in module.functions.values()
+        for block in fn.blocks.values()
+        for instr in block.instrs
+        if isinstance(instr, ir.CallInstr)
+    }
     code = CompiledCode(
         module=module,
         plan=plan,
         costs=costs,
         functions=functions,
         entry=module.entry,
+        # Every frame of an entry function no call targets is the bottom
+        # frame, so its call-site prefix is always empty.
+        entry_sites=() if module.entry not in called else None,
     )
+    _mark_leaf_calls(code)
     _mark_heads(code)
     return code
 
@@ -816,14 +835,15 @@ def code_for(compiled, costs: CostModel = DEFAULT_COSTS, plan=None) -> CompiledC
 #: run briefly (every ``repro eval`` table) pays about 1 ms of decode
 #: instead of generating code for every run up front.
 SEGMENT_COMPILE_THRESHOLD = 16
-#: Longest run one segment covers (bounds a generated function's size).
+#: Longest run one segment covers before its inlined calls, and longest
+#: leaf body inlined (together they bound a generated function's size).
 _SEGMENT_MAX_OPS = 64
 
 
-def _head_role(costs: CostModel, cyc) -> Optional[int]:
-    """Region ops head segments when every region cost is a nonnegative
-    int under the stock entry formula, which the head's cost bound
-    (``_start_bound``/``_end_bound``) relies on."""
+def _region_role(costs: CostModel, cyc) -> Optional[int]:
+    """Region ops run inside segments when every region cost is a
+    nonnegative int under the stock entry formula, which the run's
+    entry bound (:func:`_region_bound`) relies on."""
     parts = (
         cyc,
         costs.region_base,
@@ -835,40 +855,68 @@ def _head_role(costs: CostModel, cyc) -> Optional[int]:
     if type(costs).region_entry_cycles is CostModel.region_entry_cycles and all(
         type(p) is int and p >= 0 for p in parts
     ):
-        return _ROLE_HEAD
+        return _ROLE_REGION
     return None
 
 
-def _start_bound(cyc: int, omega: tuple, costs: CostModel) -> Callable:
-    """An upper bound on an ``atomic_start`` head's estimate and actual
-    cost: an outer entry counts one word per omega name plus every
-    omega array, at least what either the estimate or the undo log
-    counts."""
-    inner = cyc + costs.region_inner
+def _region_bound(regions: tuple, costs: CostModel) -> Callable:
+    """An upper bound on the summed cost of a run's region ops.
 
-    def bound(m):
-        if m._atom_ctx is not None:
-            return inner
-        arrays = m.nv.arrays
-        words = len(omega)
-        for name in omega:
-            if name in arrays:
-                words += len(arrays[name])
-        return cyc + costs.region_entry_cycles(stack_words(m._frames), words)
+    ``regions`` lists them in run order as ``(is_start, cyc, omega,
+    grow)``.  No power failure fires inside a run and only region ops
+    change the atomic context, so the bound replays their effect on it
+    from the state at entry: a nested start, a nested end, a commit and
+    a stray end each cost exactly what they will.  An outer start counts
+    the stack's volatile words at entry plus ``grow``, one word for each
+    local the run may add before it (inlined callees have returned by
+    then), and one nonvolatile word per omega name plus every omega
+    array, at least what either its estimate or its undo log counts.
+    The entry formula is the stock one (see :func:`_region_role`).
+    """
+    inner = costs.region_inner
+    commit = costs.region_commit
+    per_word = costs.region_per_volatile_word
+    per_nv = costs.region_per_nv_word
 
-    return bound
+    def replay(natom):
+        """The state-independent cost, and each outer start's (grow,
+        omega), from nesting depth ``natom`` (-1: outside any region)."""
+        fixed, outer = 0, []
+        for is_start, cyc, omega, grow in regions:
+            if is_start and natom < 0:
+                natom = 0
+                outer.append((grow, omega))
+                fixed += cyc + costs.region_base + per_nv * len(omega)
+            elif is_start:
+                natom += 1
+                fixed += cyc + inner
+            elif natom > 0:
+                natom -= 1
+                fixed += cyc + inner
+            elif natom == 0:
+                natom = -1
+                fixed += cyc + commit
+            else:
+                fixed += cyc
+        return fixed, outer
 
-
-def _end_bound(cyc: int, costs: CostModel) -> Callable:
-    """An ``atomic_end`` head's actual cost (its estimate is ``cyc``)."""
-    inner = cyc + costs.region_inner
-    commit = cyc + costs.region_commit
+    outside = replay(-1)  # the common case: no region open at entry
 
     def bound(m):
         ctx = m._atom_ctx
-        if ctx is None:
-            return cyc
-        return inner if ctx.natom > 0 else commit
+        total, outer = outside if ctx is None else replay(ctx.natom)
+        if outer:
+            frames = m._frames
+            words = 2 * len(frames)  # stack_words, inline
+            for frame in frames:
+                words += len(frame.locals)
+            arrays = m.nv.arrays
+            for grow, omega in outer:
+                total += per_word * (words + grow)
+                for name in omega:
+                    if name in arrays:
+                        total += per_nv * len(arrays[name])
+        return total
 
     return bound
 
@@ -876,27 +924,29 @@ def _end_bound(cyc: int, costs: CostModel) -> Callable:
 class Segment:
     """A maximal straight-line run of decoded ops, run as one function.
 
-    A run starts at its head op -- a block entry, a call's return point,
-    the op after one that never runs in a segment, or an
-    ``atomic_start``/``atomic_end`` -- follows unconditional jumps, and
-    ends at the first call, branch or return (included) or before the
+    A run starts at its head op -- a block entry, the return point of a
+    call to a non-leaf function, or the op after one that never runs in
+    a segment -- follows unconditional jumps, runs through calls to leaf
+    functions (:func:`_mark_leaf_calls`) and through region ops, and ends
+    at the first branch, return or other call (included) or before the
     first op that cannot run inside one: a dynamic ``work`` amount, a
-    region op after the head, a call to a missing function.
+    call to a missing function.
 
     ``fn(machine, frame)`` runs every op body inline and commits ``tau``,
-    ``cycles_on``, ``instructions`` and the frame position once at the
-    end.  It returns the cycles whose energy the caller deducts: all of
-    them, except those of ``main``'s final return, as in the per-op
-    loop.  ``cycles`` is the static cost of the ops after the head;
-    ``head``, set for region heads, bounds the head's state-dependent
-    cost from above.  Nothing is generated before the head's
+    ``cycles_on``, ``instructions``, ``detector_queries`` and the frame
+    position once at the end.  It returns the cycles whose energy the
+    caller deducts: all of them, except those of ``main``'s final
+    return, as in the per-op loop.  ``cycles`` is the static cost of the
+    ops other than region ops; ``bound``, set when the run has region
+    ops, bounds their state-dependent costs from above
+    (:func:`_region_bound`).  Nothing is generated before the head's
     :data:`SEGMENT_COMPILE_THRESHOLD`-th entry.  An op that raises
     leaves the run's counters uncommitted: after an ``ExecError`` the
     engines promise only the same error, and no caller reuses the
     machine.
     """
 
-    __slots__ = ("code", "func", "block", "index", "hits", "fn", "cycles", "head")
+    __slots__ = ("code", "func", "block", "index", "hits", "fn", "cycles", "bound")
 
     def __init__(self, code: "CompiledCode", func: str, block: str, index: int):
         self.code = code
@@ -906,14 +956,58 @@ class Segment:
         self.hits = 0
         self.fn: Optional[Callable] = None
         self.cycles = 0
-        self.head: Optional[Callable] = None
+        self.bound: Optional[Callable] = None
 
     def compile(self) -> Callable:
         writer = _SegmentWriter(self.code, self.func)
         self.fn = writer.write(self.block, self.index)
         self.cycles = writer.static
-        self.head = writer.head
+        self.bound = writer.bound()
         return self.fn
+
+
+def _instr_at(fn_ir, block: str, index: int) -> ir.Instr:
+    """The IR instruction decoded at ``ops[index]`` of ``block``."""
+    ir_block = fn_ir.blocks[block]
+    if index < len(ir_block.instrs):
+        return ir_block.instrs[index]
+    return ir_block.terminator
+
+
+def _mark_leaf_calls(code: "CompiledCode") -> None:
+    """Give every call to a *leaf* function :data:`_ROLE_CALL`.
+
+    A leaf's entry run goes straight, through jumps, to its ``ret`` with
+    only segment ops (no branch, call or region op), so a run can take
+    its body inline and go on after the call.
+    """
+    leaves = set()
+    for name, fn_ir in code.module.functions.items():
+        blocks = code.functions[name].blocks
+        block, index, seen = fn_ir.entry, 0, {fn_ir.entry}
+        for _ in range(_SEGMENT_MAX_OPS if block in blocks else 0):
+            role = blocks[block][index].role
+            if role == _ROLE_STEP:
+                index += 1
+                continue
+            instr = _instr_at(fn_ir, block, index)
+            if role == _ROLE_JUMP and instr.target not in seen:
+                block, index = instr.target, 0
+                seen.add(block)
+                continue
+            if role == _ROLE_END and isinstance(instr, ir.RetInstr):
+                leaves.add(name)
+            break
+    for name, fn_ir in code.module.functions.items():
+        for block_name, block in fn_ir.blocks.items():
+            ops = code.functions[name].blocks[block_name]
+            for instr, op in zip(block.instrs, ops):
+                if (
+                    op.role == _ROLE_END
+                    and isinstance(instr, ir.CallInstr)
+                    and instr.func in leaves
+                ):
+                    op.role = _ROLE_CALL
 
 
 def _mark_heads(code: "CompiledCode") -> None:
@@ -923,7 +1017,7 @@ def _mark_heads(code: "CompiledCode") -> None:
             starts = True
             for index, op in enumerate(ops):
                 role = op.role
-                if role is not None and (starts or role == _ROLE_HEAD):
+                if role is not None and starts:
                     op.seg = Segment(code, fname, bname, index)
                 starts = role is None or role == _ROLE_END
 
@@ -951,6 +1045,39 @@ _CALL_ARITY = {"abs": 1, "min": 2, "max": 2}
 #: literal, or an attribute of a generated name.
 _PLAIN = re.compile(r"-?\w+(\.\w+)?")
 
+
+def _unbound(message: str):
+    raise ExecError(message)
+
+
+def _violation(m, tau: int, uid: ir.InstrId, check) -> None:
+    """Record one failed check, as ``MachineCore._run_site_actions`` does."""
+    bits = m.nv.bits.bits
+    m.trace.events.append(
+        obs.ViolationObs(
+            tau=tau,
+            uid=uid,
+            pid=check.pid,
+            kind=check.kind,
+            missing=tuple(c for c in check.required if c not in bits),
+        )
+    )
+
+
+def _inline_checks(actions) -> bool:
+    """Can a site's actions run as generated code?  Yes when every check
+    op scans the bit vector on its own (a FULL op caching nothing) or
+    only observes its use (MARKER): no hoisted, fused or cached query."""
+    return (
+        not actions.hoists
+        and actions.fused is None
+        and all(
+            op.mode == OP_MARKER or (op.mode == OP_FULL and op.hid < 0)
+            for op in actions.ops
+        )
+    )
+
+
 _SEGMENT_GLOBALS = {
     "_TVal": TVal,
     "_RefValue": RefValue,
@@ -963,11 +1090,39 @@ _SEGMENT_GLOBALS = {
     "_trunc_div": _trunc_div,
     "_mod": _BINOP_FNS["%"],
     "_merge": merge_taint,
+    "_unbound": _unbound,
+    "_violation": _violation,
     "_InputObs": obs.InputObs,
     "_FreshDeclObs": obs.FreshDeclObs,
     "_ConsistentDeclObs": obs.ConsistentDeclObs,
     "_OutputObs": obs.OutputObs,
+    "_UseObs": obs.UseObs,
 }
+
+
+class _Scope:
+    """One frame as a run sees it: the run's own, or that of a leaf
+    callee inlined into the run."""
+
+    __slots__ = (
+        "func", "fn_ir", "params", "blocks", "locals", "frame", "sites", "regs",
+    )
+
+    def __init__(
+        self, code: "CompiledCode", func: str, locals_: str, frame: str, sites
+    ):
+        self.func = func
+        self.fn_ir = code.module.functions[func]
+        self.params = frozenset(param.name for param in self.fn_ir.params)
+        self.blocks = code.functions[func].blocks
+        #: the generated names of the frame's locals dict and the frame
+        self.locals = locals_
+        self.frame = frame
+        #: the call-site prefix: a tuple when known as the code is
+        #: generated, else the generated name that holds it
+        self.sites = sites
+        #: variable -> (cell source, value source, taint source, was read)
+        self.regs: dict[str, tuple] = {}
 
 
 class _SegmentWriter:
@@ -985,23 +1140,41 @@ class _SegmentWriter:
     the globals or a reference cell is forgotten at a store that may
     change it.  Reference cells enter a frame only as call arguments,
     so only a parameter's cell is ever tested for one.
+
+    A call to a leaf pushes the callee's frame, runs its body in the
+    callee's :class:`_Scope` and pops it, so ``m._frames`` is exact for
+    ``_deref`` and reference stores; afterwards the caller forgets the
+    variables it passed by reference and what it read.  Where every
+    frame's call-site prefix is known -- the entry function when no
+    call targets it, and the leaves inlined into it -- each site's
+    detector actions are resolved as the code is generated: a site
+    without any emits nothing, plain bit-vector scans and use markers
+    become inline code (their query count committed once, with the
+    other counters), and any other site calls ``_run_site_actions`` on
+    its actions.
     """
 
     def __init__(self, code: "CompiledCode", func: str):
         self.code = code
-        self.func = func
-        self.fn_ir = code.module.functions[func]
-        self.params = frozenset(param.name for param in self.fn_ir.params)
-        self.blocks = code.functions[func].blocks
+        sites = code.entry_sites if func == code.entry else None
+        self.scope = _Scope(code, func, "L", "frame", "S" if sites is None else sites)
         self.bit_uids = frozenset(chain.op for chain in code.plan.bit_chains)
         self.ns = dict(_SEGMENT_GLOBALS)
         self.lines: list[str] = []
         self.uses: set[str] = set()
-        #: variable -> (cell source, value source, taint source, was read)
-        self.regs: dict[str, tuple] = {}
+        #: ops in the run, and the static cycles of its non-region ops
         self.count = 0
         self.static = 0
-        self.head: Optional[Callable] = None
+        #: static cycles already added to the generated ``t``
+        self.folded = 0
+        #: bit-vector scans of the inline checks
+        self.queries = 0
+        #: (is_start, cyc, omega, grow) per region op, in run order
+        self.regions: list[tuple] = []
+        #: locals the run may add to its own frame, and stores through
+        #: references (each may add a local to a caller's frame)
+        self.grown: set[str] = set()
+        self.ref_stores = 0
         self._names = 0
 
     # -- source helpers --------------------------------------------------------
@@ -1026,11 +1199,17 @@ class _SegmentWriter:
         self.emit(f"{name} = {src}")
         return name
 
-    def error(self, message: str, depth: int) -> None:
-        self.emit(f"raise _ExecError({self.const(message)})", depth)
+    def raising(self, message: str) -> str:
+        return f"raise _ExecError({self.const(message)})"
 
     def tau(self, offset: int) -> str:
+        """The clock before the op at static ``offset``."""
+        offset -= self.folded
         return f"(t + {offset})" if offset else "t"
+
+    def use_sites(self, sites: str) -> None:
+        if sites == "S":
+            self.uses.add("S")
 
     # -- expressions: (cell, value, taint) sources -------------------------------
 
@@ -1053,28 +1232,30 @@ class _SegmentWriter:
         cell, value, taint = res
         if cell is not None:
             return res
-        value = self.plain(value)
         cell = self.tmp("o")
         self.emit(f"{cell} = _TVal({value}, {taint or '_NT'})")
+        if not _PLAIN.fullmatch(value):
+            value = f"{cell}.value"
         return cell, value, taint
 
     def read(self, name: str) -> tuple:
-        reg = self.regs.get(name)
+        scope = self.scope
+        reg = scope.regs.get(name)
         if reg is not None:
             return reg[:3]
         self.uses.add("G")
         key = repr(name)
         cell = self.tmp("c")
-        self.emit(f"{cell} = L.get({key})")
-        self.emit(f"if {cell} is None:")
-        self.emit(f"{cell} = G.get({key})", 1)
-        self.emit(f"if {cell} is None:", 1)
-        self.error(f"read of unbound variable '{name}' in {self.func}", 2)
-        if name in self.params:
-            self.emit(f"elif type({cell}) is _RefValue:")
-            self.emit(f"{cell} = m._deref({cell})", 1)
+        message = self.const(f"read of unbound variable '{name}' in {scope.func}")
+        # Cells are never falsy: a missing local reads the global.
+        self.emit(
+            f"{cell} = {scope.locals}.get({key}) or G.get({key}) "
+            f"or _unbound({message})"
+        )
+        if name in scope.params:
+            self.emit(f"if type({cell}) is _RefValue: {cell} = m._deref({cell})")
         res = (cell, f"{cell}.value", f"{cell}.taint")
-        self.regs[name] = res + (True,)
+        scope.regs[name] = res + (True,)
         return res
 
     def element(self, array: str, index: str) -> str:
@@ -1083,10 +1264,11 @@ class _SegmentWriter:
         key = repr(array)
         arr = self.tmp("a")
         self.emit(f"{arr} = A.get({key})")
-        self.emit(f"if {arr} is None:")
-        self.error(f"unknown array '{array}'", 1)
-        self.emit(f"if not 0 <= {index} < len({arr}):")
-        self.emit(f"raise _index_error({index}, {key}, len({arr}))", 1)
+        self.emit(f"if {arr} is None: {self.raising(f'unknown array {key}')}")
+        self.emit(
+            f"if not 0 <= {index} < len({arr}): "
+            f"raise _index_error({index}, {key}, len({arr}))"
+        )
         return arr
 
     def expr(self, expr: lang_ast.Expr) -> tuple:
@@ -1125,49 +1307,85 @@ class _SegmentWriter:
             return None, f"{expr.func}({values})", self.merge(a[2] for a in args)
         # Anything else (malformed trees) runs its decoded closure.
         cell = self.tmp("o")
-        self.emit(f"{cell} = {self.const(compile_expr(expr))}(m, frame)")
+        closure = self.const(compile_expr(expr))
+        self.emit(f"{cell} = {closure}(m, {self.scope.frame})")
         return cell, f"{cell}.value", f"{cell}.taint"
 
     # -- ops -----------------------------------------------------------------------
 
     def observe(self, event: str) -> None:
-        self.uses.add("observe")
-        self.emit("if observe:")
-        self.emit(f"m.trace.events.append({event})", 1)
+        """Append ``event`` (fields in declaration order) when the run
+        records observations."""
+        self.uses.add("emit")
+        self.emit(f"if emit: emit({event})")
 
     def site_actions(self, op: Op, offset: int) -> None:
         if not op.trigger:
             return
-        self.uses.add("S")
-        if offset or self.head is not None:
+        sites = self.scope.sites
+        uid = self.const(op.uid)
+        if type(sites) is tuple:
+            actions = op.chain_at(sites)[1]
+            if actions is None:
+                return
+            if _inline_checks(actions):
+                self.checks(actions, uid, self.tau(offset))
+                return
+            source = self.const(actions)
+        else:
+            self.use_sites(sites)
+            source = self.tmp("x")
+            self.emit(f"{source} = {self.const(op.chain_at)}({sites})[1]")
+        if offset or self.regions:
             self.emit(f"m.tau = {self.tau(offset)}")
-        actions = self.tmp("x")
-        self.emit(f"{actions} = {self.const(op.chain_at)}(S)[1]")
-        self.emit(f"if {actions} is not None:")
-        self.emit(f"m._run_site_actions({self.const(op.uid)}, {actions})", 1)
+        call = f"m._run_site_actions({uid}, {source})"
+        if type(sites) is tuple:
+            self.emit(call)
+        else:
+            self.emit(f"if {source} is not None: {call}")
+
+    def checks(self, actions, uid: str, tau: str) -> None:
+        """A site's checks inline, in ``_run_site_actions``' order."""
+        for op in actions.ops:
+            check = op.check
+            if check.kind == "fresh":
+                self.observe(f"_UseObs({tau}, {uid}, {check.pid!r})")
+            if op.mode == OP_FULL:
+                self.uses.add("B")
+                required = self.const(check.required)
+                self.emit(
+                    f"if not B.issuperset({required}): "
+                    f"_violation(m, {tau}, {uid}, {self.const(check)})"
+                )
+                self.queries += 1
 
     def step(self, instr: ir.Instr, op: Op, offset: int) -> None:
         """One straight-line op body, mirroring its decoded closure."""
+        scope = self.scope
+        L = scope.locals
+        regs = scope.regs
         if isinstance(instr, ir.Assign):
             cell, value, taint = self.box(self.expr(instr.expr))
             dest = instr.dest
             key = repr(dest)
-            reg = self.regs.get(dest)
+            reg = regs.get(dest)
             if instr.scope == ir.SCOPE_GLOBAL:
                 self.uses.add("G")
-                self.emit(f"if {key} not in G:")
-                self.error(f"write to undeclared global '{dest}'", 1)
-                self.emit("if m._atom_ctx is not None:")
-                self.emit(f"m._assert_logged({key})", 1)
+                message = f"write to undeclared global '{dest}'"
+                self.emit(f"if {key} not in G: {self.raising(message)}")
+                self.emit(f"if m._atom_ctx is not None: m._assert_logged({key})")
                 self.emit(f"G[{key}] = {cell}")
                 if reg is not None and reg[3]:
-                    del self.regs[dest]
+                    del regs[dest]
                 return
-            if dest in self.params and (reg is None or reg[3]):
-                self.emit(f"if type(L.get({key})) is _RefValue:")
-                self.error(f"assignment to reference parameter '{dest}'", 1)
-            self.emit(f"L[{key}] = {cell}")
-            self.regs[dest] = (cell, value, taint, False)
+            if dest in scope.params and (reg is None or reg[3]):
+                message = f"assignment to reference parameter '{dest}'"
+                self.emit(
+                    f"if type({L}.get({key})) is _RefValue: {self.raising(message)}"
+                )
+            self.emit(f"{L}[{key}] = {cell}")
+            regs[dest] = (cell, value, taint, False)
+            self.grow(dest)
             return
         if isinstance(instr, ir.InputInstr):
             self.uses.add("read")
@@ -1177,35 +1395,39 @@ class _SegmentWriter:
             value, taint, cell = self.tmp("v"), self.tmp("t"), self.tmp("o")
             self.emit(f"{value} = read({channel}, {tau})")
             self.emit(f"{taint} = frozenset((_IE({uid}, {channel}, {tau}),))")
-            self.emit(f"{cell} = _TVal({value}, {taint})")
-            self.emit(f"L[{instr.dest!r}] = {cell}")
-            self.regs[instr.dest] = (cell, value, taint, False)
+            self.emit(f"{L}[{instr.dest!r}] = {cell} = _TVal({value}, {taint})")
+            regs[instr.dest] = (cell, value, taint, False)
+            self.grow(instr.dest)
             if instr.uid in self.bit_uids:
-                self.uses.add("S")
-                chain = f"{self.const(op.chain_at)}(S)[0]"
-                self.emit(f"m.nv.bits.bits.add({chain})")
-            self.observe(
-                f"_InputObs(tau={tau}, uid={uid}, channel={channel}, value={value})"
-            )
+                self.uses.add("B")
+                sites = scope.sites
+                if type(sites) is tuple:
+                    chain = self.const(op.chain_at(sites)[0])
+                else:
+                    self.use_sites(sites)
+                    chain = f"{self.const(op.chain_at)}({sites})[0]"
+                self.emit(f"B.add({chain})")
+            self.observe(f"_InputObs({tau}, {uid}, {channel}, {value})")
             return
         if isinstance(instr, ir.StoreRefInstr):
             cell = self.box(self.expr(instr.expr))[0]
             ref = self.tmp("c")
-            self.emit(f"{ref} = L.get({instr.param!r})")
-            self.emit(f"if type({ref}) is not _RefValue:")
-            self.error(f"*{instr.param} is not a reference", 1)
-            self.emit(f"m._frames[{ref}.depth].locals[{ref}.name] = {cell}")
+            self.uses.add("F")
+            self.emit(f"{ref} = {L}.get({instr.param!r})")
+            message = f"*{instr.param} is not a reference"
+            self.emit(f"if type({ref}) is not _RefValue: {self.raising(message)}")
+            self.emit(f"F[{ref}.depth].locals[{ref}.name] = {cell}")
             # The store lands in a caller frame: forget what was read
             # through reference cells (and, conservatively, globals).
-            self.regs = {n: r for n, r in self.regs.items() if not r[3]}
+            scope.regs = {n: r for n, r in regs.items() if not r[3]}
+            self.ref_stores += 1
             return
         if isinstance(instr, ir.StoreArr):
             index = self.expr(instr.index)
             _, value, taint = self.expr(instr.expr)
             iv = self.plain(index[1])
             arr = self.element(instr.array, iv)
-            self.emit("if m._atom_ctx is not None:")
-            self.emit(f"m._assert_logged({instr.array!r})", 1)
+            self.emit(f"if m._atom_ctx is not None: m._assert_logged({instr.array!r})")
             taint = self.merge([taint, index[2]])
             self.emit(f"{arr}[{iv}] = _TVal({value}, {taint or '_NT'})")
             return
@@ -1215,27 +1437,142 @@ class _SegmentWriter:
             tau = self.tau(offset)
             if instr.kind == lang_ast.AnnotKind.FRESH:
                 pid = self.const(fresh_pid(instr.uid))
-                self.observe(
-                    f"_FreshDeclObs(tau={tau}, uid={uid}, pid={pid}, inputs={taint})"
-                )
+                self.observe(f"_FreshDeclObs({tau}, {uid}, {pid}, {taint})")
             else:
                 pid = self.const(consistent_pid(instr.set_id))
                 set_id = self.const(instr.set_id)
                 self.observe(
-                    f"_ConsistentDeclObs(tau={tau}, uid={uid}, pid={pid}, "
-                    f"set_id={set_id}, inputs={taint})"
+                    f"_ConsistentDeclObs({tau}, {uid}, {pid}, {set_id}, {taint})"
                 )
             return
         if isinstance(instr, ir.OutputInstr):
             values = [self.expr(a)[1] for a in instr.args]
             tup = "(" + "".join(f"{v}, " for v in values) + ")"
             uid = self.const(instr.uid)
-            self.observe(
-                f"_OutputObs(tau={self.tau(offset)}, uid={uid}, "
-                f"op={instr.op!r}, values={tup})"
-            )
+            self.observe(f"_OutputObs({self.tau(offset)}, {uid}, {instr.op!r}, {tup})")
             return
         # static work and skip: cost only
+
+    def grow(self, name: str) -> None:
+        """A local written in the run's own frame (inlined callees' frames
+        are gone before any region op snapshots the stack)."""
+        if self.scope.locals == "L":
+            self.grown.add(name)
+
+    def arguments(self, callee, instr: ir.CallInstr, regs=None) -> str:
+        """The callee's locals as a dict display, as ``run_call`` binds
+        them; each parameter bound to a value joins ``regs``."""
+        scope = self.scope
+        items = []
+        for param, arg in zip(callee.params, instr.args, strict=True):
+            if isinstance(arg, ir.RefArg):
+                self.uses.add("F")
+                cell = self.tmp("c")
+                key = repr(arg.name)
+                new_ref = f"_RefValue(len(F) - 1, {key})"
+                if arg.name in scope.params:  # forward a reference
+                    self.emit(f"{cell} = {scope.locals}.get({key})")
+                    self.emit(f"if type({cell}) is not _RefValue: {cell} = {new_ref}")
+                else:
+                    self.emit(f"{cell} = {new_ref}")
+            else:
+                res = self.box(self.expr(arg))
+                cell = res[0]
+                if regs is not None:
+                    regs[param.name] = res + (False,)
+            items.append(f"{param.name!r}: {cell}")
+        return "{" + ", ".join(items) + "}"
+
+    def callee_sites(self, uid: ir.InstrId):
+        """The callee frame's call-site prefix: (value, source)."""
+        sites = self.scope.sites
+        if type(sites) is tuple:
+            sites += (uid,)
+            return sites, self.const(sites)
+        self.use_sites(sites)
+        name = self.tmp("s")
+        self.emit(f"{name} = {sites} + ({self.const(uid)},)")
+        return name, name
+
+    def push(self, instr: ir.CallInstr, locals_: str, sites: str) -> None:
+        callee = self.code.module.functions[instr.func]
+        entry_ops = self.const(self.code.functions[instr.func].blocks[callee.entry])
+        self.uses.add("F")
+        self.emit(
+            f"F.append(_FastFrame({callee.name!r}, {entry_ops}, 0, {locals_}, "
+            f"{instr.dest!r}, {sites}))"
+        )
+
+    def inline(self, instr: ir.CallInstr) -> None:
+        """A call to a leaf: push its frame, run its body in its own
+        scope up to its ``ret``, pop it and store the returned cell."""
+        caller = self.scope
+        callee = self.code.module.functions[instr.func]
+        blocks = self.code.functions[instr.func].blocks
+        params: dict[str, tuple] = {}
+        items = self.arguments(callee, instr, params)
+        sites, sites_src = self.callee_sites(instr.uid)
+        locals_ = self.tmp("L")
+        self.emit(f"{locals_} = {items}")
+        self.push(instr, locals_, sites_src)
+        self.scope = _Scope(self.code, instr.func, locals_, "F[-1]", sites)
+        # A leaf makes no call, so no reference into its frame exists:
+        # only its own ops write its locals.
+        self.scope.regs = params
+        block, index = callee.entry, 0
+        while True:
+            op = blocks[block][index]
+            body = _instr_at(callee, block, index)
+            offset = self.static
+            self.site_actions(op, offset)
+            self.static += op.cycles
+            self.count += 1
+            if op.role == _ROLE_JUMP:
+                block, index = body.target, 0
+                continue
+            if op.role == _ROLE_END:  # the leaf's ret
+                break
+            self.step(body, op, offset)
+            index += 1
+        cell, value, taint = "_ZERO", "0", None
+        if body.expr is not None:
+            cell, value, taint = self.box(self.expr(body.expr))
+        self.scope = caller
+        self.emit("F.pop()")
+        # The callee reached the caller's own locals only through the
+        # references it was passed; what the caller read (through its
+        # references or the globals) it may have stored to.
+        passed = {arg.name for arg in instr.args if isinstance(arg, ir.RefArg)}
+        caller.regs = {
+            n: r for n, r in caller.regs.items() if not r[3] and n not in passed
+        }
+        if instr.dest is not None:
+            self.emit(f"{caller.locals}[{instr.dest!r}] = {cell}")
+            caller.regs[instr.dest] = (cell, value, taint, False)
+            self.grow(instr.dest)
+
+    def region(self, instr: ir.Instr, op: Op, ops: list, index: int) -> None:
+        """A region op's decoded closure.  Both read the clock, and an
+        ``atomic_start`` snapshots the frames, so after the run's first
+        op the clock and, for a start, the frame position are committed
+        first (every exit commits the position again)."""
+        start = isinstance(instr, ir.AtomicStart)
+        if self.count:
+            if start:
+                self.emit(f"frame.ops = {self.const(ops)}; frame.idx = {index}")
+            offset = self.static - self.folded
+            self.emit(f"m.tau = t = t + {offset}" if offset else "m.tau = t")
+        self.emit(f"t += {self.const(op.run)}(m, frame)")
+        self.folded = self.static
+        self.count += 1
+        self.regions.append(
+            (
+                start,
+                self.code.costs.instr_cycles(instr),
+                tuple(instr.omega) if start else (),
+                len(self.grown) + self.ref_stores,
+            )
+        )
 
     def finish(
         self, ops: Optional[list], index: int, unspent: int = 0, depth: int = 0
@@ -1243,48 +1580,33 @@ class _SegmentWriter:
         """Commit the frame position (unless ``ops`` is None) and the
         counters; return the cycles to drain, less ``unspent``."""
         if ops is not None:
-            self.emit(f"frame.ops = {self.const(ops)}", depth)
-            self.emit(f"frame.idx = {index}", depth)
-        total = self.static
-        head = "a + " if self.head is not None else ""
-        self.emit(f"m.tau = t + {total}", depth)
-        self.emit("st = m.stats", depth)
-        self.emit(f"st.cycles_on += {head}{total}", depth)
-        self.emit(f"st.instructions += {self.count}", depth)
-        self.emit(f"return {head}{total - unspent}", depth)
+            self.emit(f"frame.ops = {self.const(ops)}; frame.idx = {index}", depth)
+        offset = self.static - self.folded
+        if self.regions:
+            self.emit(f"m.tau = t = t + {offset}" if offset else "m.tau = t", depth)
+            total = "(t - t0)"
+        else:
+            self.emit(f"m.tau = t + {offset}", depth)
+            total = str(offset)
+        counters = f"st = m.stats; st.cycles_on += {total}"
+        counters += f"; st.instructions += {self.count}"
+        if self.queries:
+            counters += f"; m.detector_queries += {self.queries}"
+        self.emit(counters, depth)
+        drained = f"{total} - {unspent}" if unspent else total
+        self.emit(f"return {drained}", depth)
 
     def end(self, instr: ir.Instr, op: Op, ops: list, index: int) -> None:
-        """The run's last op: a call, branch or return."""
+        """The run's last op: a branch, a return or a call to a non-leaf."""
         if isinstance(instr, ir.CallInstr):
             callee = self.code.module.functions[instr.func]
-            entry_ops = self.code.functions[instr.func].blocks[callee.entry]
-            items = []
-            for param, arg in zip(callee.params, instr.args, strict=True):
-                if isinstance(arg, ir.RefArg):
-                    cell = self.tmp("c")
-                    key = repr(arg.name)
-                    new_ref = f"_RefValue(len(m._frames) - 1, {key})"
-                    if arg.name in self.params:  # forward a reference
-                        self.emit(f"{cell} = L.get({key})")
-                        self.emit(f"if type({cell}) is not _RefValue:")
-                        self.emit(f"{cell} = {new_ref}", 1)
-                    else:
-                        self.emit(f"{cell} = {new_ref}")
-                else:
-                    cell = self.box(self.expr(arg))[0]
-                items.append(f"{param.name!r}: {cell}")
-            self.uses.add("S")
-            uid = self.const(instr.uid)
-            self.emit(
-                f"m._frames.append(_FastFrame({callee.name!r}, "
-                f"{self.const(entry_ops)}, 0, {{{', '.join(items)}}}, "
-                f"{instr.dest!r}, S + ({uid},)))"
-            )
+            items = self.arguments(callee, instr)
+            self.push(instr, items, self.callee_sites(instr.uid)[1])
             self.finish(ops, index + 1)
         elif isinstance(instr, ir.Branch):
             value = self.expr(instr.cond)[1]
-            true_ops = self.const(self.blocks[instr.true_target])
-            false_ops = self.const(self.blocks[instr.false_target])
+            true_ops = self.const(self.scope.blocks[instr.true_target])
+            false_ops = self.const(self.scope.blocks[instr.false_target])
             self.emit(f"frame.ops = {true_ops} if {value} else {false_ops}")
             self.emit("frame.idx = 0")
             self.finish(None, 0)
@@ -1292,7 +1614,7 @@ class _SegmentWriter:
             cell = "None"
             if instr.expr is not None:
                 cell = self.box(self.expr(instr.expr))[0]
-            self.emit("F = m._frames")
+            self.uses.add("F")
             self.emit("F.pop()")
             self.emit("if not F:")
             self.emit("m._done = True", 1)
@@ -1300,48 +1622,37 @@ class _SegmentWriter:
             # main's return: its energy is not deducted (the per-op loop
             # stops before the post-op drain once the machine is done)
             self.finish(None, 0, unspent=op.cycles, depth=1)
-            self.emit("if frame.ret_dest is not None:")
             zero = "_ZERO" if cell == "None" else cell
-            self.emit(f"F[-1].locals[frame.ret_dest] = {zero}", 1)
+            self.emit(
+                "if frame.ret_dest is not None: "
+                f"F[-1].locals[frame.ret_dest] = {zero}"
+            )
             self.finish(None, 0)
 
-    def head_op(self, instr: ir.Instr, op: Op) -> None:
-        self.site_actions(op, 0)
-        self.emit(f"a = {self.const(op.run)}(m, frame)")
-        self.emit("t += a")
-        if isinstance(instr, ir.AtomicStart):
-            self.head = _start_bound(
-                self.code.costs.instr_cycles(instr), tuple(instr.omega),
-                self.code.costs,
-            )
-        else:
-            self.head = _end_bound(self.code.costs.instr_cycles(instr), self.code.costs)
+    def bound(self) -> Optional[Callable]:
+        if not self.regions:
+            return None
+        return _region_bound(tuple(self.regions), self.code.costs)
 
     # -- the run -----------------------------------------------------------------------
 
-    def instr_at(self, block: str, index: int) -> ir.Instr:
-        ir_block = self.fn_ir.blocks[block]
-        if index < len(ir_block.instrs):
-            return ir_block.instrs[index]
-        return ir_block.terminator
-
     def write(self, block: str, index: int) -> Callable:
-        ops = self.blocks[block]
+        scope = self.scope
+        ops = scope.blocks[block]
         visited = {block}
         while True:
             op = ops[index]
             role = op.role
-            if self.count == 0 and role == _ROLE_HEAD:
-                self.head_op(self.instr_at(block, index), op)
-                self.count = 1
-                index += 1
-                continue
-            if role is None or role == _ROLE_HEAD or self.count == _SEGMENT_MAX_OPS:
+            if role is None or self.count >= _SEGMENT_MAX_OPS:
                 self.finish(ops, index)
                 break
-            instr = self.instr_at(block, index)
+            instr = _instr_at(scope.fn_ir, block, index)
             offset = self.static
             self.site_actions(op, offset)
+            if role == _ROLE_REGION:
+                self.region(instr, op, ops, index)
+                index += 1
+                continue
             self.static += op.cycles
             self.count += 1
             if role == _ROLE_END:
@@ -1349,26 +1660,35 @@ class _SegmentWriter:
                 break
             if role == _ROLE_JUMP:
                 if instr.target in visited:
-                    self.finish(self.blocks[instr.target], 0)
+                    self.finish(scope.blocks[instr.target], 0)
                     break
                 block = instr.target
                 visited.add(block)
-                ops = self.blocks[block]
+                ops = scope.blocks[block]
                 index = 0
                 continue
-            self.step(instr, op, offset)
+            if role == _ROLE_CALL:
+                self.inline(instr)
+            else:
+                self.step(instr, op, offset)
             index += 1
-        prologue = ["    L = frame.locals", "    t = m.tau"]
+        prologue = ["L = frame.locals", "t = m.tau"]
+        if self.regions:
+            prologue.append("t0 = t")
         for name, src in (
             ("G", "m.nv.globals"),
             ("A", "m.nv.arrays"),
             ("S", "frame.sites"),
-            ("observe", "m._config.emit_observations"),
+            ("B", "m.nv.bits.bits"),
+            ("F", "m._frames"),
+            ("emit", "m._config.emit_observations and m.trace.events.append"),
             ("read", "m._env.read"),
         ):
             if name in self.uses:
-                prologue.append(f"    {name} = {src}")
-        source = "\n".join(["def _segment(m, frame):", *prologue, *self.lines])
+                prologue.append(f"{name} = {src}")
+        source = "\n".join(
+            ["def _segment(m, frame):", "    " + "; ".join(prologue), *self.lines]
+        )
         exec(compile(source, "<segment>", "exec"), self.ns)
         return self.ns["_segment"]
 
@@ -1539,8 +1859,8 @@ class FastMachine(MachineCore):
                         run_segment = seg.compile()
                 if run_segment is not None:
                     need = seg.cycles
-                    if seg.head is not None:
-                        need += seg.head(self)
+                    if seg.bound is not None:
+                        need += seg.bound(self)
                     if clock + need <= max_cycles:
                         if cap is None:
                             run_segment(self, frame)

@@ -1,8 +1,15 @@
 """CLI tests (`python -m repro`)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_MANUAL = """\
 inputs a, b;
@@ -410,3 +417,37 @@ def test_bad_program_is_a_one_line_error(command, case, tmp_path, capsys):
     assert "\n" not in message
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.skipif(
+    not hasattr(__import__("fcntl"), "F_SETPIPE_SZ"),
+    reason="needs a resizable pipe (Linux)",
+)
+def test_closed_pipe_is_not_a_traceback():
+    """``repro fleet SPEC -q | head -1``: the reader takes one line and
+    goes away; the CLI exits 1 and prints nothing more."""
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    # A one-page pipe cannot hold the report (about 6 KB), so the CLI
+    # is still writing when the reader closes, however stdout buffers.
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    command = [sys.executable, "-m", "repro", "fleet", "examples/fleet_small.json"]
+    proc = subprocess.Popen(
+        [*command, "-q"], stdout=write_end, stderr=subprocess.PIPE,
+        cwd=ROOT, env=env,
+    )
+    os.close(write_end)
+    first = b""
+    while not first.endswith(b"\n"):
+        byte = os.read(read_end, 1)
+        if not byte:
+            break
+        first += byte
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert first == b"{\n"
+    assert err.decode() == ""
+    assert proc.returncode == 1

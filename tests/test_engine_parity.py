@@ -51,7 +51,8 @@ from repro.runtime.engine import (
     compile_code,
     create_machine,
 )
-from repro.runtime.detector import DetectorPlan
+from repro.analysis.provenance import Chain
+from repro.runtime.detector import Check, DetectorPlan
 from repro.runtime.executor import ExecError, Machine, MachineConfig, NVState
 from repro.runtime.harness import ActivationRecord, run_activations
 from repro.runtime.supply import (
@@ -582,14 +583,25 @@ class TestSegmentExits:
             if fail is not None and result.trace.events[0].tau < fail:
                 inner_failures.add(fail)
         assert runs[("main", "entry", 0)] > 0  # full-charge levels ran it
-        assert first.cycles == 73
+        # one run covers main, its uart region included
+        assert [op.seg is not None for op in entry] == [True] + [False] * (
+            len(entry) - 1
+        )
+        assert first.cycles == sum(
+            op.cycles
+            for ops in code.functions["main"].blocks.values()
+            for op in ops
+            if op.role != engine._ROLE_REGION
+        )
+        assert first.bound is not None
         # failures landed after the first op of the run, at several ops
         assert len(inner_failures) >= 2
 
     def test_nested_region_heads_under_a_charge_sweep(self):
-        """Outer and nested ``atomic_start``/``atomic_end`` heads: their
-        state-dependent costs are bounded at entry, and failures inside
-        the regions restart them exactly as per-op execution does."""
+        """Outer and nested ``atomic_start``/``atomic_end`` ops inside one
+        run: their state-dependent costs are bounded at entry, and
+        failures inside the regions restart them exactly as per-op
+        execution does."""
         compiled, code = _exit_build(NESTED_REGIONS_SRC, "ocelot")
         runs = _spy_segments(code)
         entry = code.functions["main"].blocks["entry"]
@@ -603,8 +615,12 @@ class TestSegmentExits:
                 ],
                 _env,
             )
-        # outer start, nested start, nested end, outer end, uart start/end
-        assert [entry[i].role for i in heads[:6]] == [engine._ROLE_HEAD] * 6
+        # outer start, nested start, nested end, outer end, uart start/end:
+        # all six in the run of the block's first op, the only head
+        regions = [i for i, op in enumerate(entry) if op.role == engine._ROLE_REGION]
+        assert len(regions) == 6
+        assert heads == [0]
+        assert entry[0].seg.bound is not None
         for index in heads:
             assert runs[("main", "entry", index)] > 0, index
 
@@ -889,6 +905,22 @@ fn main() {
 """
 
 
+LEAF_SRC = """\
+inputs idx;
+nonvolatile buf[3];
+
+fn peek(i) {
+  let v = buf[i + 1];
+  return v;
+}
+
+fn main() {
+  let i = input(idx);
+  let v = peek(i);
+  log(v);
+}
+"""
+
 def _assign_to_ref_param(module):
     """Rewrite ``*p = e`` into ``p = e`` (the validator rejects it in
     source; the engines must still agree on the runtime error)."""
@@ -907,6 +939,17 @@ def _read_unbound(module):
                 instr.args = [lang_ast.Var(name="gh'ost")]
 
 
+def _leaf_reads_unbound(module):
+    """``peek`` (inlined into ``main``'s run) reads no array and returns
+    an unbound name."""
+    for block in module.functions["peek"].blocks.values():
+        for instr in block.instrs:
+            if isinstance(instr, ir.Assign) and instr.dest == "v":
+                instr.expr = lang_ast.IntLit(value=1)
+        if isinstance(block.terminator, ir.RetInstr):
+            block.terminator.expr = lang_ast.Var(name="gh'ost")
+
+
 #: (source, IR rewrite, the error both engines raise)
 ERROR_CASES = {
     "oob-store": (OOB_STORE_SRC, None, "index 6 out of bounds for buf[3]"),
@@ -917,6 +960,10 @@ ERROR_CASES = {
     ),
     "unbound": (
         UNBOUND_SRC, _read_unbound, "read of unbound variable 'gh'ost' in main"
+    ),
+    "leaf-oob": (LEAF_SRC, None, "index 6 out of bounds for buf[3]"),
+    "leaf-unbound": (
+        LEAF_SRC, _leaf_reads_unbound, "read of unbound variable 'gh'ost' in peek"
     ),
 }
 
@@ -1030,22 +1077,324 @@ class TestSegmentNames:
         frame = machine._frames[-1]
         segment = frame.ops[0].seg
         run = segment.compile()
-        # four ALU-cost ops and the call
-        assert run(machine, frame) == 4 * DEFAULT_COSTS.alu + DEFAULT_COSTS.call
-        assert frame.locals == {a: TVal(5), b: TVal(25)}
+        # One run: five ALU-cost ops, the call and the callee's return
+        # (main's return is run too, but its energy is not drained).
+        assert run(machine, frame) == (
+            5 * DEFAULT_COSTS.alu + DEFAULT_COSTS.call + DEFAULT_COSTS.ret
+        )
+        assert machine.stats.instructions == 8
+        assert frame.locals == {a: TVal(5), b: TVal(25), c: TVal(26)}
         assert machine.nv.snapshot_values() == {
-            "globals": {g: 75},
+            "globals": {g: 26},
             "arrays": {arr: [10, 20, 25]},
         }
-        pushed = machine._frames[-1]
-        assert (pushed.func, pushed.locals) == (callee, {param: TVal(25)})
-        assert frame.idx == 5
+        # the callee's frame was pushed and popped again: main's return
+        # popped main's own frame and finished the machine
+        assert machine._frames == [] and machine._done
         # names are string constants of the code, never identifiers
         names = set(run.__code__.co_names) | set(run.__code__.co_varnames)
         assert not names & {*ODD_NAMES, callee, param}
-        assert {a, b, arr, g, callee, param} <= set(run.__code__.co_consts)
+        assert {a, b, arr, g, c, callee, param} <= set(run.__code__.co_consts)
 
         with _segment_threshold(_EAGER):
             machine.run()
         assert machine.nv.snapshot_values() == reference.nv.snapshot_values()
         assert machine.nv.snapshot_values()["globals"] == {g: 26}
+
+
+# ---------------------------------------------------------------------------
+# Runs through leaf calls and region ops
+#
+# A run goes on through a call to a *leaf* (a function whose entry run
+# reaches its ``ret`` with straight-line ops only) and through
+# ``atomic_start``/``atomic_end``.  Each case holds a run of that shape
+# to per-op execution (the charge sweeps) and to the reference engine.
+
+LEAF_REGIONS_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+nonvolatile count = 0;
+
+fn scale(v) {
+  let w = v * 3;
+  return w + 1;
+}
+
+fn main() {
+  let x = input(temp);
+  let y = scale(x);
+  atomic {
+    total = total + y;
+    atomic {
+      count = count + x;
+    }
+  }
+  if total > 50 {
+    total = total - 40;
+  }
+  log(total);
+}
+"""
+
+REGION_AFTER_LOCALS_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+nonvolatile count = 0;
+
+fn main() {
+  let x = input(temp);
+  let y = x + 2;
+  atomic {
+    total = total + y;
+    if y > 5 {
+      count = count + 1;
+    }
+    work(40);
+    count = count + total;
+  }
+  log(count);
+}
+"""
+
+REF_STORE_SRC = """\
+inputs temp;
+
+fn bump(&p) {
+  *p = p + 5;
+  return 1;
+}
+
+fn main() {
+  let x = input(temp);
+  let r = bump(&x);
+  let y = x + r;
+  log(y);
+}
+"""
+
+NOT_LEAVES_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+
+fn twice(v) {
+  return v * 2;
+}
+
+fn branchy(v) {
+  let w = v;
+  if v > 5 {
+    w = v - 5;
+  }
+  return w;
+}
+
+fn caller(v) {
+  let w = twice(v);
+  return w + 1;
+}
+
+fn guarded(v) {
+  atomic {
+    total = total + v;
+  }
+  return v;
+}
+
+fn main() {
+  let x = input(temp);
+  let a = branchy(x);
+  let b = caller(a);
+  let c = guarded(b);
+  let d = twice(c);
+  log(a, b, c, d);
+}
+"""
+
+
+def _call_ops(code, func):
+    """``{callee: decoded call op}`` over ``func``'s blocks."""
+    calls = {}
+    fn_ir = code.module.functions[func]
+    for name, block in fn_ir.blocks.items():
+        for instr, op in zip(block.instrs, code.functions[func].blocks[name]):
+            if isinstance(instr, ir.CallInstr):
+                calls[instr.func] = op
+    return calls
+
+
+class TestInlinedRuns:
+    def test_leaf_call_and_regions_in_one_run_under_a_charge_sweep(self):
+        """One run spans a leaf call, an outer ``atomic_start`` after the
+        run has added locals, a nested start and both ends."""
+        compiled, code = _exit_build(LEAF_REGIONS_SRC, "ocelot")
+        runs = _spy_segments(code)
+        entry = code.functions["main"].blocks["entry"]
+        assert [i for i, op in enumerate(entry) if op.seg is not None] == [0]
+        assert _call_ops(code, "main")["scale"].role == engine._ROLE_CALL
+        roles = [op.role for op in entry]
+        assert roles.count(engine._ROLE_REGION) == 4
+        assert roles[-1] == engine._ROLE_END  # the branch
+        for level in range(1_001, 1_001 + 420):
+            _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                ],
+                _env,
+            )
+        assert runs[("main", "entry", 0)] > 0
+
+    def test_region_entered_mid_run_restarts_at_its_start(self):
+        """A run enters a region after three ops and ends at a branch
+        inside it; failures later in the region restart it from the
+        snapshot the run took, positioned after its ``atomic_start``."""
+        compiled, code = _exit_build(REGION_AFTER_LOCALS_SRC, "ocelot")
+        entry = code.functions["main"].blocks["entry"]
+        assert [i for i, op in enumerate(entry) if op.seg is not None] == [0]
+        assert entry[3].role == engine._ROLE_REGION
+        assert entry[-1].role == engine._ROLE_END  # the branch
+        runs = _spy_segments(code)
+        restarts = 0
+        for level in range(1_001, 1_001 + 300):
+            results = _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                ],
+                _env,
+            )
+            restarts += results[0].stats.region_restarts
+        assert runs[("main", "entry", 0)] > 0
+        assert restarts > 0
+
+    def test_leaf_store_through_a_reference_is_read_again(self):
+        """The callee writes the caller's ``x`` through ``&x``; the rest
+        of the run reads the new value, not the one it wrote before."""
+        compiled, code = _exit_build(REF_STORE_SRC)
+        runs = _spy_segments(code)
+        assert _call_ops(code, "main")["bump"].role == engine._ROLE_CALL
+        (result,) = _run_pair(
+            compiled, code, lambda: [(ContinuousPower(), MachineConfig())], _env
+        )
+        assert runs[("main", "entry", 0)] == 1
+        log = next(e for e in result.trace.events if isinstance(e, obs.OutputObs))
+        assert log.values == (3 + 5 + 1,)
+
+    def test_called_entry_function_keeps_chains_dynamic(self):
+        """``main`` called from another function (hand-built IR; the
+        language rejects recursion): its frames differ in call-site
+        prefix, so its checks resolve per frame at run time."""
+        labels = iter(range(1, 100))
+
+        def uid(func):
+            return ir.InstrId(func, next(labels))
+
+        lit, var = lang_ast.IntLit, lang_ast.Var
+        read, use, recurse, again = uid("main"), uid("main"), uid("main"), uid("again")
+        main = IRFunction(name="main", params=[])
+        main.blocks = {
+            "entry": BasicBlock(
+                "entry",
+                instrs=[
+                    ir.InputInstr(dest="x", channel="temp", uid=read),
+                    ir.Assign(
+                        dest="n",
+                        expr=lang_ast.Binary(op="+", lhs=var("n"), rhs=lit(1)),
+                        scope=ir.SCOPE_GLOBAL,
+                        uid=uid("main"),
+                    ),
+                    ir.OutputInstr(op="log", args=[var("x")], uid=use),
+                ],
+                terminator=ir.Branch(
+                    cond=lang_ast.Binary(op="<", lhs=var("n"), rhs=lit(3)),
+                    true_target="deeper",
+                    false_target="exit",
+                    uid=uid("main"),
+                ),
+            ),
+            "deeper": BasicBlock(
+                "deeper",
+                instrs=[ir.CallInstr(dest=None, func="again", args=[], uid=recurse)],
+                terminator=ir.Jump(target="exit", uid=uid("main")),
+            ),
+            "exit": BasicBlock(
+                "exit", terminator=ir.RetInstr(expr=None, uid=uid("main"))
+            ),
+        }
+        body = IRFunction(name="again", params=[])
+        body.blocks = {
+            "entry": BasicBlock(
+                "entry",
+                instrs=[ir.CallInstr(dest=None, func="main", args=[], uid=again)],
+                terminator=ir.RetInstr(expr=None, uid=uid("again")),
+            )
+        }
+        module = Module(
+            functions={"main": main, "again": body}, globals={"n": 0}, arrays={}
+        )
+        top = Chain(ids=(read,))
+        deep = Chain(ids=(recurse, again, read))
+        checks = {
+            Chain(ids=(recurse, again, use)): [
+                Check(
+                    site=Chain(ids=(recurse, again, use)),
+                    pid="fresh-deep",
+                    kind="fresh",
+                    required=(deep, top),
+                )
+            ]
+        }
+        plan = DetectorPlan(
+            bit_chains=frozenset({top, deep}),
+            checks=checks,
+            trigger_uids=frozenset({use}),
+        )
+
+        def env():
+            return Environment({"temp": steps([4, 9], 50)})
+
+        reference = Machine(module, env(), plan=plan)
+        want = reference.run()
+        with _segment_threshold(_EAGER):
+            code = compile_code(module, plan, DEFAULT_COSTS)
+            assert code.entry_sites is None
+            fast = FastMachine(module, env(), plan=plan, code=code)
+            got = fast.run()
+        assert got.trace.events == want.trace.events
+        assert got.stats == want.stats
+        assert fast.nv.snapshot_values() == reference.nv.snapshot_values()
+        assert fast.nv.bits.bits == reference.nv.bits.bits
+        assert {top, deep} < fast.nv.bits.bits
+        # main ran three deep; only the second frame's output is a use
+        uses = [e for e in got.trace.events if isinstance(e, obs.UseObs)]
+        assert [e.pid for e in uses] == ["fresh-deep"]
+        assert code.functions["main"].blocks["entry"][0].seg.fn is not None
+
+    def test_callees_with_a_branch_call_or_region_are_not_inlined(self):
+        compiled, code = _exit_build(NOT_LEAVES_SRC, "ocelot")
+        calls = _call_ops(code, "main")
+        assert calls["twice"].role == engine._ROLE_CALL
+        leaf = compile_source(LEAF_SRC, "jit")
+        leaf_code = compile_code(leaf.module, leaf.detector_plan(), DEFAULT_COSTS)
+        assert _call_ops(leaf_code, "main")["peek"].role == engine._ROLE_CALL
+        assert _call_ops(code, "caller")["twice"].role == engine._ROLE_CALL
+        for callee in ("branchy", "caller", "guarded"):
+            assert calls[callee].role == engine._ROLE_END, callee
+        # the return point of a call that ends a run heads the next one
+        entry = code.functions["main"].blocks["entry"]
+        for callee in ("branchy", "caller", "guarded"):
+            assert entry[entry.index(calls[callee]) + 1].seg is not None, callee
+        runs = _spy_segments(code)
+        for level in range(1_001, 1_001 + 700, 7):
+            _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                ],
+                _env,
+            )
+        for func in ("main", "branchy", "caller", "guarded"):
+            assert runs[(func, "entry", 0)] > 0, func

@@ -233,6 +233,19 @@ class TestExecutorParity:
         with pytest.raises(FleetError, match="instance carries its own"):
             run_fleet(small_spec(), SerialFleetExecutor(), processes=2)
 
+    def test_engine_on_an_executor_instance_rejected(self):
+        # The instance's own engine runs, so an engine argument beside
+        # it would be silently ignored.
+        with pytest.raises(FleetError, match="instance carries its own"):
+            run_fleet(small_spec(), SerialFleetExecutor(), engine="reference")
+        result = run_fleet(
+            small_spec(), SerialFleetExecutor(engine="reference")
+        )
+        assert result.engine == "reference"
+        assert run_fleet(small_spec(), "serial", engine="reference").engine == (
+            "reference"
+        )
+
 
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
