@@ -31,6 +31,7 @@ configurations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -312,8 +313,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  [tau={output.tau}] {output.op}({values})")
     if args.trace:
         for event in result.trace:
-            print(f"  {event}")
+            print(f"  {_event_line(event)}")
     return 0 if result.stats.completed else 1
+
+
+def _event_line(event) -> str:
+    """``repr(event)`` with each taint set's events in sorted ``str``
+    order, as ``repro trace`` lists them: a frozenset's own order follows
+    ``str`` hashes, which differ between processes."""
+    fields = []
+    for field in dataclasses.fields(event):
+        value = getattr(event, field.name)
+        text = repr(value)
+        if isinstance(value, frozenset) and value:
+            text = f"frozenset({{{', '.join(map(repr, sorted(value, key=str)))}}})"
+        fields.append(f"{field.name}={text}")
+    return f"{type(event).__qualname__}({', '.join(fields)})"
 
 
 def _traces_for(args: argparse.Namespace, compiled, env):

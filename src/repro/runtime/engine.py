@@ -31,11 +31,12 @@ the tuple from the frame stack at every detector trigger.
 
 Hot straight-line code runs as *segments* (:class:`Segment`): each
 maximal run of ops -- through unconditional jumps, calls to leaf
-functions (whose bodies run inline, their frames pushed and popped) and
-region ops, up to the first branch, return or other call -- becomes one
+functions (whose bodies run inline, mostly without a frame) and region
+ops, up to the first branch, return or other call -- becomes one
 generated function that runs every op body inline over unboxed values
 and commits ``tau``, ``cycles_on``, ``instructions``,
-``detector_queries`` and the frame position once.  Where every op's
+``detector_queries`` and the frame position once.  A region the run
+both enters and commits takes no snapshot.  Where every op's
 provenance chain is known at generation time, each site's detector
 actions are resolved then.  The run loop enters a segment only when no
 per-op check inside it could fire (no failure can be scheduled, the
@@ -44,10 +45,11 @@ region ops' costs bounded from above, stays within ``max_cycles`` and
 above the capacitor's trip point).  That is exact by the argument of
 Surbatovich et al.: no power failure can fire inside a straight-line
 run whose whole energy fits above the trip point, so one check per run
-changes no observation.  Otherwise, and in :meth:`FastMachine.step`,
-the per-op loop runs.  A segment compiles on its
-:data:`SEGMENT_COMPILE_THRESHOLD`-th entry, so a build decoded and run
-briefly never pays for code generation.
+changes no observation -- nor needs the snapshot of a region that
+commits inside the run, or the frame of a leaf.  Otherwise, and in
+:meth:`FastMachine.step`, the per-op loop runs.  A segment compiles on
+its :data:`SEGMENT_COMPILE_THRESHOLD`-th entry, so a build decoded and
+run briefly never pays for code generation.
 
 Decoded code is cached on the :class:`CompiledProgram` itself (see
 :func:`code_for`).  Compiled programs are interned by the compile cache
@@ -934,16 +936,19 @@ class Segment:
 
     ``fn(machine, frame)`` runs every op body inline and commits ``tau``,
     ``cycles_on``, ``instructions``, ``detector_queries`` and the frame
-    position once at the end.  It returns the cycles whose energy the
-    caller deducts: all of them, except those of ``main``'s final
-    return, as in the per-op loop.  ``cycles`` is the static cost of the
-    ops other than region ops; ``bound``, set when the run has region
-    ops, bounds their state-dependent costs from above
-    (:func:`_region_bound`).  Nothing is generated before the head's
-    :data:`SEGMENT_COMPILE_THRESHOLD`-th entry.  An op that raises
-    leaves the run's counters uncommitted: after an ``ExecError`` the
-    engines promise only the same error, and no caller reuses the
-    machine.
+    position once at the end.  Leaf bodies run mostly without a frame,
+    and a region whose ``atomic_start`` and ``atomic_end`` are both in
+    the run takes no snapshot (see :class:`_SegmentWriter`).  It returns
+    the cycles whose energy the caller deducts: all of them, except
+    those of ``main``'s final return, as in the per-op loop.  ``cycles``
+    is the static cost of the ops other than region ops; ``bound``, set
+    when the run has region ops, bounds their state-dependent costs from
+    above (:func:`_region_bound`).  Nothing is generated before the
+    head's :data:`SEGMENT_COMPILE_THRESHOLD`-th entry.  An op that
+    raises leaves the run's counters uncommitted: after an ``ExecError``
+    the engines promise only the same error, and no caller reuses the
+    machine.  What the run knows of its own regions lives in the
+    generated function's locals, so nothing of it outlives the call.
     """
 
     __slots__ = ("code", "func", "block", "index", "hits", "fn", "cycles", "bound")
@@ -974,30 +979,39 @@ def _instr_at(fn_ir, block: str, index: int) -> ir.Instr:
     return ir_block.terminator
 
 
-def _mark_leaf_calls(code: "CompiledCode") -> None:
-    """Give every call to a *leaf* function :data:`_ROLE_CALL`.
+def _leaf_body(code: "CompiledCode", name: str) -> Optional[list]:
+    """A *leaf*'s entry run as ``(op, instr)`` pairs, its ``ret`` last,
+    or None when ``name`` is no leaf.
 
     A leaf's entry run goes straight, through jumps, to its ``ret`` with
     only segment ops (no branch, call or region op), so a run can take
     its body inline and go on after the call.
     """
-    leaves = set()
-    for name, fn_ir in code.module.functions.items():
-        blocks = code.functions[name].blocks
-        block, index, seen = fn_ir.entry, 0, {fn_ir.entry}
-        for _ in range(_SEGMENT_MAX_OPS if block in blocks else 0):
-            role = blocks[block][index].role
-            if role == _ROLE_STEP:
-                index += 1
-                continue
-            instr = _instr_at(fn_ir, block, index)
-            if role == _ROLE_JUMP and instr.target not in seen:
-                block, index = instr.target, 0
-                seen.add(block)
-                continue
-            if role == _ROLE_END and isinstance(instr, ir.RetInstr):
-                leaves.add(name)
-            break
+    fn_ir = code.module.functions[name]
+    blocks = code.functions[name].blocks
+    block, index, seen, body = fn_ir.entry, 0, {fn_ir.entry}, []
+    for _ in range(_SEGMENT_MAX_OPS if block in blocks else 0):
+        op = blocks[block][index]
+        instr = _instr_at(fn_ir, block, index)
+        body.append((op, instr))
+        if op.role == _ROLE_STEP:
+            index += 1
+            continue
+        if op.role == _ROLE_JUMP and instr.target not in seen:
+            block, index = instr.target, 0
+            seen.add(block)
+            continue
+        if op.role == _ROLE_END and isinstance(instr, ir.RetInstr):
+            return body
+        break
+    return None
+
+
+def _mark_leaf_calls(code: "CompiledCode") -> None:
+    """Give every call to a leaf (:func:`_leaf_body`) :data:`_ROLE_CALL`."""
+    leaves = {
+        name for name in code.module.functions if _leaf_body(code, name) is not None
+    }
     for name, fn_ir in code.module.functions.items():
         for block_name, block in fn_ir.blocks.items():
             ops = code.functions[name].blocks[block_name]
@@ -1097,7 +1111,66 @@ _SEGMENT_GLOBALS = {
     "_ConsistentDeclObs": obs.ConsistentDeclObs,
     "_OutputObs": obs.OutputObs,
     "_UseObs": obs.UseObs,
+    "_RegionEnterObs": obs.RegionEnterObs,
+    "_RegionExitObs": obs.RegionExitObs,
+    "_stack_words": stack_words,
 }
+
+
+def _generated(expr: lang_ast.Expr) -> bool:
+    """Does :meth:`_SegmentWriter.expr` generate ``expr`` inline, rather
+    than call its decoded closure (which reads a frame)?"""
+    if isinstance(expr, (lang_ast.IntLit, lang_ast.BoolLit, lang_ast.Var)):
+        return True
+    if isinstance(expr, lang_ast.Index):
+        return _generated(expr.index)
+    if isinstance(expr, lang_ast.Unary):
+        return expr.op in ("-", "!") and _generated(expr.operand)
+    if isinstance(expr, lang_ast.Binary):
+        return (
+            expr.op in _VALUE_TEMPLATES
+            and _generated(expr.lhs)
+            and _generated(expr.rhs)
+        )
+    if isinstance(expr, lang_ast.Call):
+        return (
+            expr.func in _CALL_ARITY
+            and len(expr.args) >= _CALL_ARITY[expr.func]
+            and all(_generated(arg) for arg in expr.args)
+        )
+    return False
+
+
+def _frameless(call: ir.CallInstr, body: list) -> bool:
+    """Can an inlined leaf run without a frame?  Yes unless it takes a
+    reference (a cell only a frame holds), stores through one, or
+    evaluates an expression through its decoded closure."""
+    return not any(isinstance(arg, ir.RefArg) for arg in call.args) and all(
+        not isinstance(instr, ir.StoreRefInstr)
+        and all(_generated(expr) for expr in instr.used_exprs())
+        for _, instr in body
+    )
+
+
+def _contained(steps: list) -> dict[int, int]:
+    """The region ops of a run whose partner is in the run too.
+
+    ``steps`` is the run's own ops in order (leaves have no region op);
+    each ``atomic_end`` closes the last ``atomic_start`` before it that
+    is still open.  Maps the position of each paired op to the number of
+    the run's ``atomic_start``s open around the pair: 0 when at most the
+    context the run was entered in can be open at the pair's start.
+    """
+    open_, depth = [], {}
+    for pos, (_, _, instr, op) in enumerate(steps):
+        if op.role != _ROLE_REGION:
+            continue
+        if isinstance(instr, ir.AtomicStart):
+            open_.append(pos)
+        elif open_:
+            start = open_.pop()
+            depth[start] = depth[pos] = len(open_)
+    return depth
 
 
 class _Scope:
@@ -1109,13 +1182,19 @@ class _Scope:
     )
 
     def __init__(
-        self, code: "CompiledCode", func: str, locals_: str, frame: str, sites
+        self,
+        code: "CompiledCode",
+        func: str,
+        locals_: Optional[str],
+        frame: Optional[str],
+        sites,
     ):
         self.func = func
         self.fn_ir = code.module.functions[func]
         self.params = frozenset(param.name for param in self.fn_ir.params)
         self.blocks = code.functions[func].blocks
-        #: the generated names of the frame's locals dict and the frame
+        #: the generated names of the frame's locals dict and the frame;
+        #: None for a leaf run without a frame, whose locals are ``regs``
         self.locals = locals_
         self.frame = frame
         #: the call-site prefix: a tuple when known as the code is
@@ -1141,10 +1220,17 @@ class _SegmentWriter:
     change it.  Reference cells enter a frame only as call arguments,
     so only a parameter's cell is ever tested for one.
 
-    A call to a leaf pushes the callee's frame, runs its body in the
-    callee's :class:`_Scope` and pops it, so ``m._frames`` is exact for
-    ``_deref`` and reference stores; afterwards the caller forgets the
-    variables it passed by reference and what it read.  Where every
+    A call to a leaf runs its body in the callee's :class:`_Scope`;
+    afterwards the caller forgets the variables it passed by reference
+    and what it read.  The leaf gets no frame and no locals dict: its
+    parameters and locals are registers only.  Nothing would read that
+    frame -- no power failure, checkpoint or region op (which copy the
+    stack) happens inside a leaf, ``_deref`` and reference stores
+    address caller frames by depth, and site actions read the call-site
+    prefix the writer holds.  A leaf that takes a reference, stores
+    through one or evaluates an expression through its decoded closure
+    (:func:`_frameless`) has its frame pushed and popped around its
+    body instead, so ``m._frames`` is exact for all three.  Where every
     frame's call-site prefix is known -- the entry function when no
     call targets it, and the leaves inlined into it -- each site's
     detector actions are resolved as the code is generated: a site
@@ -1152,6 +1238,18 @@ class _SegmentWriter:
     become inline code (their query count committed once, with the
     other counters), and any other site calls ``_run_site_actions`` on
     its actions.
+
+    An ``atomic_start`` whose ``atomic_end`` is in the run too
+    (:func:`_contained`) runs inline.  Its snapshot and undo log exist
+    only so that Atom-Reboot can restart the region after a power
+    failure, and none can fire before the run commits it, so the pair
+    takes neither.  Entered with no region open (``m._atom_ctx`` None,
+    read once into a local) it counts, observes and costs what
+    ``run_start`` and ``run_end`` would and leaves the context None,
+    and :meth:`guard` keeps the undo-log check on every nonvolatile
+    write inside it; entered inside an open region it costs
+    ``region_inner`` at each end and leaves ``natom`` as it found it.
+    A region op whose partner is outside the run runs its closure.
     """
 
     def __init__(self, code: "CompiledCode", func: str):
@@ -1171,6 +1269,9 @@ class _SegmentWriter:
         self.queries = 0
         #: (is_start, cyc, omega, grow) per region op, in run order
         self.regions: list[tuple] = []
+        #: (flag, region, omega) of the region pair the run entered
+        #: itself and has not closed yet (see :meth:`enter`)
+        self.pair: Optional[tuple] = None
         #: locals the run may add to its own frame, and stores through
         #: references (each may add a local to a caller's frame)
         self.grown: set[str] = set()
@@ -1247,11 +1348,10 @@ class _SegmentWriter:
         key = repr(name)
         cell = self.tmp("c")
         message = self.const(f"read of unbound variable '{name}' in {scope.func}")
-        # Cells are never falsy: a missing local reads the global.
-        self.emit(
-            f"{cell} = {scope.locals}.get({key}) or G.get({key}) "
-            f"or _unbound({message})"
-        )
+        # Cells are never falsy: a missing local reads the global.  In a
+        # leaf run without a frame every local is a register.
+        local = f"{scope.locals}.get({key}) or " if scope.locals else ""
+        self.emit(f"{cell} = {local}G.get({key}) or _unbound({message})")
         if name in scope.params:
             self.emit(f"if type({cell}) is _RefValue: {cell} = m._deref({cell})")
         res = (cell, f"{cell}.value", f"{cell}.taint")
@@ -1313,11 +1413,11 @@ class _SegmentWriter:
 
     # -- ops -----------------------------------------------------------------------
 
-    def observe(self, event: str) -> None:
+    def observe(self, event: str, depth: int = 0) -> None:
         """Append ``event`` (fields in declaration order) when the run
         records observations."""
         self.uses.add("emit")
-        self.emit(f"if emit: emit({event})")
+        self.emit(f"if emit: emit({event})", depth)
 
     def site_actions(self, op: Op, offset: int) -> None:
         if not op.trigger:
@@ -1365,15 +1465,20 @@ class _SegmentWriter:
         L = scope.locals
         regs = scope.regs
         if isinstance(instr, ir.Assign):
-            cell, value, taint = self.box(self.expr(instr.expr))
             dest = instr.dest
+            if L is None and instr.scope != ir.SCOPE_GLOBAL:
+                # a local of a leaf run without a frame: a register only
+                cell, value, taint = self.expr(instr.expr)
+                regs[dest] = (cell, self.plain(value), taint, False)
+                return
+            cell, value, taint = self.box(self.expr(instr.expr))
             key = repr(dest)
             reg = regs.get(dest)
             if instr.scope == ir.SCOPE_GLOBAL:
                 self.uses.add("G")
                 message = f"write to undeclared global '{dest}'"
                 self.emit(f"if {key} not in G: {self.raising(message)}")
-                self.emit(f"if m._atom_ctx is not None: m._assert_logged({key})")
+                self.guard(dest)
                 self.emit(f"G[{key}] = {cell}")
                 if reg is not None and reg[3]:
                     del regs[dest]
@@ -1392,12 +1497,14 @@ class _SegmentWriter:
             uid = self.const(instr.uid)
             channel = repr(instr.channel)
             tau = self.plain(self.tau(offset))
-            value, taint, cell = self.tmp("v"), self.tmp("t"), self.tmp("o")
+            value, taint, cell = self.tmp("v"), self.tmp("t"), None
             self.emit(f"{value} = read({channel}, {tau})")
             self.emit(f"{taint} = frozenset((_IE({uid}, {channel}, {tau}),))")
-            self.emit(f"{L}[{instr.dest!r}] = {cell} = _TVal({value}, {taint})")
+            if L is not None:
+                cell = self.tmp("o")
+                self.emit(f"{L}[{instr.dest!r}] = {cell} = _TVal({value}, {taint})")
+                self.grow(instr.dest)
             regs[instr.dest] = (cell, value, taint, False)
-            self.grow(instr.dest)
             if instr.uid in self.bit_uids:
                 self.uses.add("B")
                 sites = scope.sites
@@ -1427,7 +1534,7 @@ class _SegmentWriter:
             _, value, taint = self.expr(instr.expr)
             iv = self.plain(index[1])
             arr = self.element(instr.array, iv)
-            self.emit(f"if m._atom_ctx is not None: m._assert_logged({instr.array!r})")
+            self.guard(instr.array)
             taint = self.merge([taint, index[2]])
             self.emit(f"{arr}[{iv}] = _TVal({value}, {taint or '_NT'})")
             return
@@ -1453,9 +1560,29 @@ class _SegmentWriter:
             return
         # static work and skip: cost only
 
+    def guard(self, name: str) -> None:
+        """``_assert_logged`` before a nonvolatile write to ``name``.
+        Inside a pair :meth:`enter` elided, the undo log would have held
+        ``name`` (known to exist by now) exactly when omega names it."""
+        key = repr(name)
+        if self.pair is None:
+            self.emit(f"if m._atom_ctx is not None: m._assert_logged({key})")
+            return
+        flag, region, omega = self.pair
+        if name in omega:
+            self.emit(f"if not {flag}: m._assert_logged({key})")
+            return
+        # MachineCore._assert_logged's error
+        message = (
+            f"nonvolatile '{name}' written inside region '{region}' "
+            "but absent from its omega set (WAR/EMW analysis bug)"
+        )
+        self.emit(f"if {flag}: {self.raising(message)}")
+        self.emit(f"m._assert_logged({key})")
+
     def grow(self, name: str) -> None:
-        """A local written in the run's own frame (inlined callees' frames
-        are gone before any region op snapshots the stack)."""
+        """A local written in the run's own frame (inlined leaves have
+        returned before any region op snapshots the stack)."""
         if self.scope.locals == "L":
             self.grown.add(name)
 
@@ -1484,19 +1611,21 @@ class _SegmentWriter:
         return "{" + ", ".join(items) + "}"
 
     def callee_sites(self, uid: ir.InstrId):
-        """The callee frame's call-site prefix: (value, source)."""
+        """The callee frame's call-site prefix: a tuple when known as the
+        code is generated, else the generated name that holds it."""
         sites = self.scope.sites
         if type(sites) is tuple:
-            sites += (uid,)
-            return sites, self.const(sites)
+            return sites + (uid,)
         self.use_sites(sites)
         name = self.tmp("s")
         self.emit(f"{name} = {sites} + ({self.const(uid)},)")
-        return name, name
+        return name
 
-    def push(self, instr: ir.CallInstr, locals_: str, sites: str) -> None:
+    def push(self, instr: ir.CallInstr, locals_: str, sites) -> None:
         callee = self.code.module.functions[instr.func]
         entry_ops = self.const(self.code.functions[instr.func].blocks[callee.entry])
+        if type(sites) is tuple:
+            sites = self.const(sites)
         self.uses.add("F")
         self.emit(
             f"F.append(_FastFrame({callee.name!r}, {entry_ops}, 0, {locals_}, "
@@ -1504,41 +1633,44 @@ class _SegmentWriter:
         )
 
     def inline(self, instr: ir.CallInstr) -> None:
-        """A call to a leaf: push its frame, run its body in its own
-        scope up to its ``ret``, pop it and store the returned cell."""
+        """A call to a leaf: run its body in its own scope up to its
+        ``ret`` -- in registers, or in a frame pushed and popped around
+        it if :func:`_frameless` says it needs one -- and store the
+        returned cell in the caller."""
         caller = self.scope
         callee = self.code.module.functions[instr.func]
-        blocks = self.code.functions[instr.func].blocks
+        body = _leaf_body(self.code, instr.func)
+        framed = not _frameless(instr, body)
+        sites = self.callee_sites(instr.uid)
         params: dict[str, tuple] = {}
-        items = self.arguments(callee, instr, params)
-        sites, sites_src = self.callee_sites(instr.uid)
-        locals_ = self.tmp("L")
-        self.emit(f"{locals_} = {items}")
-        self.push(instr, locals_, sites_src)
-        self.scope = _Scope(self.code, instr.func, locals_, "F[-1]", sites)
+        if framed:
+            items = self.arguments(callee, instr, params)
+            locals_ = self.tmp("L")
+            self.emit(f"{locals_} = {items}")
+            self.push(instr, locals_, sites)
+            self.scope = _Scope(self.code, instr.func, locals_, "F[-1]", sites)
+        else:
+            for param, arg in zip(callee.params, instr.args, strict=True):
+                cell, value, taint = self.expr(arg)
+                params[param.name] = (cell, self.plain(value), taint, False)
+            self.scope = _Scope(self.code, instr.func, None, None, sites)
         # A leaf makes no call, so no reference into its frame exists:
         # only its own ops write its locals.
         self.scope.regs = params
-        block, index = callee.entry, 0
-        while True:
-            op = blocks[block][index]
-            body = _instr_at(callee, block, index)
+        for op, body_instr in body:
             offset = self.static
             self.site_actions(op, offset)
             self.static += op.cycles
             self.count += 1
-            if op.role == _ROLE_JUMP:
-                block, index = body.target, 0
-                continue
-            if op.role == _ROLE_END:  # the leaf's ret
-                break
-            self.step(body, op, offset)
-            index += 1
-        cell, value, taint = "_ZERO", "0", None
-        if body.expr is not None:
-            cell, value, taint = self.box(self.expr(body.expr))
+            if op.role == _ROLE_STEP:
+                self.step(body_instr, op, offset)
+        ret = body[-1][1]
+        result = ("_ZERO", "0", None)
+        if ret.expr is not None:
+            result = self.expr(ret.expr)
         self.scope = caller
-        self.emit("F.pop()")
+        if framed:
+            self.emit("F.pop()")
         # The callee reached the caller's own locals only through the
         # references it was passed; what the caller read (through its
         # references or the globals) it may have stored to.
@@ -1547,32 +1679,93 @@ class _SegmentWriter:
             n: r for n, r in caller.regs.items() if not r[3] and n not in passed
         }
         if instr.dest is not None:
+            cell, value, taint = self.box(result)
             self.emit(f"{caller.locals}[{instr.dest!r}] = {cell}")
             caller.regs[instr.dest] = (cell, value, taint, False)
             self.grow(instr.dest)
 
-    def region(self, instr: ir.Instr, op: Op, ops: list, index: int) -> None:
-        """A region op's decoded closure.  Both read the clock, and an
+    def region(
+        self, instr: ir.Instr, op: Op, ops: list, index: int, depth: Optional[int]
+    ) -> None:
+        """A region op, with its ``depth`` from :func:`_contained`.
+
+        An op whose partner is outside the run (``depth`` None) runs its
+        decoded closure.  Both closures read the clock, and an
         ``atomic_start`` snapshots the frames, so after the run's first
         op the clock and, for a start, the frame position are committed
         first (every exit commits the position again)."""
         start = isinstance(instr, ir.AtomicStart)
-        if self.count:
-            if start:
-                self.emit(f"frame.ops = {self.const(ops)}; frame.idx = {index}")
-            offset = self.static - self.folded
-            self.emit(f"m.tau = t = t + {offset}" if offset else "m.tau = t")
-        self.emit(f"t += {self.const(op.run)}(m, frame)")
-        self.folded = self.static
+        costs = self.code.costs
+        cyc = costs.instr_cycles(instr)
+        if depth is None:
+            if self.count:
+                if start:
+                    self.emit(f"frame.ops = {self.const(ops)}; frame.idx = {index}")
+                offset = self.static - self.folded
+                self.emit(f"m.tau = t = t + {offset}" if offset else "m.tau = t")
+            self.emit(f"t += {self.const(op.run)}(m, frame)")
+            self.folded = self.static
+        elif depth:
+            # Inside a region the run opened: bookkeeping only, whose
+            # constant cost joins the offsets not yet added to ``t``.
+            self.folded -= cyc + costs.region_inner
+        elif start:
+            self.enter(instr, op, cyc)
+        else:
+            self.commit(op, cyc)
         self.count += 1
         self.regions.append(
             (
                 start,
-                self.code.costs.instr_cycles(instr),
+                cyc,
                 tuple(instr.omega) if start else (),
                 len(self.grown) + self.ref_stores,
             )
         )
+
+    def enter(self, instr: ir.AtomicStart, op: Op, cyc: int) -> None:
+        """An ``atomic_start`` whose ``atomic_end`` is in the run too,
+        and no region of the run's own open around it."""
+        costs = self.code.costs
+        flag = self.tmp("r")
+        self.pair = (flag, instr.region, instr.omega)
+        self.emit(f"{flag} = m._atom_ctx is None")
+        self.emit(f"if {flag}:")
+        self.emit("m.stats.region_entries += 1", 1)
+        uid = self.const(op.uid)
+        tau = self.tau(self.static)
+        self.observe(f"_RegionEnterObs({tau}, {uid}, {instr.region!r})", 1)
+        # cyc + region_entry_cycles(stack_words, omega words), live
+        fixed, cost = cyc + costs.region_base, []
+        per_word = costs.region_per_volatile_word
+        if per_word and self.scope.sites == ():
+            # the entry function's frame is the only one
+            fixed += 2 * per_word
+            cost.append(f"{per_word} * len(L)")
+        elif per_word:
+            self.uses.add("F")
+            cost.append(f"{per_word} * _stack_words(F)")
+        if costs.region_per_nv_word and instr.omega:
+            self.uses.update(("G", "A"))
+            words = " + ".join(
+                f"({key} in G) + (len(A[{key}]) if {key} in A else 0)"
+                for key in map(repr, sorted(instr.omega))
+            )
+            cost.append(f"{costs.region_per_nv_word} * ({words})")
+        self.emit(f"t += {' + '.join([str(fixed), *cost])}", 1)
+        self.emit(f"else: t += {cyc + costs.region_inner}")
+
+    def commit(self, op: Op, cyc: int) -> None:
+        """The ``atomic_end`` of the pair :meth:`enter` began."""
+        costs = self.code.costs
+        flag, region, _ = self.pair
+        self.pair = None
+        self.emit(f"if {flag}:")
+        self.emit("m.stats.region_commits += 1", 1)
+        uid = self.const(op.uid)
+        self.observe(f"_RegionExitObs({self.tau(self.static)}, {uid}, {region!r})", 1)
+        self.emit(f"t += {cyc + costs.region_commit}", 1)
+        self.emit(f"else: t += {cyc + costs.region_inner}")
 
     def finish(
         self, ops: Optional[list], index: int, unspent: int = 0, depth: int = 0
@@ -1601,7 +1794,7 @@ class _SegmentWriter:
         if isinstance(instr, ir.CallInstr):
             callee = self.code.module.functions[instr.func]
             items = self.arguments(callee, instr)
-            self.push(instr, items, self.callee_sites(instr.uid)[1])
+            self.push(instr, items, self.callee_sites(instr.uid))
             self.finish(ops, index + 1)
         elif isinstance(instr, ir.Branch):
             value = self.expr(instr.cond)[1]
@@ -1636,42 +1829,57 @@ class _SegmentWriter:
 
     # -- the run -----------------------------------------------------------------------
 
-    def write(self, block: str, index: int) -> Callable:
+    def walk(self, block: str, index: int) -> tuple[list, Optional[tuple]]:
+        """The run from ``ops[index]`` of ``block``: its own ops in
+        order as ``(ops, index, instr, op)``, and ``(ops, index)`` of the
+        op it stops before, or None when its last op ends it."""
         scope = self.scope
         ops = scope.blocks[block]
         visited = {block}
+        steps: list = []
+        count = 0
         while True:
             op = ops[index]
             role = op.role
-            if role is None or self.count >= _SEGMENT_MAX_OPS:
-                self.finish(ops, index)
-                break
+            if role is None or count >= _SEGMENT_MAX_OPS:
+                return steps, (ops, index)
             instr = _instr_at(scope.fn_ir, block, index)
-            offset = self.static
-            self.site_actions(op, offset)
-            if role == _ROLE_REGION:
-                self.region(instr, op, ops, index)
-                index += 1
-                continue
-            self.static += op.cycles
-            self.count += 1
+            steps.append((ops, index, instr, op))
+            count += 1
             if role == _ROLE_END:
-                self.end(instr, op, ops, index)
-                break
+                return steps, None
             if role == _ROLE_JUMP:
                 if instr.target in visited:
-                    self.finish(scope.blocks[instr.target], 0)
-                    break
+                    return steps, (scope.blocks[instr.target], 0)
                 block = instr.target
                 visited.add(block)
                 ops = scope.blocks[block]
                 index = 0
                 continue
             if role == _ROLE_CALL:
-                self.inline(instr)
-            else:
-                self.step(instr, op, offset)
+                count += len(_leaf_body(self.code, instr.func))
             index += 1
+
+    def write(self, block: str, index: int) -> Callable:
+        steps, stop = self.walk(block, index)
+        depths = _contained(steps)
+        for pos, (ops, index, instr, op) in enumerate(steps):
+            offset = self.static
+            self.site_actions(op, offset)
+            role = op.role
+            if role == _ROLE_REGION:
+                self.region(instr, op, ops, index, depths.get(pos))
+                continue
+            self.static += op.cycles
+            self.count += 1
+            if role == _ROLE_END:
+                self.end(instr, op, ops, index)
+            elif role == _ROLE_CALL:
+                self.inline(instr)
+            elif role == _ROLE_STEP:
+                self.step(instr, op, offset)
+        if stop is not None:
+            self.finish(*stop)
         prologue = ["L = frame.locals", "t = m.tau"]
         if self.regions:
             prologue.append("t0 = t")

@@ -451,3 +451,24 @@ def test_closed_pipe_is_not_a_traceback():
     assert first == b"{\n"
     assert err.decode() == ""
     assert proc.returncode == 1
+
+
+def test_run_trace_is_the_same_under_any_hash_seed():
+    """``repro run --trace`` prints each taint set in one order: two
+    processes with different ``str`` hashes print the same bytes."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(p for p in paths if p),
+            PYTHONHASHSEED=seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "tire", "--intermittent", "--trace"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "inputs=frozenset({InputEvent(" in outputs[0]
+    assert outputs[0] == outputs[1]

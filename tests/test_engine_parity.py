@@ -444,18 +444,24 @@ def _segment_threshold(value):
         engine.SEGMENT_COMPILE_THRESHOLD = saved
 
 
-def _spy_segments(code):
-    """Compile every segment of ``code`` now; count each one's runs by
-    ``(function, block, head index)``."""
-    runs = collections.Counter()
+def _wrap_segments(code, wrapper, record):
+    """Compile every segment of ``code`` now and pass each run through
+    ``wrapper(record, (function, block, head index), run, machine,
+    frame)``; return ``record``."""
     for fname, fast in code.functions.items():
         for bname, ops in fast.blocks.items():
             for index, op in enumerate(ops):
                 if op.seg is not None:
                     op.seg.fn = functools.partial(
-                        _counted, runs, (fname, bname, index), op.seg.compile()
+                        wrapper, record, (fname, bname, index), op.seg.compile()
                     )
-    return runs
+    return record
+
+
+def _spy_segments(code):
+    """Compile every segment of ``code`` now; count each one's runs by
+    ``(function, block, head index)``."""
+    return _wrap_segments(code, _counted, collections.Counter())
 
 
 def _counted(runs, key, run, machine, frame):
@@ -1088,13 +1094,16 @@ class TestSegmentNames:
             "globals": {g: 26},
             "arrays": {arr: [10, 20, 25]},
         }
-        # the callee's frame was pushed and popped again: main's return
-        # popped main's own frame and finished the machine
+        # main's return popped main's own frame and finished the machine
         assert machine._frames == [] and machine._done
         # names are string constants of the code, never identifiers
         names = set(run.__code__.co_names) | set(run.__code__.co_varnames)
         assert not names & {*ODD_NAMES, callee, param}
-        assert {a, b, arr, g, c, callee, param} <= set(run.__code__.co_consts)
+        consts = set(run.__code__.co_consts)
+        assert {a, b, arr, g, c} <= consts
+        # the inlined callee runs without a frame or a locals dict, so
+        # neither its name nor its parameter's enters the code at all
+        assert not {callee, param} & consts
 
         with _segment_threshold(_EAGER):
             machine.run()
@@ -1209,6 +1218,79 @@ fn main() {
   log(a, b, c, d);
 }
 """
+
+
+GUARDED_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+nonvolatile hist[3];
+
+fn main() {
+  let x = input(temp);
+  atomic {
+    total = total + x;
+    hist[x % 4] = hist[1] + x;
+  }
+  log(total);
+}
+"""
+
+REENTERED_SRC = """\
+inputs temp;
+nonvolatile total = 0;
+nonvolatile count = 0;
+
+fn main() {
+  let x = input(temp);
+  atomic {
+    total = total + x;
+    if x > 5 {
+      count = count + 1;
+    }
+    atomic {
+      count = count + total;
+    }
+    total = total + 1;
+  }
+  log(count);
+}
+"""
+
+
+def _in_bounds_env():
+    """``x % 4`` stays inside ``hist[3]``."""
+    return Environment({"temp": steps([5, 6, 9], 90)})
+
+
+def _run_log(code):
+    """Compile every segment of ``code`` now; log each run as ``(head,
+    whether a region was open at entry, the events it appended)``."""
+    return _wrap_segments(code, _logged, [])
+
+
+def _logged(log, key, run, machine, frame):
+    opened = machine._atom_ctx is not None
+    before = len(machine.trace.events)
+    drained = run(machine, frame)
+    log.append((key, opened, machine.trace.events[before:]))
+    return drained
+
+
+class _WatchedFrames(list):
+    """A frame stack that logs each push and pop by function name."""
+
+    def __init__(self, frames, changes):
+        super().__init__(frames)
+        self.changes = changes
+
+    def append(self, frame):
+        self.changes.append(("push", frame.func))
+        super().append(frame)
+
+    def pop(self, *index):
+        frame = super().pop(*index)
+        self.changes.append(("pop", frame.func))
+        return frame
 
 
 def _call_ops(code, func):
@@ -1398,3 +1480,152 @@ class TestInlinedRuns:
             )
         for func in ("main", "branchy", "caller", "guarded"):
             assert runs[(func, "entry", 0)] > 0, func
+
+    # -- region pairs a run closes itself, and leaves without frames ----------
+
+    @pytest.mark.parametrize("name", ["total", "hist"])
+    def test_contained_region_write_outside_omega_raises_the_reference_error(
+        self, name
+    ):
+        """A region the run enters and commits itself builds no undo log,
+        yet a write its omega misses fails as ``_assert_logged`` makes
+        the reference fail."""
+        compiled = compile_source(GUARDED_SRC, "ocelot")
+        entry = compiled.module.functions["main"].blocks["entry"].instrs
+        start = next(
+            instr
+            for instr in entry
+            if isinstance(instr, ir.AtomicStart) and instr.origin == "manual"
+        )
+        assert name in start.omega
+        start.omega = start.omega - {name}
+        plan = compiled.detector_plan()
+        code = compile_code(compiled.module, plan, DEFAULT_COSTS)
+        ops = code.functions["main"].blocks["entry"]
+        assert [i for i, op in enumerate(ops) if op.seg is not None] == [0]
+        runs = _spy_segments(code)
+        with pytest.raises(ExecError) as ref_error:
+            Machine(compiled.module, _in_bounds_env(), plan=plan).run()
+        with pytest.raises(ExecError) as fast_error:
+            FastMachine(
+                compiled.module, _in_bounds_env(), plan=plan, code=code
+            ).run()
+        assert str(fast_error.value) == str(ref_error.value) == (
+            f"nonvolatile '{name}' written inside region 'm1' but absent "
+            "from its omega set (WAR/EMW analysis bug)"
+        )
+        assert runs[("main", "entry", 0)] == 1
+
+    def test_error_inside_a_contained_region_leaves_no_state_behind(self):
+        """``hist[3]`` fails inside a region the run enters itself; fresh
+        machines on the same decoded code then match the reference at
+        every starting charge, as if no run had failed."""
+        compiled, code = _exit_build(GUARDED_SRC, "ocelot")
+        runs = _spy_segments(code)
+        plan = code.plan
+
+        def failing_env():
+            return Environment({"temp": steps([3], 1000)})  # 3 % 4 == 3
+
+        with pytest.raises(ExecError) as ref_error:
+            Machine(compiled.module, failing_env(), plan=plan).run()
+        with pytest.raises(ExecError) as fast_error:
+            FastMachine(compiled.module, failing_env(), plan=plan, code=code).run()
+        assert str(fast_error.value) == str(ref_error.value) == (
+            "index 3 out of bounds for hist[3]"
+        )
+        assert runs[("main", "entry", 0)] == 1
+        entries = 0
+        for level in range(1_001, 1_001 + 240, 3):
+            results = _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (ContinuousPower(), MachineConfig()),
+                ],
+                _in_bounds_env,
+            )
+            entries += results[1].stats.region_entries
+        assert runs[("main", "entry", 0)] > 1
+        assert entries > 0
+
+    def test_run_entered_inside_a_region_keeps_its_pair_nested(self):
+        """Past the branch inside ``m1`` a run starts with ``m1`` open --
+        right after the branch, or per op after a restart up to the next
+        head.  Its ``m2`` pair is bookkeeping only, ``m1``'s end commits
+        through its closure, and the ``uart`` pair after it is entered
+        by the run itself."""
+        compiled, code = _exit_build(REENTERED_SRC, "ocelot")
+        join = code.functions["main"].blocks["join"]
+        assert [op.role for op in join[:5]] == [
+            engine._ROLE_REGION, engine._ROLE_STEP, engine._ROLE_REGION,
+            engine._ROLE_STEP, engine._ROLE_REGION,
+        ]
+        log = _run_log(code)
+        restarts = 0
+        for level in range(1_001, 1_001 + 400, 2):
+            results = _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                ],
+                _env,
+            )
+            restarts += results[0].stats.region_restarts
+        opened = {key for key, was_open, _ in log if was_open}
+        assert {("main", "then", 0), ("main", "join", 0)} <= opened
+        assert restarts > 0
+
+    @pytest.mark.parametrize(
+        "source", [LEAF_REGIONS_SRC, REENTERED_SRC], ids=["leaf", "reentered"]
+    )
+    def test_region_observations_inside_runs_under_a_charge_sweep(self, source):
+        """With full observations, region pairs a compiled run enters or
+        commits itself emit ``RegionEnterObs``/``RegionExitObs`` at the
+        reference's ``tau`` (``_run_pair`` compares whole traces)."""
+        compiled, code = _exit_build(source, "ocelot")
+        log = _run_log(code)
+        for level in range(1_001, 1_001 + 420, 2):
+            _run_pair(
+                compiled, code,
+                lambda level=level: [
+                    (_capacitor_supply(level), MachineConfig()),
+                    (_capacitor_supply(10_000), MachineConfig()),
+                ],
+                _env,
+            )
+        emitted = collections.Counter(
+            type(event).__name__
+            for _, _, events in log
+            for event in events
+            if isinstance(event, (obs.RegionEnterObs, obs.RegionExitObs))
+        )
+        assert emitted["RegionEnterObs"] > 0
+        assert emitted["RegionExitObs"] > 0
+
+    def test_contained_region_takes_no_snapshot_and_leaf_pushes_no_frame(
+        self, monkeypatch
+    ):
+        """Every region of the program opens and closes inside one run,
+        and ``scale`` takes a value: the compiled runs copy no stack and
+        push no frame; only ``main``'s return pops its own."""
+        compiled, code = _exit_build(LEAF_REGIONS_SRC, "ocelot")
+        runs = _spy_segments(code)
+        snapshots = []
+        copy_stack = engine.copy_stack
+        monkeypatch.setattr(
+            engine, "copy_stack",
+            lambda frames: snapshots.append(len(frames)) or copy_stack(frames),
+        )
+        want = Machine(compiled.module, _env(), plan=code.plan).run()
+        changes = []
+        machine = FastMachine(compiled.module, _env(), plan=code.plan, code=code)
+        machine._frames = _WatchedFrames(machine._frames, changes)
+        got = machine.run()
+        assert got.trace.events == want.trace.events
+        assert got.stats == want.stats
+        assert got.stats.region_entries == got.stats.region_commits == 2
+        assert runs[("main", "entry", 0)] == 1
+        assert snapshots == []
+        assert changes == [("pop", "main")]
