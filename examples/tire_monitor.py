@@ -47,11 +47,10 @@ def main() -> None:
             budget_cycles=BUDGET_CYCLES,
             costs=meta.cost_model(),
         )
-        reboots = sum(r.reboots for r in outcome.records)
         print(
             f"{config:8s} {outcome.completed_runs:5d} "
-            f"{outcome.violating_runs:10d} {outcome.total_cycles_on:10d} "
-            f"{outcome.total_cycles_off:10d} {reboots:8d}"
+            f"{outcome.violating_runs:10d} {outcome.cycles_on:10d} "
+            f"{outcome.cycles_off:10d} {outcome.reboots:8d}"
         )
 
     print()

@@ -52,7 +52,12 @@ from repro.eval.report import Table
 from repro.parallel import fork_map
 from repro.runtime.engine import ENGINE_FAST, ENGINES
 from repro.runtime.executor import MachineConfig
-from repro.runtime.harness import ActivationRecord, run_activations, run_once
+from repro.runtime.harness import (
+    ActivationRecord,
+    ActivationTotals,
+    run_activations,
+    run_once,
+)
 from repro.runtime.supply import (
     ContinuousPower,
     FailurePoint,
@@ -427,7 +432,14 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class JobResult:
-    """Everything a finished job reports, as JSON-ready primitives."""
+    """Everything a finished job reports, as JSON-ready primitives.
+
+    Its fields are the campaign report's schema (key order included),
+    so they stay declared here rather than inherited: every
+    :data:`~repro.runtime.harness.TOTALS` counter, filled from the job's
+    :class:`~repro.runtime.harness.ActivationTotals`, among the job's
+    own facts.
+    """
 
     job_id: str
     app: str
@@ -489,6 +501,13 @@ class JobResult:
         return data
 
 
+#: Sums an injection job reports as zero: Table 2a counts its fired
+#: sites as injection points, not as activations, and times no cycles.
+_NOT_INJECTED = dict.fromkeys(
+    ("activations", "completed_runs", "violating_runs", "cycles_on", "cycles_off"), 0
+)
+
+
 def execute_job(job: JobSpec) -> JobResult:
     """Run one job in the current process (the executor entry point).
 
@@ -524,7 +543,7 @@ def _execute_job(job: JobSpec) -> JobResult:
         plan = compiled.detector_plan()
         # Only stats and violation counts are kept: run violations-only.
         config = MachineConfig(emit_observations=False)
-        fired = violating = fresh = consistent = reboots = 0
+        fired = ActivationTotals()
         queries = 0
         for site in sorted(plan.checks):
             env = job.environment.build(job.app)
@@ -545,21 +564,12 @@ def _execute_job(job: JobSpec) -> JobResult:
                 # The site sits on a path this environment never takes;
                 # no failure was injected, so the run says nothing.
                 continue
-            fired += 1
-            reboots += record.reboots
-            fresh += record.fresh_violations
-            consistent += record.consistent_violations
-            if record.violating:
-                violating += 1
+            fired.add(record)
         return JobResult(
             **common,
-            violations=fresh + consistent,
-            fresh_violations=fresh,
-            consistent_violations=consistent,
-            reboots=reboots,
-            injection_points=fired,
-            injection_violating=violating,
-            detector_queries=queries,
+            **(fired.totals() | _NOT_INJECTED | {"detector_queries": queries}),
+            injection_points=fired.activations,
+            injection_violating=fired.violating_runs,
             wall_time=time.perf_counter() - started,
         )
 
@@ -574,21 +584,11 @@ def _execute_job(job: JobSpec) -> JobResult:
         max_activations=job.max_activations,
         engine=job.engine,
     )
-    summary = outcome.summary()
     return JobResult(
         **common,
-        activations=summary.activations,
-        completed_runs=summary.completed_runs,
-        violating_runs=summary.violating_runs,
-        violations=summary.violations,
-        fresh_violations=summary.fresh_violations,
-        consistent_violations=summary.consistent_violations,
-        cycles_on=summary.cycles_on,
-        cycles_off=summary.cycles_off,
-        completed_cycles_on=summary.completed_cycles_on,
-        completed_cycles_off=summary.completed_cycles_off,
-        reboots=summary.reboots,
-        detector_queries=summary.detector_queries,
+        **outcome.totals(),
+        completed_cycles_on=outcome.completed_cycles_on,
+        completed_cycles_off=outcome.completed_cycles_off,
         wall_time=time.perf_counter() - started,
     )
 
@@ -631,32 +631,18 @@ class CampaignExecutor:
 # Results
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """Sums over every job of one (app, config) cell."""
+@dataclass
+class AggregateRow(ActivationTotals):
+    """Sums over every job of one (app, config) cell: the jobs'
+    activation totals, their count, the build's region count and the
+    injection-mode sums."""
 
     app: str
     config: str
-    jobs: int
-    activations: int
-    completed_runs: int
-    violating_runs: int
-    violations: int
-    fresh_violations: int
-    consistent_violations: int
-    cycles_on: int
-    cycles_off: int
-    reboots: int
-    region_count: int
-    injection_points: int
-    injection_violating: int
-    detector_queries: int = 0
-
-    @property
-    def violation_rate(self) -> float:
-        if self.completed_runs == 0:
-            return 0.0
-        return self.violating_runs / self.completed_runs
+    jobs: int = 0
+    region_count: int = 0
+    injection_points: int = 0
+    injection_violating: int = 0
 
 
 @dataclass
@@ -691,36 +677,17 @@ class CampaignResult:
                 members = cells.get((app, config), [])
                 if not members:
                     continue
-                rows.append(
-                    AggregateRow(
-                        app=app,
-                        config=config,
-                        jobs=len(members),
-                        activations=sum(r.activations for r in members),
-                        completed_runs=sum(r.completed_runs for r in members),
-                        violating_runs=sum(r.violating_runs for r in members),
-                        violations=sum(r.violations for r in members),
-                        fresh_violations=sum(
-                            r.fresh_violations for r in members
-                        ),
-                        consistent_violations=sum(
-                            r.consistent_violations for r in members
-                        ),
-                        cycles_on=sum(r.cycles_on for r in members),
-                        cycles_off=sum(r.cycles_off for r in members),
-                        reboots=sum(r.reboots for r in members),
-                        region_count=members[0].region_count,
-                        injection_points=sum(
-                            r.injection_points for r in members
-                        ),
-                        injection_violating=sum(
-                            r.injection_violating for r in members
-                        ),
-                        detector_queries=sum(
-                            r.detector_queries for r in members
-                        ),
-                    )
+                row = AggregateRow(
+                    app=app,
+                    config=config,
+                    jobs=len(members),
+                    region_count=members[0].region_count,
                 )
+                for job in members:
+                    row.merge(job)
+                    row.injection_points += job.injection_points
+                    row.injection_violating += job.injection_violating
+                rows.append(row)
         return rows
 
     def fingerprint(self) -> list[dict]:

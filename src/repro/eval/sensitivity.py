@@ -54,11 +54,10 @@ def sweep_harvest_rate(
                 budget_cycles=budget,
                 costs=costs,
             )
-            completed = [r for r in outcome.records if r.completed]
-            count = max(1, len(completed))
+            count = max(1, outcome.completed_runs)
             cycles[config] = (
-                sum(r.cycles_on for r in completed) / count,
-                sum(r.cycles_off for r in completed) / count,
+                outcome.completed_cycles_on / count,
+                outcome.completed_cycles_off / count,
             )
         points.append(HarvestPoint(rate=rate, cycles=cycles))
     return points

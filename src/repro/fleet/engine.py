@@ -93,7 +93,8 @@ class SerialFleetExecutor:
 #: binding), so every older checkpoint is rejected instead of silently
 #: mixing families.
 #: fleet-parity-2: ``ClassAggregate`` grew ``detector_queries``; older
-#: checkpoints lack the key and must be rejected on resume.
+#: checkpoints lack the key and must be rejected on resume.  A new
+#: :class:`~repro.runtime.harness.ActivationTotals` counter bumps it too.
 AGGREGATE_PARITY_SCHEME = "fleet-parity-2"
 
 

@@ -209,7 +209,7 @@ class NVCodec:
 class MemoEntry:
     """Everything needed to replay one memoized activation (exact key)."""
 
-    record: object  # ActivationRecord; treated as immutable once cached
+    record: ActivationRecord
     tau_delta: int
     post_nv: NVRef
     post_supply_token: Hashable
@@ -235,7 +235,7 @@ class QuantEntry:
     consumed`` with its RNG streams untouched.
     """
 
-    record: object  # ActivationRecord; reboot-free, treated as immutable
+    record: ActivationRecord  # reboot-free
     tau_delta: int
     post_nv: NVRef
     consumed: int
@@ -847,21 +847,11 @@ class VectorFleetExecutor:
         sink.clear()
 
 
-def _sink(sink: dict, record, count: int) -> None:
-    key = (
-        record.index,
-        record.completed,
-        record.violations,
-        record.cycles_on,
-        record.cycles_off,
-        record.reboots,
-        record.fresh_violations,
-        record.consistent_violations,
-        record.detector_queries,
-    )
-    slot = sink.get(key)
+def _sink(sink: dict, record: ActivationRecord, count: int) -> None:
+    """Count ``record`` in a wave's sink; equal records share one slot."""
+    slot = sink.get(record)
     if slot is None:
-        sink[key] = [record, count]
+        sink[record] = [record, count]
     else:
         slot[1] += count
 

@@ -76,7 +76,6 @@ class _FunctionLowerer:
         self._program = program
         self._source = func
         self._options = options
-        self._info = info
         self._ir = IRFunction(name=func.name, params=list(func.params))
         self._ir.locals.update(p.name for p in func.params)
         self._temp_counter = 0

@@ -33,8 +33,8 @@ from repro.runtime.executor import (
 from repro.runtime.harness import (
     ActivationRecord,
     ActivationsResult,
-    ActivationsSummary,
     ActivationStepper,
+    ActivationTotals,
     run_activations,
     run_continuous,
     run_once,
@@ -99,8 +99,8 @@ __all__ = [
     "NVState",
     "ActivationRecord",
     "ActivationsResult",
-    "ActivationsSummary",
     "ActivationStepper",
+    "ActivationTotals",
     "run_activations",
     "run_continuous",
     "run_once",

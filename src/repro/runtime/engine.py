@@ -109,12 +109,11 @@ ENGINES = (ENGINE_FAST, ENGINE_REFERENCE)
 # Supply interaction modes, classified once per machine so the hot loop
 # skips calls that are constant for the supply's exact type (the
 # reference machine calls fail_before/would_trip/consume on every step).
+# Any other supply runs as a loop over ``FastMachine.step``.
 _FAIL_NEVER = 0
 _FAIL_WATCHED = 1
-_FAIL_GENERIC = 2
 _ENERGY_NONE = 0
 _ENERGY_CAPACITOR = 1
-_ENERGY_GENERIC = 2
 
 
 # Segment roles of a decoded op (see :class:`Segment`).
@@ -1974,26 +1973,23 @@ class FastMachine(MachineCore):
 
         Only the shipped supply types are specialized (their constant
         methods are skipped or inlined); any other object -- subclasses
-        included -- takes the generic path, which performs exactly the
-        reference machine's call sequence.  The capacitor inline also
-        requires the stock energy model (``cycles * energy_per_cycle``).
+        included -- is *generic*: :meth:`run` loops over :meth:`step`,
+        which performs exactly the reference machine's call sequence.
+        The capacitor inline also requires the stock energy model
+        (``cycles * energy_per_cycle``); under any other, an
+        :class:`EnergyDrivenSupply` is generic too.
         """
         supply_type = type(self._supply)
         stock_energy = type(self._costs).energy is CostModel.energy
-        if supply_type is ContinuousPower:
-            self._fail_mode = _FAIL_NEVER
-            self._energy_mode = _ENERGY_NONE
-        elif supply_type is ScheduledFailures:
+        self._fail_mode = _FAIL_NEVER
+        self._energy_mode = _ENERGY_NONE
+        self._generic = False
+        if supply_type is ScheduledFailures:
             self._fail_mode = _FAIL_WATCHED
-            self._energy_mode = _ENERGY_NONE
-        elif supply_type is EnergyDrivenSupply:
-            self._fail_mode = _FAIL_NEVER
-            self._energy_mode = (
-                _ENERGY_CAPACITOR if stock_energy else _ENERGY_GENERIC
-            )
-        else:
-            self._fail_mode = _FAIL_GENERIC
-            self._energy_mode = _ENERGY_GENERIC
+        elif supply_type is EnergyDrivenSupply and stock_energy:
+            self._energy_mode = _ENERGY_CAPACITOR
+        elif supply_type is not ContinuousPower:
+            self._generic = True
 
     # -- construction ----------------------------------------------------------
 
@@ -2017,9 +2013,12 @@ class FastMachine(MachineCore):
 
     def _run_to_completion(self) -> obs.RunResult:
         stats = self.stats
-        config = self._config
-        max_cycles = config.max_cycles
+        max_cycles = self._config.max_cycles
         start_cycles = stats.cycles_on + stats.cycles_off
+        if self._generic:
+            while not self._done and stats.total_cycles - start_cycles <= max_cycles:
+                self.step()
+            return self._result()
         supply = self._supply
         costs = self._costs
         epc = costs.energy_per_cycle
@@ -2077,31 +2076,18 @@ class FastMachine(MachineCore):
                             cap.level -= run_segment(self, frame) * epc
                             continue
 
-            if fail_mode:
-                if fail_mode == _FAIL_WATCHED:
-                    if op.uid in watched and supply.fail_before(
-                        op.uid, op.chain_at(frame.sites)[0]
-                    ):
-                        self._power_failure()
-                        continue
-                else:
-                    chain = (
-                        op.chain_at(frame.sites)[0] if op.uid in watched else None
-                    )
-                    if supply.fail_before(op.uid, chain):
-                        self._power_failure()
-                        continue
+            if (
+                fail_mode
+                and op.uid in watched
+                and supply.fail_before(op.uid, op.chain_at(frame.sites)[0])
+            ):
+                self._power_failure()
+                continue
 
             estimate = op.cycles
             if estimate is None:
                 estimate = op.estimate(self)
-            if cap is not None:
-                if cap.level - estimate * epc <= low:
-                    self._power_failure()
-                    continue
-            elif energy_mode == _ENERGY_GENERIC and supply.would_trip(
-                costs.energy(estimate)
-            ):
+            if cap is not None and cap.level - estimate * epc <= low:
                 self._power_failure()
                 continue
 
@@ -2121,11 +2107,10 @@ class FastMachine(MachineCore):
                 cap.level -= cycles * epc
                 if cap.level <= low:
                     self._power_failure()
-            elif energy_mode == _ENERGY_GENERIC and supply.consume(
-                costs.energy(cycles)
-            ):
-                self._power_failure()
+        return self._result()
 
+    def _result(self) -> obs.RunResult:
+        stats = self.stats
         stats.completed = self._done
         stats.violations = len(self.trace.violations)
         ret = self._ret_value.value if self._ret_value is not None else None
@@ -2137,16 +2122,15 @@ class FastMachine(MachineCore):
         )
 
     def step(self) -> None:
-        """One machine step over decoded code (generic supply path).
+        """One machine step over decoded code, under any supply.
 
-        Mirrors a single iteration of :meth:`run` on the generic
-        fail/energy path -- exactly the reference machine's supply call
-        sequence -- so external drivers (the bounded model checker in
-        :mod:`repro.verify`) can single-step a fast machine under any
-        supply type.  :meth:`run` remains the hot loop; this method
-        trades its per-supply specialization for steppability, which by
-        the classification contract (unknown supplies take the generic
-        path) cannot change observable behavior.
+        Performs exactly the reference machine's supply call sequence
+        (``fail_before``, ``would_trip``, ``consume``), so :meth:`run`
+        loops over it for a generic supply, and external drivers (the
+        bounded model checker in :mod:`repro.verify`, the lint probe)
+        single-step a fast machine with it.  The specialized paths of
+        :meth:`run` skip only calls that are constant for their supply
+        type, so stepping cannot change observable behavior.
         """
         if self._done:
             return

@@ -9,11 +9,20 @@ The evaluation needs three run modes:
   state and one energy supply for a fixed logical-time budget (Figure 8
   and Table 2b: "we ran each benchmark for a fixed time ... and recorded
   the percentage of complete runs that contained a policy violation").
+
+Every sum over activations is an :class:`ActivationTotals`: the
+repeated-activation :class:`ActivationsResult`, the campaign's per-cell
+rows and the fleet's per-class aggregates extend it, and a campaign job
+reports its :meth:`~ActivationTotals.totals`.  Its ``add`` is the only
+code that turns an :class:`ActivationRecord` into sums (the result and
+the fleet class override it to keep more), so a new per-activation
+counter is a field on :class:`ActivationRecord`, on
+:class:`ActivationTotals` and on the campaign's ``JobResult``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.core.pipeline import CompiledProgram
@@ -75,7 +84,7 @@ def run_once(
     return machine.run()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivationRecord:
     """One completed (or abandoned) iteration of ``main``."""
 
@@ -115,41 +124,16 @@ class ActivationRecord:
         )
 
 
-@dataclass
-class ActivationsResult:
-    """Aggregate over a fixed-budget repeated-activation experiment."""
+@dataclass(kw_only=True)
+class ActivationTotals:
+    """Integer sums over activation records.
 
-    records: list[ActivationRecord] = field(default_factory=list)
-    total_cycles_on: int = 0
-    total_cycles_off: int = 0
-
-    @property
-    def completed_runs(self) -> int:
-        return sum(1 for r in self.records if r.completed)
-
-    @property
-    def violating_runs(self) -> int:
-        return sum(1 for r in self.records if r.completed and r.violating)
-
-    @property
-    def violation_rate(self) -> float:
-        """Fraction of *complete* runs containing a violation (Table 2b)."""
-        completed = self.completed_runs
-        if completed == 0:
-            return 0.0
-        return self.violating_runs / completed
-
-    def summary(self) -> "ActivationsSummary":
-        return ActivationsSummary.from_result(self)
-
-
-@dataclass(frozen=True)
-class ActivationsSummary:
-    """Picklable flat aggregate of an :class:`ActivationsResult`.
-
-    Campaign jobs run in worker processes and ship results back through
-    ``multiprocessing``; this summary carries only integers (no traces,
-    no closures), so it crosses process boundaries cheaply.
+    Every counter is a sum, so any order of :meth:`add` and
+    :meth:`merge` over the same records gives the same totals, and
+    adding a record with ``count`` equals adding it ``count`` times --
+    which is how the vector fleet executor replays one memoized record
+    for a group of equivalent devices without breaking byte
+    determinism.
     """
 
     activations: int = 0
@@ -160,36 +144,61 @@ class ActivationsSummary:
     consistent_violations: int = 0
     cycles_on: int = 0
     cycles_off: int = 0
-    completed_cycles_on: int = 0
-    completed_cycles_off: int = 0
     reboots: int = 0
     detector_queries: int = 0
 
     @property
     def violation_rate(self) -> float:
+        """Fraction of *complete* runs containing a violation (Table 2b)."""
         if self.completed_runs == 0:
             return 0.0
         return self.violating_runs / self.completed_runs
 
-    @classmethod
-    def from_result(cls, result: "ActivationsResult") -> "ActivationsSummary":
-        completed = [r for r in result.records if r.completed]
-        return cls(
-            activations=len(result.records),
-            completed_runs=len(completed),
-            violating_runs=sum(1 for r in completed if r.violating),
-            violations=sum(r.violations for r in result.records),
-            fresh_violations=sum(r.fresh_violations for r in result.records),
-            consistent_violations=sum(
-                r.consistent_violations for r in result.records
-            ),
-            cycles_on=result.total_cycles_on,
-            cycles_off=result.total_cycles_off,
-            completed_cycles_on=sum(r.cycles_on for r in completed),
-            completed_cycles_off=sum(r.cycles_off for r in completed),
-            reboots=sum(r.reboots for r in result.records),
-            detector_queries=sum(r.detector_queries for r in result.records),
-        )
+    def add(self, record: ActivationRecord, count: int = 1) -> None:
+        """Fold ``count`` activations that each produced ``record``."""
+        self.activations += count
+        self.violations += record.violations * count
+        self.fresh_violations += record.fresh_violations * count
+        self.consistent_violations += record.consistent_violations * count
+        self.cycles_on += record.cycles_on * count
+        self.cycles_off += record.cycles_off * count
+        self.reboots += record.reboots * count
+        self.detector_queries += record.detector_queries * count
+        if record.completed:
+            self.completed_runs += count
+            if record.violating:
+                self.violating_runs += count
+
+    def merge(self, other) -> None:
+        """Add the :data:`TOTALS` of ``other``, a tally or a job result."""
+        for name in TOTALS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def totals(self) -> dict[str, int]:
+        """The :data:`TOTALS` counters by name, in report key order."""
+        return {name: getattr(self, name) for name in TOTALS}
+
+
+#: The counters every tally sums, in declaration (and report key) order.
+TOTALS = tuple(f.name for f in fields(ActivationTotals))
+
+
+@dataclass
+class ActivationsResult(ActivationTotals):
+    """A fixed-budget repeated-activation experiment: its records, their
+    totals, and the completed runs' on and off cycles, which Figure 8
+    and the harvest-rate sensitivity sweep divide by completed runs."""
+
+    records: list[ActivationRecord] = field(default_factory=list, init=False)
+    completed_cycles_on: int = 0
+    completed_cycles_off: int = 0
+
+    def add(self, record: ActivationRecord, count: int = 1) -> None:
+        super().add(record, count)
+        self.records.extend([record] * count)
+        if record.completed:
+            self.completed_cycles_on += record.cycles_on * count
+            self.completed_cycles_off += record.cycles_off * count
 
 
 class ActivationStepper:
@@ -298,7 +307,5 @@ def run_activations(
     )
     result = ActivationsResult()
     while (record := stepper.step()) is not None:
-        result.records.append(record)
-        result.total_cycles_on += record.cycles_on
-        result.total_cycles_off += record.cycles_off
+        result.add(record)
     return result

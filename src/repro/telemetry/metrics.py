@@ -208,24 +208,12 @@ def absorb_replay(registry: MetricsRegistry, result) -> None:
 
 def absorb_fleet(registry: MetricsRegistry, result) -> None:
     """Record a ``FleetResult`` (aggregate + memo + wall time)."""
+    from repro.runtime.harness import TOTALS
+
     classes = result.aggregate.to_dict().get("classes", {})
     for payload in classes.values():
-        for key in (
-            "devices",
-            "stuck_devices",
-            "activations",
-            "completed_runs",
-            "violating_runs",
-            "violations",
-            "fresh_violations",
-            "consistent_violations",
-            "detector_queries",
-            "cycles_on",
-            "cycles_off",
-            "reboots",
-        ):
-            if key in payload:
-                registry.counter(f"fleet.{key}").inc(int(payload[key]))
+        for key in ("devices", "stuck_devices", *TOTALS):
+            registry.counter(f"fleet.{key}").inc(payload[key])
     memo = getattr(result, "memo", None)
     if memo:
         for key in ("hits", "misses", "evictions", "disk_loads", "entries"):

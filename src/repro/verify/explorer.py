@@ -298,6 +298,8 @@ class Explorer:
         self._fired: set = set()
         self._graph_nodes: list[dict] = []
         self._graph_edges: list[dict] = []
+        # collect-all mode's first counterexample, for verify_program
+        self._first_counterexample: Optional[Verdict] = None
         # The debug cross-check (on in tests and CI): every fork is
         # still restored and failed when it pops, and must reach the
         # key and the verdict its fork-time decision predicted.
@@ -686,9 +688,8 @@ class Explorer:
                     return verdict
                 # Exhaustive mode: remember the first counterexample but
                 # keep exploring this branch and the frontier.
-                if not hasattr(self, "_first_counterexample"):
+                if self._first_counterexample is None:
                     self._first_counterexample = verdict
-                self._last_counterexample = verdict
 
 
 def verify_program(
@@ -723,7 +724,7 @@ def verify_program(
     )
     verdict = explorer.run()
     if collect_all and verdict.kind != VERDICT_COUNTEREXAMPLE:
-        first = getattr(explorer, "_first_counterexample", None)
+        first = explorer._first_counterexample
         if first is not None:
             first.fired = verdict.fired
             first.graph = verdict.graph

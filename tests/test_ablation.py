@@ -33,7 +33,7 @@ def cem_atomics_ratio(costs):
             costs=costs,
             max_activations=8,
         )
-        cycles[config] = result.total_cycles_on / len(result.records)
+        cycles[config] = result.cycles_on / len(result.records)
     return cycles["atomics"] / cycles["jit"]
 
 

@@ -6,6 +6,7 @@ identical results, with the second run reusing every build from the
 compile cache (zero recompiles).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from repro.eval.campaign import (
     execute_job,
     run_campaign,
 )
+from repro.runtime.harness import TOTALS
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -302,6 +304,39 @@ class TestJobResult:
         job = small_spec().expand()[0]
         result = execute_job(job)
         assert JobResult.from_dict(result.to_dict()) == result
+
+    def test_report_keys_keep_their_order(self):
+        # The campaign report's schema: every report writes its jobs'
+        # keys in this order.
+        assert list(execute_job(small_spec().expand()[0]).to_dict()) == [
+            "job_id",
+            "app",
+            "config",
+            "environment",
+            "supply",
+            "seed",
+            "mode",
+            "region_count",
+            "compile_cached",
+            "activations",
+            "completed_runs",
+            "violating_runs",
+            "violations",
+            "fresh_violations",
+            "consistent_violations",
+            "cycles_on",
+            "cycles_off",
+            "completed_cycles_on",
+            "completed_cycles_off",
+            "reboots",
+            "injection_points",
+            "injection_violating",
+            "detector_queries",
+            "wall_time",
+        ]
+
+    def test_every_tallied_counter_is_a_report_field(self):
+        assert set(TOTALS) <= {f.name for f in dataclasses.fields(JobResult)}
 
     def test_rates_guard_division_by_zero(self):
         empty = JobResult(

@@ -252,8 +252,8 @@ class TestBenchmarkParity:
                 costs=meta.cost_model(),
             )
             assert ref.records == fast.records, app
-            assert ref.total_cycles_on == fast.total_cycles_on
-            assert ref.total_cycles_off == fast.total_cycles_off
+            assert ref.cycles_on == fast.cycles_on
+            assert ref.cycles_off == fast.cycles_off
 
 
 @settings(
@@ -353,8 +353,8 @@ def test_random_programs_parity_activation_streams(
         budget_cycles=60_000,
     )
     assert ref.records == fast.records
-    assert ref.total_cycles_on == fast.total_cycles_on
-    assert ref.total_cycles_off == fast.total_cycles_off
+    assert ref.cycles_on == fast.cycles_on
+    assert ref.cycles_off == fast.cycles_off
 
 
 class TestSubsystemParity:
@@ -1629,3 +1629,53 @@ class TestInlinedRuns:
         assert runs[("main", "entry", 0)] == 1
         assert snapshots == []
         assert changes == [("pop", "main")]
+
+
+class _Forwarding:
+    """A supply type the fast engine does not specialize: it forwards
+    every call to a stock supply, so ``run`` loops over ``step``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestGenericSupply:
+    @pytest.mark.parametrize("config", ["ocelot", "jit"])
+    def test_forwarded_capacitor_under_a_charge_sweep(self, config):
+        """Every app, each starting charge: the step loop makes the
+        reference machine's supply calls, so it fails where it fails."""
+        rebooted = 0
+        for meta in BENCHMARKS.values():
+            compiled = GLOBAL_CACHE.get_or_compile(meta.source, config)
+            code = code_for(compiled)
+            for level in range(1_001, 10_001, 450):
+                (result,) = _run_pair(
+                    compiled, code,
+                    lambda level=level: [
+                        (_Forwarding(_capacitor_supply(level)), MachineConfig())
+                    ],
+                    lambda meta=meta: meta.env_factory(5),
+                )
+                rebooted += result.stats.reboots > 0
+        assert rebooted > 0
+
+    @pytest.mark.parametrize("config", ["ocelot", "jit"])
+    def test_fixed_off_supply_and_a_small_max_cycles(self, config):
+        from repro.verify import FixedOffSupply
+
+        for meta in BENCHMARKS.values():
+            compiled = GLOBAL_CACHE.get_or_compile(meta.source, config)
+            results = _run_pair(
+                compiled, code_for(compiled),
+                lambda: [
+                    (FixedOffSupply(), MachineConfig()),
+                    (FixedOffSupply(), MachineConfig(max_cycles=50)),
+                    (_Forwarding(_capacitor_supply(10_000)),
+                     MachineConfig(max_cycles=50)),
+                ],
+                lambda meta=meta: meta.env_factory(5),
+            )
+            assert [r.stats.completed for r in results] == [True, False, False]

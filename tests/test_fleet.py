@@ -22,6 +22,7 @@ from repro.fleet import (
     run_fleet,
     run_shard,
 )
+from repro.fleet.aggregate import ClassAggregate
 from repro.runtime.harness import ActivationRecord
 from repro.runtime.supply import ContinuousPower
 from tests.strategies import fleet_specs
@@ -195,9 +196,58 @@ class TestAggregator:
         )
         assert again.to_json() == agg.to_json()
 
-    def test_mismatched_merge_rejected(self):
-        from repro.fleet.aggregate import ClassAggregate
+    def test_class_keys_keep_their_order(self):
+        # ``to_json`` and checkpoints sort them, but ``fleet --output``
+        # reports write ``to_dict`` as it stands.
+        assert list(ClassAggregate().to_dict()) == [
+            "app",
+            "config",
+            "devices",
+            "stuck_devices",
+            "activations",
+            "completed_runs",
+            "violating_runs",
+            "violations",
+            "fresh_violations",
+            "consistent_violations",
+            "cycles_on",
+            "cycles_off",
+            "reboots",
+            "detector_queries",
+            "fresh_hist",
+            "consistent_hist",
+            "duty_hist",
+        ]
 
+    def test_round_trip_after_merge(self):
+        left = ClassAggregate(app="tire", config="jit", devices=2)
+        right = ClassAggregate(app="tire", config="jit", devices=1)
+        left.add(self.make_record(fresh_violations=2, violations=2))
+        left.add(self.make_record(completed=False, detector_queries=3), 2)
+        right.add(self.make_record(consistent_violations=1, violations=1), 3)
+        left.merge(right)
+        assert ClassAggregate.from_dict(left.to_dict()) == left
+        assert left.to_dict() == {
+            "app": "tire",
+            "config": "jit",
+            "devices": 3,
+            "stuck_devices": 2,
+            "activations": 6,
+            "completed_runs": 4,
+            "violating_runs": 4,
+            "violations": 5,
+            "fresh_violations": 2,
+            "consistent_violations": 3,
+            "cycles_on": 4200,
+            "cycles_off": 1800,
+            "reboots": 6,
+            "detector_queries": 6,
+            "fresh_hist": [3, 0, 1, 0, 0, 0],
+            "consistent_hist": [1, 3, 0, 0, 0, 0],
+            "duty_hist": [0, 0, 0, 0, 0, 0, 0, 4, 0, 0],
+        }
+
+    def test_mismatched_merge_rejected(self):
         a = ClassAggregate(app="tire", config="ocelot")
         b = ClassAggregate(app="tire", config="jit")
         with pytest.raises(ValueError, match="cannot merge"):

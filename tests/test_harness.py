@@ -1,8 +1,24 @@
 """Run-harness tests: repeated activations, shared nonvolatile state."""
 
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.pipeline import compile_source
+from repro.eval.campaign import AggregateRow
 from repro.eval.profiles import EnergyProfile
-from repro.runtime.harness import run_activations, run_continuous, run_once
+from repro.fleet.aggregate import ClassAggregate
+from repro.runtime.harness import (
+    TOTALS,
+    ActivationRecord,
+    ActivationsResult,
+    ActivationTotals,
+    run_activations,
+    run_continuous,
+    run_once,
+)
 from repro.runtime.supply import ContinuousPower
 from repro.sensors.environment import Environment
 
@@ -77,23 +93,81 @@ class TestActivations:
         outcome = run_activations(
             compiled, env, profile.make_supply(seed=2), budget_cycles=40_000
         )
-        assert outcome.total_cycles_off > 0
+        assert outcome.cycles_off > 0
 
     def test_violation_rate_counts_only_completed(self):
-        from repro.runtime.harness import ActivationRecord, ActivationsResult
-
-        result = ActivationsResult(
-            records=[
-                ActivationRecord(0, True, 1, 10, 0, 0),
-                ActivationRecord(1, True, 0, 10, 0, 0),
-                ActivationRecord(2, False, 5, 10, 0, 0),
-            ]
-        )
+        result = ActivationsResult()
+        for record in (
+            ActivationRecord(0, True, 1, 10, 0, 0),
+            ActivationRecord(1, True, 0, 10, 0, 0),
+            ActivationRecord(2, False, 5, 10, 0, 0),
+        ):
+            result.add(record)
         assert result.completed_runs == 2
         assert result.violating_runs == 1
         assert result.violation_rate == 0.5
 
     def test_empty_result_rate_is_zero(self):
-        from repro.runtime.harness import ActivationsResult
-
         assert ActivationsResult().violation_rate == 0.0
+
+
+_records = st.builds(
+    ActivationRecord,
+    index=st.integers(0, 20),
+    completed=st.booleans(),
+    violations=st.integers(0, 7),
+    cycles_on=st.integers(0, 5_000),
+    cycles_off=st.integers(0, 5_000),
+    reboots=st.integers(0, 4),
+    fresh_violations=st.integers(0, 7),
+    consistent_violations=st.integers(0, 7),
+    detector_queries=st.integers(0, 50),
+)
+
+_TALLIES = {
+    "totals": ActivationTotals,
+    "harness": ActivationsResult,
+    "campaign": lambda: AggregateRow(app="tire", config="jit"),
+    "fleet": lambda: ClassAggregate(app="tire", config="jit"),
+}
+
+
+class TestActivationTotals:
+    @pytest.mark.parametrize("kind", list(_TALLIES))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.lists(st.tuples(_records, st.integers(1, 4)), max_size=10),
+        cut=st.integers(0, 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fold_laws(self, kind, batch, cut, seed):
+        """One record at a time, each record once with its count, and
+        two halves merged: equal totals, in any order, equal to the
+        sums taken by hand."""
+        make = _TALLIES[kind]
+        singly = make()
+        for record, count in batch:
+            for _ in range(count):
+                singly.add(record)
+        shuffled = random.Random(seed).sample(batch, len(batch))
+        counted = make()
+        for record, count in shuffled:
+            counted.add(record, count)
+        first, merged = make(), make()
+        for record, count in shuffled[:cut]:
+            first.add(record, count)
+        for record, count in shuffled[cut:]:
+            merged.add(record, count)
+        merged.merge(first)
+        done = [(r, c) for r, c in batch if r.completed]
+        by_hand = dict(
+            activations=sum(c for _, c in batch),
+            completed_runs=sum(c for _, c in done),
+            violating_runs=sum(c for r, c in done if r.violations),
+        )
+        for name in set(TOTALS) - set(by_hand):  # sums of a record field
+            by_hand[name] = sum(getattr(r, name) * c for r, c in batch)
+        assert singly.totals() == counted.totals() == merged.totals() == by_hand
+        if kind == "fleet":
+            # histograms and device counts are sums too
+            assert singly.to_dict() == counted.to_dict() == merged.to_dict()

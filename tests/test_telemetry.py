@@ -255,7 +255,7 @@ class TestDetectorQueriesPlumbing:
         assert outcome.records
         total = sum(r.detector_queries for r in outcome.records)
         assert total > 0
-        assert outcome.summary().detector_queries == total
+        assert outcome.detector_queries == total
 
     def test_class_aggregate_sums_and_roundtrips(self):
         from repro.fleet.aggregate import ClassAggregate
@@ -271,8 +271,8 @@ class TestDetectorQueriesPlumbing:
             reboots=0,
             detector_queries=7,
         )
-        agg.observe(record)
-        agg.observe_many(record, 3)
+        agg.add(record)
+        agg.add(record, 3)
         assert agg.detector_queries == 28
         clone = ClassAggregate.from_dict(agg.to_dict())
         assert clone.detector_queries == 28
