@@ -543,10 +543,11 @@ def _execute_job(job: JobSpec) -> JobResult:
         plan = compiled.detector_plan()
         # Only stats and violation counts are kept: run violations-only.
         config = MachineConfig(emit_observations=False)
+        # Environments are pure functions of time: one serves every site.
+        env = job.environment.build(job.app)
         fired = ActivationTotals()
         queries = 0
         for site in sorted(plan.checks):
-            env = job.environment.build(job.app)
             supply = ScheduledFailures(
                 [FailurePoint(chain=site)], off_cycles=job.off_cycles
             )

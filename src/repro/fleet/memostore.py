@@ -47,8 +47,11 @@ _log = get_logger("fleet.memostore")
 #: object, and ``InstrId``/``Chain`` pickle their fields only (their
 #: cached hash is recomputed on load, since ``str`` hashes differ
 #: between processes).  Schema 3: quantized keys lost their charge
-#: bucket (supply component ``("q", capacity, low_threshold)``).
-MEMO_SCHEMA = "repro-memo-3"
+#: bucket (supply component ``("q", capacity, low_threshold)``).  Schema
+#: 4: the taint in NV tokens and snapshots is by input site
+#: (``InputSite``: op and channel, no read time), as violations-only
+#: runs build it.
+MEMO_SCHEMA = "repro-memo-4"
 
 
 def write_atomically(path: Path, data: bytes) -> None:

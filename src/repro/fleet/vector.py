@@ -13,7 +13,7 @@ Surbatovich et al.).  This executor exploits that in four layers:
   time token (:meth:`Environment.segment_token
   <repro.sensors.environment.Environment.segment_token>` quantizes the
   start time when the environment is exactly periodic and the
-  nonvolatile state carries no absolute-time taint), a structural
+  nonvolatile state carries no input taint), a structural
   nonvolatile-state token, and a supply token (the supply's own
   ``memo_token`` hook).  A hit replays the cached
   :class:`~repro.runtime.harness.ActivationRecord`, time delta, and
@@ -47,11 +47,11 @@ Surbatovich et al.).  This executor exploits that in four layers:
   by one and regroups them by post-activation time and state.
 
 * **Batched miss path** (:class:`_MissBatch`).  Misses within a class
-  batch run through one driver holding the shared decoded program, cost
-  model, and detector plan; it drives the machine directly (no
-  per-activation stepper object), reuses the codec's preallocated
-  struct-of-arrays NV buffers (:class:`NVCodec`), and folds each wave's
-  records through one ``observe_many``-style sink.
+  batch run on one machine over the shared decoded program, cost model,
+  and detector plan, restarted per miss over that device's state (no
+  per-activation stepper or machine object); it reuses the codec's
+  preallocated struct-of-arrays NV buffers (:class:`NVCodec`), and
+  folds each wave's records through one ``observe_many``-style sink.
 
 Soundness: tokens are conservative.  An aperiodic environment or an
 unencodable nonvolatile state only *loses cache hits*; it never
@@ -85,6 +85,7 @@ from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import MachineConfig, NVState
 from repro.runtime.detector import BitVector
 from repro.runtime.harness import ActivationRecord
+from repro.runtime.snapshot import begin_activation
 from repro.telemetry.trace import span as _span
 
 
@@ -105,7 +106,8 @@ class NVRef(NamedTuple):
     token: Hashable
     #: immutable copy: (globals dict, arrays dict of tuples, bits frozenset)
     snapshot: tuple
-    #: True when any cell carries input taint (absolute-time provenance)
+    #: True when any cell carries input taint; the memo key then keeps
+    #: absolute time (see :meth:`_Cohort.memo_key`)
     tainted: bool
 
 
@@ -127,11 +129,16 @@ class NVCodec:
     The codec assigns each a slot once, then digests any state of that
     program as (packed int64 values, bit mask, sparse taint list) --
     the value digest is one ``tobytes`` over a stdlib ``array("q")``
-    of them.  The value buffer is preallocated once and reused across
-    encodes, so the batched miss path pays no per-activation list
-    churn.  Anything outside the fixed layout (huge integers, an
-    unexpected chain, a shape drift) falls back to a slower but exact
-    structural tuple; the fallback only costs speed, never identity.
+    of them.  Every state it sees comes from a violations-only run, so
+    each taint in the list is a frozenset of
+    :class:`~repro.runtime.values.InputSite` (input op and channel, no
+    read time): two states share a token when their values agree and
+    each tainted cell came from the same input ops, whenever they ran.
+    The value buffer is preallocated once and reused across encodes,
+    so the batched miss path pays no per-activation list churn.
+    Anything outside the fixed layout (huge integers, an unexpected
+    chain, a shape drift) falls back to a slower but exact structural
+    tuple; the fallback only costs speed, never identity.
     """
 
     def __init__(self, module, plan) -> None:
@@ -320,13 +327,15 @@ class _MissBatch:
     """Amortized miss execution for one class batch.
 
     Holds the batch's shared decoded program, cost model, detector
-    plan, and NV codec once; every miss drives the machine directly
-    instead of building a per-activation
-    :class:`~repro.runtime.harness.ActivationStepper`, and post-state
-    tokenization reuses the codec's preallocated buffers.
+    plan, and NV codec once.  Every miss runs on one machine, built at
+    the batch's first miss and restarted by
+    :func:`~repro.runtime.snapshot.begin_activation` over the miss's
+    environment, supply, nonvolatile state and clock, which equals a
+    fresh machine over them; post-state tokenization reuses the codec's
+    preallocated buffers.
     """
 
-    __slots__ = ("compiled", "costs", "plan", "engine", "codec")
+    __slots__ = ("compiled", "costs", "plan", "engine", "codec", "machine")
 
     #: a record keeps no trace, so every miss runs violations-only
     _config = MachineConfig(emit_observations=False)
@@ -337,20 +346,26 @@ class _MissBatch:
         self.plan = plan
         self.engine = engine
         self.codec = codec
+        self.machine = None
 
     def run(self, env, supply, nv_ref: NVRef, tau: int, index: int):
         """One real activation; returns (record, tau_delta, post_nv)."""
-        machine = create_machine(
-            self.engine,
-            self.compiled,
-            env,
-            supply,
-            costs=self.costs,
-            plan=self.plan,
-            nv=materialize_nv(nv_ref),
-            config=self._config,
-            start_tau=tau,
-        )
+        nv = materialize_nv(nv_ref)
+        machine = self.machine
+        if machine is None:
+            machine = self.machine = create_machine(
+                self.engine,
+                self.compiled,
+                env,
+                supply,
+                costs=self.costs,
+                plan=self.plan,
+                nv=nv,
+                config=self._config,
+                start_tau=tau,
+            )
+        else:
+            begin_activation(machine, env=env, supply=supply, nv=nv, tau=tau)
         record = ActivationRecord.from_run(index, machine.run())
         return record, machine.tau - tau, self.codec.encode(machine.nv)
 
@@ -421,9 +436,9 @@ class _Cohort:
         """The memo key of this cohort's next activation.
 
         (program, environment, time, nonvolatile state, supply): the
-        start time is period-quantized unless taint forbids it, and the
-        supply is the exact token (``uni``) or the capacitor geometry
-        (``quant``).
+        start time is period-quantized unless the state is tainted, and
+        the supply is the exact token (``uni``) or the capacitor
+        geometry (``quant``).
         """
         nv_ref = self.nv_ref
         if self.period is None or nv_ref.tainted:

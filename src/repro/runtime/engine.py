@@ -97,6 +97,7 @@ from repro.runtime.values import (
     RefValue,
     TVal,
     merge_taint,
+    site_taint,
 )
 from repro.sensors.environment import Environment
 from repro.telemetry.trace import tracer as _tracer
@@ -464,17 +465,20 @@ def _decode_instr(
         channel = instr.channel
         dest = instr.dest
         is_bit = uid in bit_uids
+        site = site_taint(uid, channel)
 
         def run_input(m, frame):
             frame.idx += 1
             tau = m.tau
             raw = m._env.read(channel, tau)
+            emit = m._config.emit_observations
             frame.locals[dest] = TVal(
-                raw, frozenset((InputEvent(uid=uid, channel=channel, tau=tau),))
+                raw,
+                frozenset((InputEvent(uid, channel, tau),)) if emit else site,
             )
             if is_bit:
                 m.nv.bits.bits.add(chain_at(frame.sites)[0])
-            if m._config.emit_observations:
+            if emit:
                 m.trace.events.append(
                     obs.InputObs(tau=tau, uid=uid, channel=channel, value=raw)
                 )
@@ -1497,8 +1501,12 @@ class _SegmentWriter:
             channel = repr(instr.channel)
             tau = self.plain(self.tau(offset))
             value, taint, cell = self.tmp("v"), self.tmp("t"), None
+            site = self.const(site_taint(instr.uid, instr.channel))
             self.emit(f"{value} = read({channel}, {tau})")
-            self.emit(f"{taint} = frozenset((_IE({uid}, {channel}, {tau}),))")
+            self.emit(
+                f"{taint} = frozenset((_IE({uid}, {channel}, {tau}),)) "
+                f"if emit else {site}"
+            )
             if L is not None:
                 cell = self.tmp("o")
                 self.emit(f"{L}[{instr.dest!r}] = {cell} = _TVal({value}, {taint})")
@@ -1930,8 +1938,8 @@ class FastMachine(MachineCore):
     ):
         self._module = module
         self._env = env
-        self._supply = supply or ContinuousPower()
         self._costs = costs
+        self._bind_supply(supply)
         self._plan = plan or DetectorPlan()
         if code is None:
             code = compile_code(module, self._plan, costs)
@@ -1948,8 +1956,6 @@ class FastMachine(MachineCore):
                 "plan, or cost model"
             )
         self._code = code
-        watched = getattr(self._supply, "watched_uids", None)
-        self._watched_uids: frozenset = watched() if watched else frozenset()
         self.nv = nv or NVState.initial(module)
         self._config = config or MachineConfig()
 
@@ -1965,11 +1971,11 @@ class FastMachine(MachineCore):
         self._ret_value: Optional[TVal] = None
         self._done = False
         self._pending_cycles = 0
-        self._classify_supply()
         self._restart_main()
 
-    def _classify_supply(self) -> None:
-        """Pick the cheapest supply interaction the exact type allows.
+    def _bind_supply(self, supply: Optional[PowerSupply]) -> None:
+        """Bind ``supply`` and pick the cheapest interaction its exact
+        type allows.
 
         Only the shipped supply types are specialized (their constant
         methods are skipped or inlined); any other object -- subclasses
@@ -1979,6 +1985,7 @@ class FastMachine(MachineCore):
         (``cycles * energy_per_cycle``); under any other, an
         :class:`EnergyDrivenSupply` is generic too.
         """
+        super()._bind_supply(supply)
         supply_type = type(self._supply)
         stock_energy = type(self._costs).energy is CostModel.energy
         self._fail_mode = _FAIL_NEVER

@@ -27,8 +27,9 @@ Atom-End-Inner         ``_exec_atomic_end`` at depth > 0 (counter--)
 =====================  =======================================================
 
 Execution is taint-augmented (Appendix B): every value carries the set of
-dynamic input events it depends on, and the machine emits the observation
-stream the formal freshness/consistency definitions quantify over.
+dynamic input events it depends on (input sites in a violations-only run;
+see :class:`MachineConfig`), and the machine emits the observation stream
+the formal freshness/consistency definitions quantify over.
 """
 
 from __future__ import annotations
@@ -45,7 +46,14 @@ from repro.runtime.detector import OP_CONSUME, OP_MARKER, BitVector, DetectorPla
 from repro.analysis.provenance import Chain
 from repro.analysis.taint import consistent_pid, fresh_pid
 from repro.runtime.supply import ContinuousPower, PowerSupply
-from repro.runtime.values import Cell, InputEvent, RefValue, TVal, merge_taint
+from repro.runtime.values import (
+    Cell,
+    InputEvent,
+    RefValue,
+    TVal,
+    merge_taint,
+    site_taint,
+)
 from repro.sensors.environment import Environment
 from repro.telemetry.trace import tracer as _tracer
 
@@ -136,14 +144,18 @@ class MachineConfig:
     max_region_restarts: int = 1_000
     #: False runs *violations-only*: the trace records nothing but
     #: :class:`~repro.runtime.observations.ViolationObs`, and no other
-    #: observation is even constructed.  Stats, ``tau``, nonvolatile
-    #: state, ``detector_queries`` and the violations themselves are
-    #: identical to a full-trace run (``stats.violations`` counts the
-    #: recorded violations either way).  Consumers that keep only stats
-    #: and violation counts run this way -- fleet executors, campaign
-    #: jobs, the lint probe, the verifier's explorer; ``run``,
-    #: ``trace``, ``explain``, schedule replay and verifier forensics
-    #: keep the full Appendix B stream.
+    #: observation is even constructed.  Stats, ``tau``, values (in
+    #: nonvolatile state and the return value), ``detector_queries``
+    #: and the violations themselves are identical to a full-trace run
+    #: (``stats.violations`` counts the recorded violations either
+    #: way).  Taint is by input site: a read's taint is its op's
+    #: constant :func:`~repro.runtime.values.site_taint`, with no
+    #: :class:`~repro.runtime.values.InputEvent` built, so a value
+    #: carries the sites of the events a full run's value carries.
+    #: Consumers that keep only stats and violation counts run this
+    #: way -- fleet executors, campaign jobs, the lint probe, the
+    #: verifier's explorer; ``run``, ``trace``, ``explain``, schedule
+    #: replay and verifier forensics keep the full Appendix B stream.
     emit_observations: bool = True
 
 
@@ -173,6 +185,12 @@ class MachineCore:
 
     def _restart_main(self) -> None:
         raise NotImplementedError
+
+    def _bind_supply(self, supply: Optional[PowerSupply]) -> None:
+        """Power the machine from ``supply`` (wall power when None)."""
+        self._supply = supply or ContinuousPower()
+        watched = getattr(self._supply, "watched_uids", None)
+        self._watched_uids: frozenset = watched() if watched else frozenset()
 
     # -- power failure and reboot ----------------------------------------------
 
@@ -378,13 +396,11 @@ class Machine(MachineCore):
     ):
         self._module = module
         self._env = env
-        self._supply = supply or ContinuousPower()
+        self._bind_supply(supply)
         self._costs = costs
         self._plan = plan or DetectorPlan()
         self._bit_uids = frozenset(chain.op for chain in self._plan.bit_chains)
         self._actions = self._plan.runtime_actions()
-        watched = getattr(supply, "watched_uids", None)
-        self._watched_uids: frozenset = watched() if watched else frozenset()
         self.nv = nv or NVState.initial(module)
         self._config = config or MachineConfig()
 
@@ -612,8 +628,12 @@ class Machine(MachineCore):
                 self._write_local(frame, instr.dest, value)
         elif isinstance(instr, ir.InputInstr):
             raw = self._env.read(instr.channel, self.tau)
-            event = InputEvent(uid=instr.uid, channel=instr.channel, tau=self.tau)
-            frame.locals[instr.dest] = TVal(raw, frozenset({event}))
+            frame.locals[instr.dest] = TVal(
+                raw,
+                frozenset({InputEvent(instr.uid, instr.channel, self.tau)})
+                if self._config.emit_observations
+                else site_taint(instr.uid, instr.channel),
+            )
             if instr.uid in self._bit_uids:
                 self.nv.bits.set(self._current_chain(instr.uid))
             if self._config.emit_observations:

@@ -31,6 +31,7 @@ from repro.runtime.detector import DetectorPlan
 from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import MachineConfig, NVState
 from repro.runtime.observations import RunResult
+from repro.runtime.snapshot import begin_activation
 from repro.runtime.supply import ContinuousPower, PowerSupply
 from repro.sensors.environment import Environment
 
@@ -216,8 +217,11 @@ class ActivationStepper:
     executor drives one stepper per device, device after device, and
     folds each record into its aggregate as it is produced.
 
-    A record keeps no trace, so every activation runs violations-only
-    (``config.emit_observations`` is overridden to False).
+    The stream runs on one machine, restarted per activation by
+    :func:`~repro.runtime.snapshot.begin_activation`, which equals a
+    fresh machine over the same state.  A record keeps no trace, so
+    every activation runs violations-only (``config.emit_observations``
+    is overridden to False).
     """
 
     def __init__(
@@ -232,16 +236,18 @@ class ActivationStepper:
         config: Optional[MachineConfig] = None,
         engine: str = ENGINE_FAST,
     ) -> None:
-        self._compiled = compiled
-        self._env = env
-        self._supply = supply
-        self._costs = costs
-        self._plan = _plan_for(compiled, plan)
+        self._machine = create_machine(
+            engine,
+            compiled,
+            env,
+            supply,
+            costs=costs,
+            plan=_plan_for(compiled, plan),
+            config=replace(config or MachineConfig(), emit_observations=False),
+        )
         self._budget = budget_cycles
         self._max_activations = max_activations
-        self._config = replace(config or MachineConfig(), emit_observations=False)
-        self._engine = engine
-        self.nv = NVState.initial(compiled.module)
+        self.nv = self._machine.nv
         self.tau = 0
         self.index = 0
         self._stuck = False
@@ -258,17 +264,8 @@ class ActivationStepper:
         """Run one activation; ``None`` once the stepper is exhausted."""
         if self.exhausted:
             return None
-        machine = create_machine(
-            self._engine,
-            self._compiled,
-            self._env,
-            self._supply,
-            costs=self._costs,
-            plan=self._plan,
-            nv=self.nv,
-            start_tau=self.tau,
-            config=self._config,
-        )
+        machine = self._machine
+        begin_activation(machine)
         record = ActivationRecord.from_run(self.index, machine.run())
         self.tau = machine.tau
         self.index += 1

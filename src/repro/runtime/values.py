@@ -1,9 +1,17 @@
 """Runtime values with input-dependence taint (Appendix B).
 
 The taint-augmented semantics stores, with every memory cell, the set of
-input operations the value depends on: ``N^t, x -> (v, I)``.  We carry the
-same information at run time as a frozenset of :class:`InputEvent`, which
-the trace predicates of Definitions 2/3 consume.
+input operations the value depends on: ``N^t, x -> (v, I)``.  A run that
+records observations carries it as a frozenset of :class:`InputEvent`
+(which op, which channel, when), which the trace predicates of
+Definitions 2/3 and the forensics consume.  A violations-only run
+(``MachineConfig(emit_observations=False)``) decides every violation from
+the detector's bit vector and reads no read's time, so its taint is a
+frozenset of :class:`InputSite` (which op, which channel): each input op
+has one constant taint, :func:`site_taint`, instead of a new event per
+read.  Values, stats and violations are the same either way; only the
+taint elements differ, and a value that depends on two reads of one op
+holds one site where it held two events.
 
 Cells are immutable; assignment replaces the cell.  A by-reference
 parameter binds to a :class:`RefValue` naming the owning stack depth and
@@ -30,8 +38,25 @@ class InputEvent:
         return f"{self.channel}@{self.tau}{self.uid}"
 
 
-Taint = frozenset[InputEvent]
+@dataclass(frozen=True)
+class InputSite:
+    """One static input operation: which instruction, which channel."""
+
+    uid: InstrId
+    channel: str
+
+
+#: ``InputEvent``s where a machine records observations, ``InputSite``s
+#: where it runs violations-only (a machine adds only its own kind).
+Taint = frozenset[InputEvent] | frozenset[InputSite]
 NO_TAINT: Taint = frozenset()
+
+
+def site_taint(uid: InstrId, channel: str) -> Taint:
+    """The taint of a value read by input op ``uid`` in a violations-only
+    run.  The fast engine builds it once per op, at decode (and once per
+    generated run), and shares it among every read of the op."""
+    return frozenset((InputSite(uid, channel),))
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -10,10 +10,13 @@ tuple equality, which is exact; nothing is hashed down to a digest.
 
 Two deliberate exclusions, argued in docs/architecture.md:
 
-* **taint timestamps** -- an :class:`InputEvent` carries the ``tau`` of
-  the read, but detector checks consult only the bit vector; taint taus
-  merely timestamp declaration observations and never influence control
-  flow or violations, so they are keyed structurally (uid + channel).
+* **taint timestamps** -- the explorer runs violations-only, so its
+  taint is by input site (:class:`~repro.runtime.values.InputSite`: op
+  and channel) and holds no read time to exclude.  Detector checks
+  consult only the bit vector, so taint never influences control flow
+  or violations; it is keyed structurally (uid + channel), which a full
+  run's :class:`~repro.runtime.values.InputEvent` taint projects to as
+  well.
 * **logical time** -- ``tau`` feeds back into behavior only through
   ``env.read(channel, tau)``.  The key therefore includes
   ``env.segment_token(tau)``: for periodic environments that quantizes

@@ -18,7 +18,10 @@ Every run is also repeated violations-only
 (``MachineConfig(emit_observations=False)``, the mode fleets, campaigns,
 the lint probe and the verifier use), and each engine's violations-only
 run must match its full run on stats, clock, nonvolatile state, return
-value, detector queries and violations, with nothing else in its trace.
+value, detector queries and violations, with nothing else in its trace;
+every nonvolatile cell and the return value must carry exactly the
+input sites of the full run's taint, and the run must build no
+:class:`~repro.runtime.values.InputEvent`.
 """
 
 from __future__ import annotations
@@ -52,16 +55,17 @@ from repro.runtime.engine import (
     create_machine,
 )
 from repro.analysis.provenance import Chain
-from repro.runtime.detector import Check, DetectorPlan
+from repro.runtime.detector import BitVector, Check, DetectorPlan
 from repro.runtime.executor import ExecError, Machine, MachineConfig, NVState
 from repro.runtime.harness import ActivationRecord, run_activations
+from repro.runtime.snapshot import begin_activation
 from repro.runtime.supply import (
     ContinuousPower,
     EnergyDrivenSupply,
     FailurePoint,
     ScheduledFailures,
 )
-from repro.runtime.values import TVal
+from repro.runtime.values import InputEvent, InputSite, TVal
 from repro.sensors.environment import Environment, random_walk, steps
 from tests.strategies import program_sources
 
@@ -89,10 +93,35 @@ def _gen_env(seed: int) -> Environment:
 _MODES = (True, False)
 
 
+@contextlib.contextmanager
+def _input_events_built():
+    """Count the :class:`InputEvent` objects built inside the block."""
+    built = collections.Counter()
+    init = InputEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built["events"] += 1
+        init(self, *args, **kwargs)
+
+    InputEvent.__init__ = counted
+    try:
+        yield built
+    finally:
+        InputEvent.__init__ = init
+
+
+def _run(machine):
+    """``(machine, result, InputEvents built)`` of one activation."""
+    with _input_events_built() as built:
+        result = machine.run()
+    return machine, result, built["events"]
+
+
 def _run_both(compiled, make_env, make_supply, costs=None, plan=None):
     """Run one activation per engine and observation mode.
 
-    Returns ``{(engine, emit_observations): (machine, result)}``.
+    Returns ``{(engine, emit_observations): (machine, result, events)}``
+    (``events``: the :class:`InputEvent` objects the run built).
     """
     kwargs = {} if costs is None else {"costs": costs}
     outcomes = {}
@@ -107,14 +136,13 @@ def _run_both(compiled, make_env, make_supply, costs=None, plan=None):
                 config=MachineConfig(emit_observations=emit),
                 **kwargs,
             )
-            result = machine.run()
-            outcomes[engine, emit] = (machine, result)
+            outcomes[engine, emit] = _run(machine)
     return outcomes
 
 
 def _assert_identical(outcomes, context=""):
-    ref_machine, ref = outcomes[ENGINE_REFERENCE, True]
-    fast_machine, fast = outcomes[ENGINE_FAST, True]
+    ref_machine, ref, _ = outcomes[ENGINE_REFERENCE, True]
+    fast_machine, fast, _ = outcomes[ENGINE_FAST, True]
     assert ref.stats == fast.stats, context
     assert ref.trace.events == fast.trace.events, context
     assert ref.ret == fast.ret, context
@@ -128,10 +156,32 @@ def _assert_identical(outcomes, context=""):
         )
 
 
+def _sites(taint):
+    """A full run's taint (of :class:`InputEvent`) by input site."""
+    assert all(type(event) is InputEvent for event in taint)
+    return frozenset(InputSite(event.uid, event.channel) for event in taint)
+
+
+def _taints(machine, project=lambda taint: taint):
+    """Every nonvolatile cell's taint and the return value's, projected."""
+    nv = machine.nv
+    ret = machine._ret_value
+    return (
+        {name: project(cell.taint) for name, cell in nv.globals.items()},
+        {
+            name: [project(cell.taint) for cell in cells]
+            for name, cells in nv.arrays.items()
+        },
+        None if ret is None else project(ret.taint),
+    )
+
+
 def _assert_violations_only(full_outcome, lean_outcome, context=""):
     """A violations-only run equals its full run in everything but the
-    non-violation observations, which it never records."""
-    (full_machine, full), (lean_machine, lean) = full_outcome, lean_outcome
+    non-violation observations, which it never records, and the read
+    times in taint, which it never builds."""
+    full_machine, full, _ = full_outcome
+    lean_machine, lean, lean_events = lean_outcome
     assert lean.stats == full.stats, context
     assert lean.ret == full.ret, context
     assert lean.detector_queries == full.detector_queries, context
@@ -140,6 +190,8 @@ def _assert_violations_only(full_outcome, lean_outcome, context=""):
         lean_machine.nv.snapshot_values() == full_machine.nv.snapshot_values()
     ), context
     assert lean.trace.events == full.trace.violations, context
+    assert _taints(lean_machine) == _taints(full_machine, _sites), context
+    assert lean_events == 0, context
 
 
 def _run_streams(compiled, make_env, make_supply, budget_cycles, costs=None):
@@ -171,8 +223,9 @@ def _run_streams(compiled, make_env, make_supply, budget_cycles, costs=None):
                     config=MachineConfig(emit_observations=emit),
                     **kwargs,
                 )
-                result = machine.run()
-                outcomes.append((machine, result))
+                outcome = _run(machine)
+                outcomes.append(outcome)
+                result = outcome[1]
                 tau = machine.tau
                 if not result.stats.completed:
                     break
@@ -189,7 +242,7 @@ def _run_streams(compiled, make_env, make_supply, budget_cycles, costs=None):
         )
         assert outcome.records == [
             ActivationRecord.from_run(index, result)
-            for index, (_, result) in enumerate(full)
+            for index, (_, result, _) in enumerate(full)
         ], engine
         harness.append(outcome)
     return harness
@@ -420,6 +473,129 @@ class TestSubsystemParity:
         compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
         with pytest.raises(EngineError, match="unknown engine"):
             create_machine("warp", compiled, meta.env_factory(0))
+
+
+def _machines_built(monkeypatch) -> collections.Counter:
+    """Count machine constructions by engine (spies on both constructors)."""
+    built: collections.Counter = collections.Counter()
+    for cls, name in ((Machine, ENGINE_REFERENCE), (FastMachine, ENGINE_FAST)):
+
+        def counted(self, *args, _init=cls.__init__, _name=name, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+class TestOneMachinePerStream:
+    """An activation stream restarts one machine per activation
+    (``begin_activation``) instead of building one; ``_run_streams`` and
+    the fleet parity suites hold its records to a fresh machine's."""
+
+    @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
+    def test_run_activations(self, engine_name, monkeypatch):
+        meta = BENCHMARKS["tire"]
+        compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
+        supply = _PARITY_PROFILE.make_supply(seed=3).spawn(9)
+        built = _machines_built(monkeypatch)
+        result = run_activations(
+            compiled, meta.env_factory(7), supply, budget_cycles=300_000,
+            costs=meta.cost_model(), engine=engine_name,
+        )
+        assert result.activations > 1
+        assert result.reboots > 0
+        assert built == {engine_name: 1}
+
+    @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
+    def test_vector_class_batch(self, engine_name, monkeypatch):
+        from repro.eval.campaign import SupplySpec
+        from repro.fleet import DeviceClass, FleetSpec, run_fleet
+
+        spec = FleetSpec(
+            name="one-batch",
+            fleet_seed=31,
+            budget_cycles=25_000,
+            classes=(
+                DeviceClass(
+                    name="tire-jittered",
+                    app="tire",
+                    count=12,
+                    supply=SupplySpec(
+                        name="harvest", kind="harvest", harvest_rate=300
+                    ),
+                    harvest_jitter=0.5,
+                ),
+            ),
+        )
+        built = _machines_built(monkeypatch)
+        vector = run_fleet(spec, "vector", engine=engine_name)
+        assert vector.memo["misses"] > 1
+        assert built == {engine_name: 1}
+        built.clear()
+        serial = run_fleet(spec, "serial", engine=engine_name)
+        assert built == {engine_name: 12}  # one per device
+        assert serial.aggregate.to_dict() == vector.aggregate.to_dict()
+
+    @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
+    def test_rebinding_equals_a_fresh_machine(self, engine_name):
+        """``begin_activation`` over another environment, supply (of any
+        kind, after any kind), nonvolatile state and clock equals a fresh
+        machine built over them."""
+        meta = BENCHMARKS["tire"]
+        compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
+        costs = meta.cost_model()
+        site = min(compiled.detector_plan().checks)
+        supplies = {
+            "continuous": ContinuousPower,
+            "scheduled": lambda: ScheduledFailures(
+                [FailurePoint(chain=site)], off_cycles=25_000
+            ),
+            "harvest": lambda: _capacitor_supply(1_200),
+        }
+        prior = create_machine(
+            engine_name, compiled, meta.env_factory(1), costs=costs
+        )
+        prior.run()
+
+        def nv():
+            return NVState(
+                globals=dict(prior.nv.globals),
+                arrays={k: list(v) for k, v in prior.nv.arrays.items()},
+                bits=BitVector(set(prior.nv.bits.bits)),
+            )
+
+        reboots = {}
+        for before in supplies:
+            for after in supplies:
+                context = f"{before} -> {after}"
+                machine = create_machine(
+                    engine_name, compiled, meta.env_factory(5),
+                    supplies[before](), costs=costs,
+                )
+                machine.run()
+                begin_activation(
+                    machine, env=meta.env_factory(7), supply=supplies[after](),
+                    nv=nv(), tau=40_000,
+                )
+                fresh = create_machine(
+                    engine_name, compiled, meta.env_factory(7),
+                    supplies[after](), costs=costs, nv=nv(), start_tau=40_000,
+                )
+                rebound, expected = machine.run(), fresh.run()
+                assert rebound.trace.events == expected.trace.events, context
+                assert rebound.stats == expected.stats, context
+                assert rebound.ret == expected.ret, context
+                assert (
+                    rebound.detector_queries == expected.detector_queries
+                ), context
+                assert machine.tau == fresh.tau, context
+                assert (
+                    machine.nv.snapshot_values() == fresh.nv.snapshot_values()
+                ), context
+                reboots[after] = expected.stats.reboots
+        assert reboots["continuous"] == 0
+        assert reboots["scheduled"] > 0 and reboots["harvest"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -578,7 +578,7 @@ class TestPersistentMemo:
             )
         )
         assert store.load("token-a") == {}
-        assert MEMO_SCHEMA == "repro-memo-3"
+        assert MEMO_SCHEMA == "repro-memo-4"
 
     def test_interleaved_saves_of_one_shard(self, tmp_path, monkeypatch):
         """A second save landing between the first save's write and its
