@@ -30,7 +30,6 @@ from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
 from repro.eval.profiles import STANDARD_PROFILE
 from repro.runtime.engine import create_machine
-from repro.runtime.executor import NVState
 from repro.runtime.supply import ContinuousPower
 from repro.telemetry import MetricsRegistry
 
@@ -116,31 +115,27 @@ def drive(engine: str, activate, app: str, config: str, supply_kind: str,
           budget: int) -> dict:
     """Run one device's activation stream to its logical-time budget.
 
-    Each activation is ``activate(machine)`` on a fresh ``engine``
-    machine -- an unbound ``run`` or ``_run_to_completion``, so the loop
-    adds no per-activation work of its own.  Returns the counters that
-    parity checks compare and throughput numbers divide by.
+    The stream runs on one ``engine`` machine, restarted per activation
+    like :class:`~repro.runtime.harness.ActivationStepper`'s; each
+    activation is ``activate(machine)`` -- an unbound ``run`` or
+    ``_run_to_completion``, so the loop adds no per-activation work but
+    the restart.  Returns the counters that parity checks compare and
+    throughput numbers divide by.
     """
     meta = BENCHMARKS[app]
     compiled = GLOBAL_CACHE.get_or_compile(meta.source, config)
     costs = meta.cost_model()
-    plan = compiled.detector_plan()
     env = meta.env_factory(13)
     supply = (
         ContinuousPower()
         if supply_kind == "continuous"
         else STANDARD_PROFILE.make_supply(seed=5).spawn(31)
     )
-    nv = NVState.initial(compiled.module)
-    tau = 0
+    machine = create_machine(engine, compiled, env, supply, costs=costs)
     instructions = activations = reboots = violations = queries = 0
-    while tau < budget:
-        machine = create_machine(
-            engine, compiled, env, supply,
-            costs=costs, plan=plan, nv=nv, start_tau=tau,
-        )
+    while machine.tau < budget:
+        machine.begin_activation()
         result = activate(machine)
-        tau = machine.tau
         instructions += result.stats.instructions
         reboots += result.stats.reboots
         violations += result.stats.violations

@@ -84,15 +84,6 @@ class ConvergenceError(RuntimeError):
             message += f": {detail}"
         super().__init__(message)
 
-    def to_diagnostic(self) -> dict[str, object]:
-        """The structured form (mirrors ``Diagnostic.to_dict`` payloads)."""
-        return {
-            "analysis": self.analysis,
-            "scope": self.scope,
-            "rounds": self.rounds,
-            "detail": self.detail,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Lattices

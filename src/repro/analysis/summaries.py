@@ -107,9 +107,6 @@ class TaintMap:
     def get(self, sink: str) -> set[InInfo]:
         return self.entries.get(sink, set())
 
-    def sinks(self) -> list[str]:
-        return sorted(self.entries)
-
     def __bool__(self) -> bool:
         return any(self.entries.values())
 
@@ -125,13 +122,6 @@ class FunctionSummary:
 
     def caller(self, site: InstrId) -> TaintMap:
         return self.callers.setdefault(site, TaintMap())
-
-    def outputs_for(self, site: InstrId, sink: str) -> set[InInfo]:
-        """``s(local, sink) ∪ s(call, f, l, sink)`` as in rule Call-nr."""
-        out = set(self.local.get(sink))
-        if site in self.callers:
-            out |= self.callers[site].get(sink)
-        return out
 
 
 @dataclass

@@ -50,14 +50,9 @@ from repro.eval.profiles import (
 )
 from repro.eval.report import Table
 from repro.parallel import fork_map
-from repro.runtime.engine import ENGINE_FAST, ENGINES
-from repro.runtime.executor import MachineConfig
-from repro.runtime.harness import (
-    ActivationRecord,
-    ActivationTotals,
-    run_activations,
-    run_once,
-)
+from repro.runtime.engine import ENGINE_FAST, ENGINES, create_machine
+from repro.runtime.executor import MachineConfig, NVState
+from repro.runtime.harness import ActivationRecord, ActivationTotals, run_activations
 from repro.runtime.supply import (
     ContinuousPower,
     FailurePoint,
@@ -543,21 +538,22 @@ def _execute_job(job: JobSpec) -> JobResult:
         plan = compiled.detector_plan()
         # Only stats and violation counts are kept: run violations-only.
         config = MachineConfig(emit_observations=False)
-        # Environments are pure functions of time: one serves every site.
-        env = job.environment.build(job.app)
+        # Environments are pure functions of time: one serves every site,
+        # and one machine, restarted per site from the initial state.
+        machine = create_machine(
+            job.engine, compiled, job.environment.build(job.app),
+            costs=costs, plan=plan, config=config,
+        )
         fired = ActivationTotals()
         queries = 0
         for site in sorted(plan.checks):
             supply = ScheduledFailures(
                 [FailurePoint(chain=site)], off_cycles=job.off_cycles
             )
-            record = ActivationRecord.from_run(
-                0,
-                run_once(
-                    compiled, env, supply, costs=costs, plan=plan,
-                    config=config, engine=job.engine,
-                ),
+            machine.begin_activation(
+                supply=supply, nv=NVState.initial(compiled.module), tau=0
             )
+            record = ActivationRecord.from_run(0, machine.run())
             if not record.completed:
                 raise RuntimeError(f"{job.job_id} stuck at site {site}")
             queries += record.detector_queries

@@ -158,10 +158,6 @@ class FleetAggregator:
         return self._classes[name]
 
     @property
-    def total_devices(self) -> int:
-        return sum(a.devices for a in self._classes.values())
-
-    @property
     def total_activations(self) -> int:
         return sum(a.activations for a in self._classes.values())
 

@@ -85,7 +85,6 @@ from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import MachineConfig, NVState
 from repro.runtime.detector import BitVector
 from repro.runtime.harness import ActivationRecord
-from repro.runtime.snapshot import begin_activation
 from repro.telemetry.trace import span as _span
 
 
@@ -329,10 +328,10 @@ class _MissBatch:
     Holds the batch's shared decoded program, cost model, detector
     plan, and NV codec once.  Every miss runs on one machine, built at
     the batch's first miss and restarted by
-    :func:`~repro.runtime.snapshot.begin_activation` over the miss's
-    environment, supply, nonvolatile state and clock, which equals a
-    fresh machine over them; post-state tokenization reuses the codec's
-    preallocated buffers.
+    :meth:`~repro.runtime.executor.MachineCore.begin_activation` over
+    the miss's environment, supply, nonvolatile state and clock, which
+    equals a fresh machine over them; post-state tokenization reuses
+    the codec's preallocated buffers.
     """
 
     __slots__ = ("compiled", "costs", "plan", "engine", "codec", "machine")
@@ -350,7 +349,6 @@ class _MissBatch:
 
     def run(self, env, supply, nv_ref: NVRef, tau: int, index: int):
         """One real activation; returns (record, tau_delta, post_nv)."""
-        nv = materialize_nv(nv_ref)
         machine = self.machine
         if machine is None:
             machine = self.machine = create_machine(
@@ -360,12 +358,11 @@ class _MissBatch:
                 supply,
                 costs=self.costs,
                 plan=self.plan,
-                nv=nv,
                 config=self._config,
-                start_tau=tau,
             )
-        else:
-            begin_activation(machine, env=env, supply=supply, nv=nv, tau=tau)
+        machine.begin_activation(
+            env=env, supply=supply, nv=materialize_nv(nv_ref), tau=tau
+        )
         record = ActivationRecord.from_run(index, machine.run())
         return record, machine.tau - tau, self.codec.encode(machine.nv)
 

@@ -65,24 +65,6 @@ class CallGraph:
         visit(root)
         return order
 
-    def call_paths(self, root: str | None = None) -> list[tuple[CallSite, ...]]:
-        """Every call path (sequence of call sites) from ``root``.
-
-        The empty tuple is the path for the root itself.  Finite because
-        the graph is a DAG.
-        """
-        root = root or self.entry
-        paths: list[tuple[CallSite, ...]] = [()]
-
-        def visit(name: str, prefix: tuple[CallSite, ...]) -> None:
-            for site in self.callees_of(name):
-                path = prefix + (site,)
-                paths.append(path)
-                visit(site.callee, path)
-
-        visit(root, ())
-        return paths
-
 
 def build_call_graph(module: Module) -> CallGraph:
     graph = CallGraph(entry=module.entry)

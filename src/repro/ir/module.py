@@ -163,6 +163,3 @@ class Module:
 
     def annot_instrs(self) -> list[ir.AnnotInstr]:
         return [i for i in self.all_instrs() if isinstance(i, ir.AnnotInstr)]
-
-    def nonvolatile_names(self) -> set[str]:
-        return set(self.globals) | set(self.arrays)

@@ -257,10 +257,6 @@ class FuncDecl:
     body: list[Stmt]
     span: SourceSpan = field(default_factory=SourceSpan.synthetic)
 
-    @property
-    def param_names(self) -> list[str]:
-        return [p.name for p in self.params]
-
 
 @dataclass
 class GlobalDecl:
@@ -369,14 +365,6 @@ def assign_labels(program: Program) -> None:
         for stmt in walk_stmts(func.body):
             stmt.label = counter
             counter += 1
-
-
-def find_labeled(func: FuncDecl, label: int) -> Stmt:
-    """Look up the statement with ``label`` in ``func`` (raises if missing)."""
-    for stmt in walk_stmts(func.body):
-        if stmt.label == label:
-            return stmt
-    raise SemanticError(f"no statement labeled {label} in function '{func.name}'")
 
 
 Node = Union[Expr, Stmt, FuncDecl, Program]

@@ -75,7 +75,6 @@ from repro.runtime.detector import OP_FULL, OP_MARKER, DetectorPlan
 from repro.runtime.executor import (
     AtomContext,
     ExecError,
-    JitContext,
     Machine,
     MachineConfig,
     MachineCore,
@@ -1931,15 +1930,11 @@ class FastMachine(MachineCore):
         supply: Optional[PowerSupply] = None,
         costs: CostModel = DEFAULT_COSTS,
         plan: Optional[DetectorPlan] = None,
-        nv: Optional[NVState] = None,
         config: Optional[MachineConfig] = None,
-        start_tau: int = 0,
         code: Optional[CompiledCode] = None,
     ):
         self._module = module
-        self._env = env
         self._costs = costs
-        self._bind_supply(supply)
         self._plan = plan or DetectorPlan()
         if code is None:
             code = compile_code(module, self._plan, costs)
@@ -1956,24 +1951,15 @@ class FastMachine(MachineCore):
                 "plan, or cost model"
             )
         self._code = code
-        self.nv = nv or NVState.initial(module)
         self._config = config or MachineConfig()
+        self.begin_activation(
+            env=env,
+            supply=supply or ContinuousPower(),
+            nv=NVState.initial(module),
+            tau=0,
+        )
 
-        self.tau = start_tau
-        self.trace = obs.Trace()
-        self.stats = obs.RunStats()
-        #: bit-vector scans performed; see the reference machine's note
-        self.detector_queries = 0
-        self._hoist_cache: dict[int, frozenset] = {}
-        self._frames: list[FastFrame] = []
-        self._jit_ctx: Optional[JitContext] = None
-        self._atom_ctx: Optional[AtomContext] = None
-        self._ret_value: Optional[TVal] = None
-        self._done = False
-        self._pending_cycles = 0
-        self._restart_main()
-
-    def _bind_supply(self, supply: Optional[PowerSupply]) -> None:
+    def _bind_supply(self, supply: PowerSupply) -> None:
         """Bind ``supply`` and pick the cheapest interaction its exact
         type allows.
 
@@ -2004,7 +1990,7 @@ class FastMachine(MachineCore):
         entry = self._code.functions.get(self._code.entry)
         if entry is None:
             raise IRError(f"no function '{self._code.entry}' in module")
-        self._frames = [
+        self._frames: list[FastFrame] = [
             FastFrame(entry.name, entry.blocks[entry.entry], 0, {}, None, ())
         ]
 
@@ -2192,11 +2178,11 @@ def create_machine(
     supply: Optional[PowerSupply] = None,
     costs: CostModel = DEFAULT_COSTS,
     plan: Optional[DetectorPlan] = None,
-    nv: Optional[NVState] = None,
     config: Optional[MachineConfig] = None,
-    start_tau: int = 0,
 ) -> Machine | FastMachine:
-    """Build a machine for one activation of ``compiled`` under ``engine``.
+    """Build a machine for ``compiled`` under ``engine``, at its first
+    activation (initial nonvolatile state, tau 0); restart it with
+    :meth:`~repro.runtime.executor.MachineCore.begin_activation`.
 
     ``reference`` is the Appendix H transcription in
     :mod:`repro.runtime.executor`; ``fast`` is the pre-decoded engine of
@@ -2214,9 +2200,7 @@ def create_machine(
             supply,
             costs=costs,
             plan=plan,
-            nv=nv,
             config=config,
-            start_tau=start_tau,
             code=code,
         )
     if engine == ENGINE_REFERENCE:
@@ -2226,9 +2210,7 @@ def create_machine(
             supply,
             costs=costs,
             plan=plan,
-            nv=nv,
             config=config,
-            start_tau=start_tau,
         )
     raise EngineError(
         f"unknown engine '{engine}' (expected one of: {', '.join(ENGINES)})"

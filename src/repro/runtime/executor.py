@@ -154,8 +154,9 @@ class MachineConfig:
     #: carries the sites of the events a full run's value carries.
     #: Consumers that keep only stats and violation counts run this
     #: way -- fleet executors, campaign jobs, the lint probe, the
-    #: verifier's explorer; ``run``, ``trace``, ``explain``, schedule
-    #: replay and verifier forensics keep the full Appendix B stream.
+    #: verifier's explorer and schedule minimization; ``run``,
+    #: ``trace``, ``explain``, schedule replay and verifier forensics
+    #: keep the full Appendix B stream.
     emit_observations: bool = True
 
 
@@ -175,6 +176,10 @@ class MachineCore:
     Every emission site in both engines tests
     ``MachineConfig.emit_observations`` *before* building its event,
     except violations, which :meth:`_run_site_actions` always records.
+
+    :meth:`begin_activation` is the only code that initialises
+    per-activation state; both constructors end by calling it, so a
+    restarted machine equals a fresh one by construction.
     """
 
     # -- mode -----------------------------------------------------------------
@@ -186,9 +191,52 @@ class MachineCore:
     def _restart_main(self) -> None:
         raise NotImplementedError
 
-    def _bind_supply(self, supply: Optional[PowerSupply]) -> None:
-        """Power the machine from ``supply`` (wall power when None)."""
-        self._supply = supply or ContinuousPower()
+    def begin_activation(
+        self,
+        trace: Optional[obs.Trace] = None,
+        *,
+        env: Optional[Environment] = None,
+        supply: Optional[PowerSupply] = None,
+        nv: Optional[NVState] = None,
+        tau: Optional[int] = None,
+    ) -> None:
+        """Start the next activation of ``main``: a restart.
+
+        Nonvolatile memory and the logical clock carry over, like an
+        embedded ``while (1) main();`` loop; volatile state starts from
+        its initial value -- frames at ``main``, no saved JIT/atomic
+        context, an empty hoist cache, fresh stats and no detector
+        queries -- with ``trace`` (or a fresh one) as the sink.  ``env``,
+        ``supply``, ``nv`` and ``tau``, when given, are rebound first, so
+        one machine serves a whole activation stream whose activations
+        each start from their own state.
+        """
+        if env is not None:
+            self._env = env
+        if supply is not None:
+            self._bind_supply(supply)
+        if nv is not None:
+            self.nv = nv
+        if tau is not None:
+            self.tau = tau
+        self._restart_main()
+        self._jit_ctx: Optional[JitContext] = None
+        self._atom_ctx: Optional[AtomContext] = None
+        self._hoist_cache: dict[int, frozenset] = {}
+        self._done = False
+        self._ret_value: Optional[TVal] = None
+        self.stats = obs.RunStats()
+        #: bit-vector scans performed (the `checks_executed` metric);
+        #: deliberately outside RunStats so optimized builds stay
+        #: stat-identical to their baselines while executing fewer checks
+        self.detector_queries = 0
+        #: the fast engine's work-op scratch (dead between steps)
+        self._pending_cycles = 0
+        self.trace = trace if trace is not None else obs.Trace()
+
+    def _bind_supply(self, supply: PowerSupply) -> None:
+        """Power the machine from ``supply``."""
+        self._supply = supply
         watched = getattr(self._supply, "watched_uids", None)
         self._watched_uids: frozenset = watched() if watched else frozenset()
 
@@ -378,9 +426,11 @@ class Machine(MachineCore):
     """One intermittent (or continuous) execution of ``main``.
 
     The machine is restartable: :meth:`run` executes one activation of
-    ``main`` to completion; nonvolatile state passed in survives for the
-    next activation (the Table 2b repeated-run experiments share one
-    :class:`NVState` and one supply across activations).
+    ``main`` to completion, and :meth:`begin_activation` starts the next
+    one over the nonvolatile state and clock the last one left (the
+    Table 2b repeated-run experiments share them and one supply across
+    activations).  A new machine starts from the module's initial
+    nonvolatile state at tau 0.
     """
 
     def __init__(
@@ -390,38 +440,24 @@ class Machine(MachineCore):
         supply: Optional[PowerSupply] = None,
         costs: CostModel = DEFAULT_COSTS,
         plan: Optional[DetectorPlan] = None,
-        nv: Optional[NVState] = None,
         config: Optional[MachineConfig] = None,
-        start_tau: int = 0,
     ):
         self._module = module
-        self._env = env
-        self._bind_supply(supply)
         self._costs = costs
         self._plan = plan or DetectorPlan()
         self._bit_uids = frozenset(chain.op for chain in self._plan.bit_chains)
         self._actions = self._plan.runtime_actions()
-        self.nv = nv or NVState.initial(module)
         self._config = config or MachineConfig()
-
-        self.tau = start_tau
-        self.trace = obs.Trace()
-        self.stats = obs.RunStats()
-        #: bit-vector scans performed (the `checks_executed` metric);
-        #: deliberately outside RunStats so optimized builds stay
-        #: stat-identical to their baselines while executing fewer checks
-        self.detector_queries = 0
-        self._hoist_cache: dict[int, frozenset] = {}
-        self._frames: list[Frame] = []
-        self._jit_ctx: Optional[JitContext] = None
-        self._atom_ctx: Optional[AtomContext] = None
-        self._ret_value: Optional[TVal] = None
-        self._done = False
-        self._restart_main()
+        self.begin_activation(
+            env=env,
+            supply=supply or ContinuousPower(),
+            nv=NVState.initial(module),
+            tau=0,
+        )
 
     def _restart_main(self) -> None:
         entry = self._module.function(self._module.entry)
-        self._frames = [
+        self._frames: list[Frame] = [
             Frame(func=entry.name, block=entry.entry, idx=0, locals={})
         ]
 

@@ -10,6 +10,12 @@ The evaluation needs three run modes:
   and Table 2b: "we ran each benchmark for a fixed time ... and recorded
   the percentage of complete runs that contained a policy violation").
 
+A repeated run is one machine restarted per activation by
+:meth:`~repro.runtime.executor.MachineCore.begin_activation`, the reset
+every machine's constructor ends with, so a restarted machine equals a
+fresh one over the same nonvolatile state, supply and clock.
+:func:`run_continuous` is :func:`run_once` on wall power.
+
 Every sum over activations is an :class:`ActivationTotals`: the
 repeated-activation :class:`ActivationsResult`, the campaign's per-cell
 rows and the fleet's per-class aggregates extend it, and a campaign job
@@ -29,15 +35,25 @@ from repro.core.pipeline import CompiledProgram
 from repro.energy.costs import DEFAULT_COSTS, CostModel
 from repro.runtime.detector import DetectorPlan
 from repro.runtime.engine import ENGINE_FAST, create_machine
-from repro.runtime.executor import MachineConfig, NVState
+from repro.runtime.executor import MachineConfig
 from repro.runtime.observations import RunResult
-from repro.runtime.snapshot import begin_activation
 from repro.runtime.supply import ContinuousPower, PowerSupply
 from repro.sensors.environment import Environment
 
 
-def _plan_for(compiled: CompiledProgram, plan: Optional[DetectorPlan]) -> DetectorPlan:
-    return plan if plan is not None else compiled.detector_plan()
+def run_once(
+    compiled: CompiledProgram,
+    env: Environment,
+    supply: PowerSupply,
+    costs: CostModel = DEFAULT_COSTS,
+    plan: Optional[DetectorPlan] = None,
+    config: Optional[MachineConfig] = None,
+    engine: str = ENGINE_FAST,
+) -> RunResult:
+    """One activation under ``supply`` (failures allowed)."""
+    return create_machine(
+        engine, compiled, env, supply, costs=costs, plan=plan, config=config
+    ).run()
 
 
 def run_continuous(
@@ -49,40 +65,7 @@ def run_continuous(
     engine: str = ENGINE_FAST,
 ) -> RunResult:
     """One activation of ``main`` on continuous power."""
-    machine = create_machine(
-        engine,
-        compiled,
-        env,
-        ContinuousPower(),
-        costs=costs,
-        plan=_plan_for(compiled, plan),
-        config=config,
-    )
-    return machine.run()
-
-
-def run_once(
-    compiled: CompiledProgram,
-    env: Environment,
-    supply: PowerSupply,
-    costs: CostModel = DEFAULT_COSTS,
-    plan: Optional[DetectorPlan] = None,
-    nv: Optional[NVState] = None,
-    config: Optional[MachineConfig] = None,
-    engine: str = ENGINE_FAST,
-) -> RunResult:
-    """One activation under ``supply`` (failures allowed)."""
-    machine = create_machine(
-        engine,
-        compiled,
-        env,
-        supply,
-        costs=costs,
-        plan=_plan_for(compiled, plan),
-        nv=nv,
-        config=config,
-    )
-    return machine.run()
+    return run_once(compiled, env, ContinuousPower(), costs, plan, config, engine)
 
 
 @dataclass(frozen=True)
@@ -218,10 +201,10 @@ class ActivationStepper:
     folds each record into its aggregate as it is produced.
 
     The stream runs on one machine, restarted per activation by
-    :func:`~repro.runtime.snapshot.begin_activation`, which equals a
-    fresh machine over the same state.  A record keeps no trace, so
-    every activation runs violations-only (``config.emit_observations``
-    is overridden to False).
+    :meth:`~repro.runtime.executor.MachineCore.begin_activation`, which
+    equals a fresh machine over the same state.  A record keeps no
+    trace, so every activation runs violations-only
+    (``config.emit_observations`` is overridden to False).
     """
 
     def __init__(
@@ -242,12 +225,11 @@ class ActivationStepper:
             env,
             supply,
             costs=costs,
-            plan=_plan_for(compiled, plan),
+            plan=plan,
             config=replace(config or MachineConfig(), emit_observations=False),
         )
         self._budget = budget_cycles
         self._max_activations = max_activations
-        self.nv = self._machine.nv
         self.tau = 0
         self.index = 0
         self._stuck = False
@@ -265,7 +247,7 @@ class ActivationStepper:
         if self.exhausted:
             return None
         machine = self._machine
-        begin_activation(machine)
+        machine.begin_activation()
         record = ActivationRecord.from_run(self.index, machine.run())
         self.tau = machine.tau
         self.index += 1

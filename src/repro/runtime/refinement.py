@@ -108,8 +108,8 @@ def run_continuous_from(
         ContinuousPower(),
         costs=costs,
         plan=compiled.detector_plan(),
-        start_tau=start_tau,
     )
+    machine.begin_activation(tau=start_tau)
     result = machine.run()
     if not result.stats.completed:
         raise RuntimeError("continuous reference run did not complete")

@@ -30,10 +30,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.runtime import observations as obs
-from repro.runtime.executor import AtomContext, JitContext, NVState, copy_stack
-from repro.runtime.supply import PowerSupply
+from repro.runtime.executor import AtomContext, JitContext, copy_stack
 from repro.runtime.values import TVal
-from repro.sensors.environment import Environment
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def capture_machine(machine) -> MachineSnapshot:
         detector_queries=machine.detector_queries,
         done=machine._done,
         ret_value=machine._ret_value,
-        pending_cycles=getattr(machine, "_pending_cycles", 0),
+        pending_cycles=machine._pending_cycles,
     )
 
 
@@ -125,51 +123,6 @@ def restore_machine(
     machine.detector_queries = snapshot.detector_queries
     machine._done = snapshot.done
     machine._ret_value = snapshot.ret_value
-    if hasattr(machine, "_pending_cycles"):
-        machine._pending_cycles = snapshot.pending_cycles
+    machine._pending_cycles = snapshot.pending_cycles
     machine.trace = trace if trace is not None else obs.Trace()
 
-
-def begin_activation(
-    machine,
-    trace: Optional[obs.Trace] = None,
-    *,
-    env: Optional[Environment] = None,
-    supply: Optional[PowerSupply] = None,
-    nv: Optional[NVState] = None,
-    tau: Optional[int] = None,
-) -> None:
-    """Reset ``machine``'s volatile state for the next activation.
-
-    Equivalent to building a fresh machine over the same nonvolatile
-    state, supply, environment and logical clock, without re-running
-    machine construction: the frame stack restarts at ``main``, the
-    saved contexts and the volatile hoist cache clear, and
-    per-activation stats/trace reset.  ``tau`` and ``nv`` persist, like
-    an embedded ``while (1) main();`` loop.  ``env``, ``supply``, ``nv``
-    and ``tau``, when given, are rebound first, so the machine equals a
-    fresh one built over them.  This is how one machine serves a whole
-    activation stream: the explorer's activations,
-    :class:`~repro.runtime.harness.ActivationStepper`'s, and the vector
-    fleet executor's misses, each of which starts from its own device's
-    state.
-    """
-    if env is not None:
-        machine._env = env
-    if supply is not None:
-        machine._bind_supply(supply)
-    if nv is not None:
-        machine.nv = nv
-    if tau is not None:
-        machine.tau = tau
-    machine._restart_main()
-    machine._jit_ctx = None
-    machine._atom_ctx = None
-    machine._hoist_cache = {}
-    machine._done = False
-    machine._ret_value = None
-    machine.stats = obs.RunStats()
-    machine.detector_queries = 0
-    if hasattr(machine, "_pending_cycles"):
-        machine._pending_cycles = 0
-    machine.trace = trace if trace is not None else obs.Trace()

@@ -77,9 +77,6 @@ class TVal:
     def of(value: int | bool) -> "TVal":
         return TVal(value=int(value))
 
-    def with_taint(self, taint: Taint) -> "TVal":
-        return TVal(value=self.value, taint=taint)
-
     @property
     def as_bool(self) -> bool:
         return bool(self.value)

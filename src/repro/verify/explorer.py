@@ -66,12 +66,7 @@ from repro.ir.instructions import InstrId
 from repro.runtime.detector import DetectorPlan
 from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
 from repro.runtime.executor import ExecError, MachineConfig, stack_words
-from repro.runtime.snapshot import (
-    MachineSnapshot,
-    begin_activation,
-    capture_machine,
-    restore_machine,
-)
+from repro.runtime.snapshot import MachineSnapshot, capture_machine, restore_machine
 from repro.runtime.supply import FailurePoint
 from repro.sensors.environment import Environment
 from repro.telemetry.trace import span as _span
@@ -599,7 +594,7 @@ class Explorer:
                 if activation >= bounds.max_activations:
                     stats.completed_branches += 1
                     return None
-                begin_activation(machine, trace=machine.trace)
+                machine.begin_activation(trace=machine.trace)
                 if self._seen(
                     self._key(machine),
                     bounds.max_activations - activation,

@@ -35,7 +35,7 @@ from repro.ir.instructions import InstrId
 from repro.runtime import observations as obs
 from repro.runtime.detector import DetectorPlan
 from repro.runtime.engine import ENGINE_FAST, create_machine
-from repro.runtime.executor import MachineConfig, NVState
+from repro.runtime.executor import MachineConfig
 from repro.runtime.supply import FailurePoint, ScheduledFailures
 from repro.sensors.environment import Environment
 
@@ -88,6 +88,8 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        """Load a schedule document; any malformed one is a
+        :class:`ScheduleError`."""
         if not isinstance(data, dict):
             raise ScheduleError("schedule document must be a JSON object")
         fmt = data.get("format")
@@ -95,22 +97,30 @@ class Schedule:
             raise ScheduleError(
                 f"unknown schedule format {fmt!r} (expected {SCHEDULE_FORMAT!r})"
             )
+        entries = data.get("points", [])
+        if not isinstance(entries, list):
+            raise ScheduleError(f"points must be a list, not {entries!r}")
         points = []
-        for entry in data.get("points", []):
+        for entry in entries:
             try:
                 uid = InstrId(str(entry["func"]), int(entry["label"]))
                 occurrence = int(entry.get("occurrence", 1))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ScheduleError(f"bad failure point {entry!r}: {exc}") from None
             if occurrence < 1:
                 raise ScheduleError(
                     f"bad failure point {entry!r}: occurrence is 1-based"
                 )
             points.append(FailurePoint(uid=uid, occurrence=occurrence))
+        for key in ("target", "config"):
+            if not isinstance(data.get(key), (str, type(None))):
+                raise ScheduleError(
+                    f"{key} must be a string or null, not {data[key]!r}"
+                )
         return cls(
             points=tuple(points),
-            off_cycles=int(data.get("off_cycles", 10_000)),
-            activations=int(data.get("activations", 1)),
+            off_cycles=_at_least(data, "off_cycles", 10_000, 0),
+            activations=_at_least(data, "activations", 1, 1),
             target=data.get("target"),
             config=data.get("config"),
         )
@@ -136,6 +146,18 @@ class Schedule:
                 (p.uid.func, p.uid.label, p.occurrence) for p in self.points
             ),
         )
+
+
+def _at_least(data: dict, key: str, default: int, least: int) -> int:
+    """``data[key]`` (or ``default``) as an integer of at least ``least``."""
+    value = data.get(key, default)
+    try:
+        number = int(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ScheduleError(f"{key} must be an integer, not {value!r}") from None
+    if number < least:
+        raise ScheduleError(f"{key} must be at least {least}, not {number}")
+    return number
 
 
 @dataclass
@@ -168,33 +190,22 @@ def replay_schedule(
 ) -> ReplayResult:
     """Replay ``schedule`` activation by activation on a stock machine.
 
-    Mirrors :class:`~repro.runtime.harness.ActivationStepper`:
-    nonvolatile memory, the supply, and logical time persist across
-    activations; volatile state resets per activation.  This is the
-    *production* replay path -- the explorer's own transitions are
-    validated against it by the parity tests.
+    Mirrors :class:`~repro.runtime.harness.ActivationStepper`: one
+    machine, restarted per activation, so nonvolatile memory, the
+    supply, and logical time persist across activations and volatile
+    state resets.  This is the *production* replay path -- the
+    explorer's own transitions are validated against it by the parity
+    tests.
     """
-    if plan is None:
-        plan = compiled.detector_plan()
     supply = schedule.to_supply()
-    nv = NVState.initial(compiled.module)
+    machine = create_machine(
+        engine, compiled, env, supply, costs=costs, plan=plan, config=config
+    )
     result = ReplayResult()
-    tau = 0
     budget = schedule.activations if max_activations is None else max_activations
     for _ in range(budget):
-        machine = create_machine(
-            engine,
-            compiled,
-            env,
-            supply,
-            costs=costs,
-            plan=plan,
-            nv=nv,
-            config=config,
-            start_tau=tau,
-        )
+        machine.begin_activation()
         run = machine.run()
-        tau = machine.tau
         result.traces.append(run.trace)
         result.violations.extend(run.trace.violations)
         result.activations += 1
@@ -203,7 +214,7 @@ def replay_schedule(
             break
         if stop_at_violation and result.violations:
             break
-    result.final_tau = tau
+    result.final_tau = machine.tau
     result.all_fired = supply.all_fired
     return result
 
@@ -215,15 +226,15 @@ def minimize_schedule(
     engine: str = ENGINE_FAST,
     costs: CostModel = DEFAULT_COSTS,
     plan: Optional[DetectorPlan] = None,
-    config: Optional[MachineConfig] = None,
 ) -> Schedule:
     """Greedy 1-minimal reduction: drop points while a violation remains.
 
     Every candidate subset is validated through the production replay
     path, so the returned schedule is replayable by construction; each
     surviving point is *necessary* (dropping any one loses the
-    violation).  Schedules are small (bounded by ``--max-failures``), so
-    the quadratic worst case is irrelevant.
+    violation).  A trial reads only whether it violated, so it replays
+    violations-only.  Schedules are small (bounded by
+    ``--max-failures``), so the quadratic worst case is irrelevant.
     """
     if plan is None:
         plan = compiled.detector_plan()
@@ -236,7 +247,7 @@ def minimize_schedule(
             trial = schedule.with_points(candidate)
             if replay_schedule(
                 compiled, env, trial, engine=engine, costs=costs,
-                plan=plan, config=config,
+                plan=plan, config=MachineConfig(emit_observations=False),
             ).violating:
                 points = list(candidate)
                 changed = True

@@ -42,14 +42,6 @@ class TestStructure:
         order = graph.topo_order("main")
         assert order.index("leaf") < order.index("mid") < order.index("main")
 
-    def test_call_paths_enumerate_contexts(self):
-        module, graph = build()
-        paths = graph.call_paths("main")
-        # (), main->mid, main->mid->leaf (x2), main->side.
-        assert len(paths) == 5
-        depth2 = [p for p in paths if len(p) == 2]
-        assert len(depth2) == 2  # the two leaf contexts
-
     def test_builtins_not_in_graph(self):
         module, graph = build()
         assert "log" not in graph.callees

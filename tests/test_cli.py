@@ -1,5 +1,6 @@
 """CLI tests (`python -m repro`)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -414,6 +415,32 @@ def test_bad_program_is_a_one_line_error(command, case, tmp_path, capsys):
     message = str(excinfo.value)
     assert excinfo.value.code not in (0, None)
     assert str(path) in message and detail in message
+    assert "\n" not in message
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+#: schedule fields every replaying command must reject with one line
+BAD_SCHEDULES = {
+    "points-not-a-list": {"points": 5},
+    "off-cycles-not-an-integer": {"off_cycles": [1]},
+    "activations-not-an-integer": {"activations": "abc"},
+    "no-activations": {"activations": 0},
+    "negative-off-cycles": {"off_cycles": -1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEDULES))
+@pytest.mark.parametrize("command", ("run", "trace", "explain"))
+def test_bad_schedule_is_a_one_line_error(command, case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"format": "repro-schedule-1", **BAD_SCHEDULES[case]})
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "tire", "--schedule", str(path)])
+    message = str(excinfo.value)
+    assert message.startswith(f"bad schedule '{path}': ")
     assert "\n" not in message
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err

@@ -168,7 +168,6 @@ class TestSolver:
         assert err.value.analysis == "runaway"
         assert err.value.scope == "main"
         assert err.value.rounds == 5
-        assert err.value.to_diagnostic()["analysis"] == "runaway"
 
     def test_reach_info(self):
         func = _main_func(DIAMOND_SRC)

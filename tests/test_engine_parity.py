@@ -56,9 +56,16 @@ from repro.runtime.engine import (
 )
 from repro.analysis.provenance import Chain
 from repro.runtime.detector import BitVector, Check, DetectorPlan
-from repro.runtime.executor import ExecError, Machine, MachineConfig, NVState
+from repro.runtime.executor import (
+    AtomContext,
+    ExecError,
+    Frame,
+    JitContext,
+    Machine,
+    MachineConfig,
+    NVState,
+)
 from repro.runtime.harness import ActivationRecord, run_activations
-from repro.runtime.snapshot import begin_activation
 from repro.runtime.supply import (
     ContinuousPower,
     EnergyDrivenSupply,
@@ -197,12 +204,14 @@ def _assert_violations_only(full_outcome, lean_outcome, context=""):
 def _run_streams(compiled, make_env, make_supply, budget_cycles, costs=None):
     """Back-to-back activations under each engine, three ways.
 
-    ``run_activations`` (whose stepper runs violations-only) and a
-    hand-driven loop per observation mode, each on a fresh environment
-    and supply.  Per engine, the violations-only loop must match the
-    full one activation by activation, and the harness records must be
-    the records of the full runs.  Returns the harness results, reference
-    engine first.
+    ``run_activations`` (whose stepper restarts one machine and runs
+    violations-only) and a hand-driven loop per observation mode, each
+    on a fresh environment and supply; the loop hands every activation's
+    nonvolatile state and clock to a never-run machine through
+    ``begin_activation``.  Per engine, the violations-only loop must
+    match the full one activation by activation, and the harness records
+    must be the records of the full runs.  Returns the harness results,
+    reference engine first.
     """
     kwargs = {} if costs is None else {"costs": costs}
     harness = []
@@ -218,11 +227,10 @@ def _run_streams(compiled, make_env, make_supply, budget_cycles, costs=None):
                     compiled,
                     env,
                     supply,
-                    nv=nv,
-                    start_tau=tau,
                     config=MachineConfig(emit_observations=emit),
                     **kwargs,
                 )
+                machine.begin_activation(nv=nv, tau=tau)
                 outcome = _run(machine)
                 outcomes.append(outcome)
                 result = outcome[1]
@@ -475,6 +483,43 @@ class TestSubsystemParity:
             create_machine("warp", compiled, meta.env_factory(0))
 
 
+def _fields(machine) -> dict:
+    """Every attribute of ``machine``, with frames and saved contexts as
+    plain values (a fast frame has slots and no equality)."""
+
+    def plain(value):
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        if isinstance(value, (engine.FastFrame, Frame, JitContext, AtomContext)):
+            names = getattr(value, "__slots__", None) or vars(value)
+            return type(value), {n: plain(getattr(value, n)) for n in names}
+        return value
+
+    return {name: plain(value) for name, value in vars(machine).items()}
+
+
+#: a program whose ``jit-opt`` runs leave per-activation fields set: a
+#: hoisted query's cached result, a return value, and -- abandoned after
+#: a failure -- a checkpoint and an open region
+LEFTOVERS_SRC = """\
+inputs alpha, beta;
+nonvolatile total = 0;
+
+fn main() {
+  let c = input(beta);
+  let x = input(alpha);
+  Fresh(x);
+  if c > 0 {
+    log(x);
+  } else {
+    log(x + 1);
+  }
+  total = total + x;
+  return c;
+}
+"""
+
+
 def _machines_built(monkeypatch) -> collections.Counter:
     """Count machine constructions by engine (spies on both constructors)."""
     built: collections.Counter = collections.Counter()
@@ -538,10 +583,51 @@ class TestOneMachinePerStream:
         assert serial.aggregate.to_dict() == vector.aggregate.to_dict()
 
     @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
+    def test_injection_job(self, engine_name, monkeypatch):
+        """An injection campaign job restarts one machine per site."""
+        from repro.eval.campaign import (
+            MODE_INJECTION,
+            EnvironmentSpec,
+            JobSpec,
+            SupplySpec,
+            execute_job,
+        )
+
+        job = JobSpec(
+            app="tire", config="jit", environment=EnvironmentSpec(),
+            supply=SupplySpec.continuous(), seed=0, mode=MODE_INJECTION,
+            engine=engine_name,
+        )
+        built = _machines_built(monkeypatch)
+        result = execute_job(job)
+        assert result.injection_points > 1
+        assert built == {engine_name: 1}
+
+    @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
+    def test_replay_schedule(self, engine_name, monkeypatch):
+        """A multi-activation schedule replay restarts one machine."""
+        from repro.verify import Schedule, replay_schedule
+
+        meta = BENCHMARKS["tire"]
+        compiled = GLOBAL_CACHE.get_or_compile(meta.source, "jit")
+        site = min(compiled.detector_plan().checks)
+        schedule = Schedule(
+            points=(FailurePoint(uid=site.op, occurrence=1),), activations=3
+        )
+        built = _machines_built(monkeypatch)
+        result = replay_schedule(
+            compiled, meta.env_factory(0), schedule, engine=engine_name,
+            stop_at_violation=False,
+        )
+        assert result.activations == 3 and result.completed
+        assert result.all_fired
+        assert built == {engine_name: 1}
+
+    @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
     def test_rebinding_equals_a_fresh_machine(self, engine_name):
         """``begin_activation`` over another environment, supply (of any
-        kind, after any kind), nonvolatile state and clock equals a fresh
-        machine built over them."""
+        kind, after any kind), nonvolatile state and clock makes a machine
+        that has run equal one that never ran, handed the same state."""
         meta = BENCHMARKS["tire"]
         compiled = GLOBAL_CACHE.get_or_compile(meta.source, "ocelot")
         costs = meta.cost_model()
@@ -558,11 +644,18 @@ class TestOneMachinePerStream:
         )
         prior.run()
 
-        def nv():
-            return NVState(
-                globals=dict(prior.nv.globals),
-                arrays={k: list(v) for k, v in prior.nv.arrays.items()},
-                bits=BitVector(set(prior.nv.bits.bits)),
+        env = meta.env_factory(7)
+
+        def restart(machine, after):
+            machine.begin_activation(
+                env=env,
+                supply=supplies[after](),
+                nv=NVState(
+                    globals=dict(prior.nv.globals),
+                    arrays={k: list(v) for k, v in prior.nv.arrays.items()},
+                    bits=BitVector(set(prior.nv.bits.bits)),
+                ),
+                tau=40_000,
             )
 
         reboots = {}
@@ -574,14 +667,17 @@ class TestOneMachinePerStream:
                     supplies[before](), costs=costs,
                 )
                 machine.run()
-                begin_activation(
-                    machine, env=meta.env_factory(7), supply=supplies[after](),
-                    nv=nv(), tau=40_000,
-                )
+                restart(machine, after)
                 fresh = create_machine(
-                    engine_name, compiled, meta.env_factory(7),
-                    supplies[after](), costs=costs, nv=nv(), start_tau=40_000,
+                    engine_name, compiled, meta.env_factory(5),
+                    supplies[before](), costs=costs,
                 )
+                restart(fresh, after)
+                # Each machine holds its own supply, equal to the other's
+                # but for a random generator's identity.
+                mine, theirs = _fields(machine), _fields(fresh)
+                del mine["_supply"], theirs["_supply"]
+                assert mine == theirs, context
                 rebound, expected = machine.run(), fresh.run()
                 assert rebound.trace.events == expected.trace.events, context
                 assert rebound.stats == expected.stats, context
@@ -596,6 +692,42 @@ class TestOneMachinePerStream:
                 reboots[after] = expected.stats.reboots
         assert reboots["continuous"] == 0
         assert reboots["scheduled"] > 0 and reboots["harvest"] > 0
+
+    @pytest.mark.parametrize("engine_name", [ENGINE_REFERENCE, ENGINE_FAST])
+    @pytest.mark.parametrize("abandoned", [False, True])
+    def test_restart_leaves_nothing_behind(self, engine_name, abandoned):
+        """A machine restarted after a run -- to completion, or abandoned
+        inside a region after a checkpoint -- has every attribute of a
+        never-run one handed the same state."""
+        from repro.verify import FixedOffSupply
+
+        compiled = compile_source(LEFTOVERS_SRC, "jit-opt")
+        env = Environment({"alpha": steps([4, 9], 400), "beta": steps([1], 1)})
+
+        def build():
+            return create_machine(
+                engine_name, compiled, env, FixedOffSupply(off_cycles=300)
+            )
+
+        machine = build()
+        if abandoned:
+            machine.step()
+            machine.force_power_failure()
+            for _ in range(7):
+                machine.step()
+            assert machine._jit_ctx is not None
+            assert machine._atom_ctx is not None
+        else:
+            assert machine.run().ret is not None
+        assert machine._hoist_cache
+        fresh = build()
+        for each in (machine, fresh):
+            each.begin_activation(
+                supply=FixedOffSupply(off_cycles=300),
+                nv=NVState.initial(compiled.module),
+                tau=0,
+            )
+        assert _fields(machine) == _fields(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +811,14 @@ def _run_pair(compiled, code, activations, make_env):
         for supply, config in activations():
             if engine_name == ENGINE_FAST:
                 machine = FastMachine(
-                    compiled.module, env, supply, plan=plan, nv=nv,
-                    config=config, start_tau=tau, code=code,
+                    compiled.module, env, supply, plan=plan, config=config,
+                    code=code,
                 )
             else:
                 machine = Machine(
-                    compiled.module, env, supply, plan=plan, nv=nv,
-                    config=config, start_tau=tau,
+                    compiled.module, env, supply, plan=plan, config=config
                 )
+            machine.begin_activation(nv=nv, tau=tau)
             result = machine.run()
             facts.append(_facts(machine, result, supply))
             results.append(result)

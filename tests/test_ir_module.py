@@ -37,12 +37,6 @@ class TestModuleQueries:
         assert len(module.input_instrs()) == 1
         assert len(module.annot_instrs()) == 1
 
-    def test_nonvolatile_names(self):
-        module = lower(
-            "nonvolatile g = 1;\nnonvolatile a[2];\nfn main() { skip; }"
-        )
-        assert module.nonvolatile_names() == {"g", "a"}
-
     def test_fresh_region_ids_unique(self):
         module = lower("fn main() { skip; }")
         ids = {module.fresh_region() for _ in range(10)}

@@ -98,9 +98,9 @@ class TestNVStateSharing:
         )
         nv = NVState.initial(compiled.module)
         for _ in range(3):
-            Machine(
-                compiled.module, Environment(), ContinuousPower(), nv=nv
-            ).run()
+            machine = Machine(compiled.module, Environment(), ContinuousPower())
+            machine.begin_activation(nv=nv)
+            machine.run()
         assert nv.globals["n"].value == 3
 
     def test_snapshot_values_view(self):
@@ -122,8 +122,9 @@ class TestStartTau:
             "inputs ch;\nfn main() { let x = input(ch); log(x); }", "jit"
         )
         env = Environment({"ch": steps([10, 99], 1000)})
-        early = Machine(compiled.module, env, ContinuousPower(), start_tau=0)
-        late = Machine(compiled.module, env, ContinuousPower(), start_tau=1500)
+        early = Machine(compiled.module, env, ContinuousPower())
+        late = Machine(compiled.module, env, ContinuousPower())
+        late.begin_activation(tau=1500)
         assert early.run().trace.outputs[0].values == (10,)
         assert late.run().trace.outputs[0].values == (99,)
 

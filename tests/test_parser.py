@@ -56,7 +56,7 @@ class TestDeclarations:
 class TestFunctions:
     def test_params(self):
         func = parse_function("fn f(a, b) { return a + b; }")
-        assert func.param_names == ["a", "b"]
+        assert [p.name for p in func.params] == ["a", "b"]
 
     def test_by_ref_param(self):
         func = parse_function("fn f(&out) { *out = 1; }")
@@ -204,11 +204,6 @@ class TestLabels:
         labels = [s.label for s in ast.walk_stmts(program.functions["main"].body)]
         assert labels == sorted(labels)
         assert labels[0] == 1
-
-    def test_find_labeled(self):
-        program = parse_program("fn main() { skip; skip; }")
-        stmt = ast.find_labeled(program.functions["main"], 2)
-        assert stmt.label == 2
 
 
 class TestParseErrors:

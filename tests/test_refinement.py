@@ -23,8 +23,8 @@ def continuous_outputs_at(compiled, env, start_tau):
         env,
         ContinuousPower(),
         plan=compiled.detector_plan(),
-        start_tau=start_tau,
     )
+    machine.begin_activation(tau=start_tau)
     result = machine.run()
     assert result.stats.completed
     return [(o.op, o.values) for o in result.trace.outputs]

@@ -11,7 +11,11 @@ on both engines.
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps import BENCHMARKS
 from repro.core.pipeline import compile_source
@@ -69,6 +73,12 @@ class TestJsonRoundtrip:
                 "format": "repro-schedule-1",
                 "points": [{"func": "m", "label": 1, "occurrence": 0}],
             },
+            {"format": "repro-schedule-1", "points": 5},
+            {"format": "repro-schedule-1", "off_cycles": [1]},
+            {"format": "repro-schedule-1", "off_cycles": -1},
+            {"format": "repro-schedule-1", "activations": "abc"},
+            {"format": "repro-schedule-1", "activations": 0},
+            {"format": "repro-schedule-1", "target": ["tire"]},
         ],
     )
     def test_malformed_documents_rejected(self, doc):
@@ -78,6 +88,64 @@ class TestJsonRoundtrip:
     def test_invalid_json_rejected(self):
         with pytest.raises(ScheduleError):
             Schedule.from_json("{not json")
+
+
+#: any value ``json.loads`` returns, its ``NaN`` and ``Infinity`` included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+#: a loadable document, and the path to each of its fields
+VALID = {
+    "format": "repro-schedule-1",
+    "target": "tire",
+    "config": "jit",
+    "off_cycles": 10_000,
+    "activations": 2,
+    "points": [{"func": "main", "label": 7, "occurrence": 3}],
+}
+FIELDS = (
+    *((key,) for key in VALID),
+    ("points", 0),
+    ("points", 0, "func"),
+    ("points", 0, "label"),
+    ("points", 0, "occurrence"),
+)
+
+
+def _loads_or_rejects(document) -> None:
+    """``document`` loads as a schedule replay accepts, or is a
+    :class:`ScheduleError`; nothing else escapes."""
+    try:
+        schedule = Schedule.from_json(json.dumps(document))
+    except ScheduleError:
+        return
+    assert schedule.off_cycles >= 0 and schedule.activations >= 1
+    assert all(point.occurrence >= 1 for point in schedule.points)
+    assert all(
+        value is None or isinstance(value, str)
+        for value in (schedule.target, schedule.config)
+    )
+    assert Schedule.from_json(schedule.to_json()) == schedule
+
+
+class TestAnyDocument:
+    @given(JSON_VALUES)
+    def test_any_json_value(self, document):
+        _loads_or_rejects(document)
+
+    @given(st.sampled_from(FIELDS), JSON_VALUES)
+    def test_one_field_replaced(self, path, value):
+        document = json.loads(json.dumps(VALID))
+        *parents, last = path
+        holder = document
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+        _loads_or_rejects(document)
 
 
 class TestSupplyConventions:

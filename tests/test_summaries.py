@@ -6,7 +6,6 @@ from repro.analysis.summaries import (
     FromArg,
     FromLocal,
     FromRet,
-    FunctionSummaries,
     InInfo,
     TaintMap,
     call_chain,
@@ -33,7 +32,6 @@ class TestStructures:
         )
         tmap.add(SINK_RET, info)
         assert info in tmap.get(SINK_RET)
-        assert tmap.sinks() == [SINK_RET]
         assert bool(tmap)
 
     def test_empty_map_is_falsy(self):
@@ -41,25 +39,6 @@ class TestStructures:
 
     def test_sink_ref_naming(self):
         assert sink_ref("out") == "&out"
-
-    def test_outputs_for_merges_local_and_caller(self):
-        summaries = FunctionSummaries()
-        summary = summaries.of("f")
-        site = InstrId("main", 2)
-        local_info = InInfo(
-            input=InstrId("f", 1),
-            from_tp=FromLocal(1),
-            chain=Chain(ids=(site, InstrId("f", 1))),
-        )
-        caller_info = InInfo(
-            input=InstrId("main", 9),
-            from_tp=FromArg(site),
-            chain=Chain(ids=(InstrId("main", 9),)),
-        )
-        summary.local.add(SINK_RET, local_info)
-        summary.caller(site).add(SINK_RET, caller_info)
-        merged = summary.outputs_for(site, SINK_RET)
-        assert merged == {local_info, caller_info}
 
     def test_call_chain_returns_resolved(self):
         chain = Chain(ids=(InstrId("main", 2), InstrId("get", 3)))

@@ -20,12 +20,6 @@ class TestTVal:
         assert TVal(5).as_bool is True
         assert TVal(0).as_bool is False
 
-    def test_with_taint_preserves_value(self):
-        event = InputEvent(uid=InstrId("f", 1), channel="ch", tau=10)
-        tv = TVal(7).with_taint(frozenset({event}))
-        assert tv.value == 7
-        assert event in tv.taint
-
     def test_values_are_immutable_and_hashable(self):
         a = TVal(3)
         b = TVal(3)

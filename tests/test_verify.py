@@ -20,7 +20,7 @@ from repro.cli import main
 from repro.core.pipeline import compile_source
 from repro.runtime import observations as obs
 from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
-from repro.runtime.snapshot import begin_activation, capture_machine, restore_machine
+from repro.runtime.snapshot import capture_machine, restore_machine
 from repro.sensors.environment import Environment
 from repro.verify import (
     VERDICT_BOUND,
@@ -102,16 +102,14 @@ class TestSnapshotRoundtrip:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_begin_activation_matches_fresh_machine(self, engine):
-        """begin_activation == building a new machine over the same NV."""
+        """begin_activation after a run == a never-run machine handed the
+        same nonvolatile state and clock."""
         compiled, env = _build("ocelot")
         machine = _machine(compiled, env, engine)
         _run_out(machine)
-        nv = machine.nv
-        tau = machine.tau
-        fresh = create_machine(
-            engine, compiled, env, FixedOffSupply(), nv=nv, start_tau=tau
-        )
-        begin_activation(machine, trace=obs.Trace())
+        fresh = _machine(compiled, env, engine)
+        fresh.begin_activation(nv=machine.nv, tau=machine.tau)
+        machine.begin_activation(trace=obs.Trace())
         assert _digest_of(machine, engine) == _digest_of(fresh, engine)
 
 
