@@ -154,6 +154,12 @@ class SupplySpec:
     def __post_init__(self) -> None:
         if self.kind not in (SUPPLY_CONTINUOUS, SUPPLY_HARVEST, SUPPLY_SCHEDULE):
             raise CampaignError(f"unknown supply kind '{self.kind}'")
+        if self.kind == SUPPLY_HARVEST and self.harvest_rate <= 0:
+            # Checked here, not only by the harvester: a fleet device's
+            # rate is set on a harvester spawned from another rate's.
+            raise CampaignError(
+                f"supply '{self.name}': harvest_rate must be positive"
+            )
         for entry in self.points:
             func, label, occurrence = entry
             if not isinstance(func, str) or int(occurrence) < 1:

@@ -50,8 +50,9 @@ _log = get_logger("fleet.memostore")
 #: bucket (supply component ``("q", capacity, low_threshold)``).  Schema
 #: 4: the taint in NV tokens and snapshots is by input site
 #: (``InputSite``: op and channel, no read time), as violations-only
-#: runs build it.
-MEMO_SCHEMA = "repro-memo-4"
+#: runs build it.  Schema 5: ``ActivationRecord`` pickles as a slotted
+#: object.
+MEMO_SCHEMA = "repro-memo-5"
 
 
 def write_atomically(path: Path, data: bytes) -> None:

@@ -49,9 +49,10 @@ Surbatovich et al.).  This executor exploits that in four layers:
 * **Batched miss path** (:class:`_MissBatch`).  Misses within a class
   batch run on one machine over the shared decoded program, cost model,
   and detector plan, restarted per miss over that device's state (no
-  per-activation stepper or machine object); it reuses the codec's
-  preallocated struct-of-arrays NV buffers (:class:`NVCodec`), and
-  folds each wave's records through one ``observe_many``-style sink.
+  per-activation stepper or machine object); it tokenizes each
+  post-state through the class's struct-of-arrays codec
+  (:class:`NVCodec`), and folds each wave's records through one
+  ``observe_many``-style sink.
 
 Soundness: tokens are conservative.  An aperiodic environment or an
 unencodable nonvolatile state only *loses cache hits*; it never
@@ -113,10 +114,11 @@ class NVRef(NamedTuple):
 def materialize_nv(ref: NVRef) -> NVState:
     """A fresh mutable :class:`NVState` from a tokenized snapshot."""
     globals_, arrays, bits = ref.snapshot
+    # positional, and no comprehension call for a program without arrays
     return NVState(
-        globals=dict(globals_),
-        arrays={name: list(cells) for name, cells in arrays.items()},
-        bits=BitVector(set(bits)),
+        dict(globals_),
+        {name: list(cells) for name, cells in arrays.items()} if arrays else {},
+        BitVector(set(bits)),
     )
 
 
@@ -132,10 +134,9 @@ class NVCodec:
     each taint in the list is a frozenset of
     :class:`~repro.runtime.values.InputSite` (input op and channel, no
     read time): two states share a token when their values agree and
-    each tainted cell came from the same input ops, whenever they ran.
-    The value buffer is preallocated once and reused across encodes,
-    so the batched miss path pays no per-activation list churn.
-    Anything outside the fixed layout (huge integers, an unexpected
+    each tainted cell came from the same input ops, whenever they ran;
+    each chain's bit is precomputed, so the mask is one OR per set
+    chain.  Anything outside the fixed layout (huge integers, an unexpected
     chain, a shape drift) falls back to a slower but exact structural
     tuple; the fallback only costs speed, never identity.
     """
@@ -143,11 +144,9 @@ class NVCodec:
     def __init__(self, module, plan) -> None:
         self.global_names = tuple(sorted(module.globals))
         self.array_names = tuple(sorted(module.arrays))
-        self._bit_index = {
-            chain: i for i, chain in enumerate(sorted(plan.bit_chains))
+        self._chain_bit = {
+            chain: 1 << i for i, chain in enumerate(sorted(plan.bit_chains))
         }
-        # Reused across encodes; tobytes() copies, so reuse is safe.
-        self._values: list[int] = []
 
     def encode(self, nv: NVState) -> NVRef:
         """Tokenize ``nv``; the snapshot copies every mutable container."""
@@ -156,22 +155,21 @@ class NVCodec:
         bits = nv.bits.bits
         snapshot = (
             dict(globals_),
-            {name: tuple(cells) for name, cells in arrays.items()},
+            {name: tuple(cells) for name, cells in arrays.items()} if arrays else {},
             frozenset(bits),
         )
         try:
             token, tainted = self._packed(globals_, arrays, bits)
         except (KeyError, OverflowError, TypeError, ValueError):
             token, tainted = self._structural(globals_, arrays, bits)
-        return NVRef(token=token, snapshot=snapshot, tainted=tainted)
+        return NVRef(token, snapshot, tainted)
 
     def _packed(self, globals_, arrays, bits):
         if len(globals_) != len(self.global_names):
             raise ValueError("global layout drifted")
         if len(arrays) != len(self.array_names):
             raise ValueError("array layout drifted")
-        values = self._values
-        values.clear()
+        values: list[int] = []
         taints: list[tuple[int, frozenset]] = []
         for name in self.global_names:
             cell = globals_[name]
@@ -186,8 +184,9 @@ class NVCodec:
                     taints.append((len(values), cell.taint))
                 values.append(cell.value)
         mask = 0
+        chain_bit = self._chain_bit
         for chain in bits:
-            mask |= 1 << self._bit_index[chain]
+            mask |= chain_bit[chain]
         # bytes objects cache their hash, so repeated dict probes on the
         # same token re-digest nothing.
         packed = array("q", values).tobytes()
@@ -330,8 +329,8 @@ class _MissBatch:
     the batch's first miss and restarted by
     :meth:`~repro.runtime.executor.MachineCore.begin_activation` over
     the miss's environment, supply, nonvolatile state and clock, which
-    equals a fresh machine over them; post-state tokenization reuses
-    the codec's preallocated buffers.
+    equals a fresh machine over them; the codec tokenizes each
+    post-state.
     """
 
     __slots__ = ("compiled", "costs", "plan", "engine", "codec", "machine")

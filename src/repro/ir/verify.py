@@ -86,11 +86,14 @@ def _check_bracket_balance(func: IRFunction) -> None:
 
     Depth is tracked per block; joining paths must agree on depth, which
     holds for lowering- and inference-produced regions (region bounds are
-    placed at dominator/post-dominator points).
+    placed at dominator/post-dominator points).  The exit depth is the
+    depth at ``ret``, after the exit block's own instructions: inference
+    may end a region there, just before ``ret``.
     """
     depth_at: dict[str, int] = {func.entry: 0}
     order = [func.entry]
     seen = {func.entry}
+    exit_depth = 0
     idx = 0
     while idx < len(order):
         name = order[idx]
@@ -106,6 +109,8 @@ def _check_bracket_balance(func: IRFunction) -> None:
                     raise IRError(
                         f"{func.name}/{name}: atomic_end without matching start"
                     )
+        if name == func.exit:
+            exit_depth = depth
         for succ in block.successors():
             if succ not in depth_at:
                 depth_at[succ] = depth
@@ -117,7 +122,6 @@ def _check_bracket_balance(func: IRFunction) -> None:
                     f"{func.name}: inconsistent atomic depth at join '{succ}' "
                     f"({depth_at[succ]} vs {depth})"
                 )
-    exit_depth = depth_at.get(func.exit, 0)
     if exit_depth != 0:
         raise IRError(f"{func.name}: function exits with open atomic region")
 

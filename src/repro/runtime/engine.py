@@ -863,7 +863,7 @@ def _region_role(costs: CostModel, cyc) -> Optional[int]:
     return None
 
 
-def _region_bound(regions: tuple, costs: CostModel) -> Callable:
+def _region_bound(regions: tuple, costs: CostModel, arrays: dict) -> Callable:
     """An upper bound on the summed cost of a run's region ops.
 
     ``regions`` lists them in run order as ``(is_start, cyc, omega,
@@ -875,7 +875,10 @@ def _region_bound(regions: tuple, costs: CostModel) -> Callable:
     local the run may add before it (inlined callees have returned by
     then), and one nonvolatile word per omega name plus every omega
     array, at least what either its estimate or its undo log counts.
-    The entry formula is the stock one (see :func:`_region_role`).
+    Nonvolatile arrays keep their declared length (``arrays``, the
+    module's), so only the stack words are read at entry; the rest is a
+    constant per nesting depth, replayed once per depth.  The entry
+    formula is the stock one (see :func:`_region_role`).
     """
     inner = costs.region_inner
     commit = costs.region_commit
@@ -883,14 +886,18 @@ def _region_bound(regions: tuple, costs: CostModel) -> Callable:
     per_nv = costs.region_per_nv_word
 
     def replay(natom):
-        """The state-independent cost, and each outer start's (grow,
-        omega), from nesting depth ``natom`` (-1: outside any region)."""
-        fixed, outer = 0, []
+        """From nesting depth ``natom`` (-1: outside any region), the
+        cost that does not read the stack, and the cost per stack word."""
+        fixed, outer = 0, 0
         for is_start, cyc, omega, grow in regions:
             if is_start and natom < 0:
                 natom = 0
-                outer.append((grow, omega))
-                fixed += cyc + costs.region_base + per_nv * len(omega)
+                outer += 1
+                nv_words = len(omega) + sum(
+                    len(arrays[name]) for name in omega if name in arrays
+                )
+                fixed += cyc + costs.region_base + per_word * grow
+                fixed += per_nv * nv_words
             elif is_start:
                 natom += 1
                 fixed += cyc + inner
@@ -902,24 +909,26 @@ def _region_bound(regions: tuple, costs: CostModel) -> Callable:
                 fixed += cyc + commit
             else:
                 fixed += cyc
-        return fixed, outer
+        return fixed, per_word * outer
 
     outside = replay(-1)  # the common case: no region open at entry
+    inside: dict[int, tuple[int, int]] = {}
 
     def bound(m):
         ctx = m._atom_ctx
-        total, outer = outside if ctx is None else replay(ctx.natom)
-        if outer:
+        if ctx is None:
+            total, scale = outside
+        else:
+            total_scale = inside.get(ctx.natom)
+            if total_scale is None:
+                total_scale = inside[ctx.natom] = replay(ctx.natom)
+            total, scale = total_scale
+        if scale:
             frames = m._frames
             words = 2 * len(frames)  # stack_words, inline
             for frame in frames:
                 words += len(frame.locals)
-            arrays = m.nv.arrays
-            for grow, omega in outer:
-                total += per_word * (words + grow)
-                for name in omega:
-                    if name in arrays:
-                        total += per_nv * len(arrays[name])
+            total += scale * words
         return total
 
     return bound
@@ -1454,7 +1463,8 @@ class _SegmentWriter:
                 self.observe(f"_UseObs({tau}, {uid}, {check.pid!r})")
             if op.mode == OP_FULL:
                 self.uses.add("B")
-                required = self.const(check.required)
+                # a set argument: no Python-level Chain hash per test
+                required = self.const(frozenset(check.required))
                 self.emit(
                     f"if not B.issuperset({required}): "
                     f"_violation(m, {tau}, {uid}, {self.const(check)})"
@@ -1831,7 +1841,8 @@ class _SegmentWriter:
     def bound(self) -> Optional[Callable]:
         if not self.regions:
             return None
-        return _region_bound(tuple(self.regions), self.code.costs)
+        code = self.code
+        return _region_bound(tuple(self.regions), code.costs, code.module.arrays)
 
     # -- the run -----------------------------------------------------------------------
 
@@ -1969,8 +1980,17 @@ class FastMachine(MachineCore):
         which performs exactly the reference machine's call sequence.
         The capacitor inline also requires the stock energy model
         (``cycles * energy_per_cycle``); under any other, an
-        :class:`EnergyDrivenSupply` is generic too.
+        :class:`EnergyDrivenSupply` is generic too.  A supply of the
+        bound one's type that watches nothing keeps its classification.
         """
+        bound = getattr(self, "_supply", None)
+        if (
+            type(supply) is type(bound)
+            and not self._watched_uids
+            and not hasattr(supply, "watched_uids")
+        ):
+            self._supply = supply
+            return
         super()._bind_supply(supply)
         supply_type = type(self._supply)
         stock_energy = type(self._costs).energy is CostModel.energy
@@ -2105,7 +2125,10 @@ class FastMachine(MachineCore):
     def _result(self) -> obs.RunResult:
         stats = self.stats
         stats.completed = self._done
-        stats.violations = len(self.trace.violations)
+        if self._config.emit_observations:
+            stats.violations = len(self.trace.violations)
+        else:  # a violations-only trace holds violations alone
+            stats.violations = len(self.trace.events)
         ret = self._ret_value.value if self._ret_value is not None else None
         return obs.RunResult(
             trace=self.trace,

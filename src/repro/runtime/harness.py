@@ -68,9 +68,17 @@ def run_continuous(
     return run_once(compiled, env, ContinuousPower(), costs, plan, config, engine)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ActivationRecord:
-    """One completed (or abandoned) iteration of ``main``."""
+    """One completed (or abandoned) iteration of ``main``.
+
+    Immutable by convention, like :class:`~repro.runtime.values.TVal`:
+    nothing assigns a field after construction (make a changed copy
+    with ``dataclasses.replace``), so the vector executor's per-wave
+    sink can key on a record.  Not ``frozen``, whose ``__init__`` sets
+    each field through ``object.__setattr__``; the hash is the frozen
+    one (``unsafe_hash``: the field tuple).
+    """
 
     index: int
     completed: bool
@@ -92,18 +100,25 @@ class ActivationRecord:
 
         Reads only stats, ``detector_queries`` and the trace's
         violations, so a violations-only run (``emit_observations=False``)
-        yields the same record as a full-trace one.
+        yields the same record as a full-trace one.  ``stats.violations``
+        counts the trace's violations, so the trace is scanned only when
+        there are some.
         """
-        kinds = [v.kind for v in run.trace.violations]
+        stats = run.stats
+        fresh = consistent = 0
+        if stats.violations:
+            kinds = [v.kind for v in run.trace.violations]
+            fresh = kinds.count("fresh")
+            consistent = kinds.count("consistent")
         return cls(
             index=index,
-            completed=run.stats.completed,
-            violations=run.stats.violations,
-            cycles_on=run.stats.cycles_on,
-            cycles_off=run.stats.cycles_off,
-            reboots=run.stats.reboots,
-            fresh_violations=kinds.count("fresh"),
-            consistent_violations=kinds.count("consistent"),
+            completed=stats.completed,
+            violations=stats.violations,
+            cycles_on=stats.cycles_on,
+            cycles_off=stats.cycles_off,
+            reboots=stats.reboots,
+            fresh_violations=fresh,
+            consistent_violations=consistent,
             detector_queries=run.detector_queries,
         )
 

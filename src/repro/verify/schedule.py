@@ -103,15 +103,27 @@ class Schedule:
         points = []
         for entry in entries:
             try:
-                uid = InstrId(str(entry["func"]), int(entry["label"]))
-                occurrence = int(entry.get("occurrence", 1))
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                func, label = entry["func"], entry["label"]
+                occurrence = entry.get("occurrence", 1)
+            except (KeyError, TypeError) as exc:
                 raise ScheduleError(f"bad failure point {entry!r}: {exc}") from None
+            if not isinstance(func, str):
+                raise ScheduleError(
+                    f"bad failure point {entry!r}: func must be a string"
+                )
+            # JSON integers only: no float, string or boolean converts
+            for key, value in (("label", label), ("occurrence", occurrence)):
+                if type(value) is not int:
+                    raise ScheduleError(
+                        f"bad failure point {entry!r}: {key} must be an integer"
+                    )
             if occurrence < 1:
                 raise ScheduleError(
                     f"bad failure point {entry!r}: occurrence is 1-based"
                 )
-            points.append(FailurePoint(uid=uid, occurrence=occurrence))
+            points.append(
+                FailurePoint(uid=InstrId(func, label), occurrence=occurrence)
+            )
         for key in ("target", "config"):
             if not isinstance(data.get(key), (str, type(None))):
                 raise ScheduleError(
@@ -149,15 +161,13 @@ class Schedule:
 
 
 def _at_least(data: dict, key: str, default: int, least: int) -> int:
-    """``data[key]`` (or ``default``) as an integer of at least ``least``."""
+    """``data[key]`` (or ``default``), an integer of at least ``least``."""
     value = data.get(key, default)
-    try:
-        number = int(value)
-    except (OverflowError, TypeError, ValueError):
-        raise ScheduleError(f"{key} must be an integer, not {value!r}") from None
-    if number < least:
-        raise ScheduleError(f"{key} must be at least {least}, not {number}")
-    return number
+    if type(value) is not int:
+        raise ScheduleError(f"{key} must be an integer, not {value!r}")
+    if value < least:
+        raise ScheduleError(f"{key} must be at least {least}, not {value}")
+    return value
 
 
 @dataclass

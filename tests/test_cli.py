@@ -140,6 +140,34 @@ class TestBuild:
         assert "config      : ocelot-noguard" in capsys.readouterr().out
 
 
+#: Valid, but inference can only end ``main``'s region just before the
+#: ``ret`` that last uses the fresh value.
+FRESH_RETURN = """\
+inputs alpha, beta;
+
+fn main() {
+  let c = input(beta);
+  let x = input(alpha);
+  Fresh(x);
+  if c > 0 { log(x); } else { log(x + 1); }
+  return x;
+}
+"""
+
+
+@pytest.mark.parametrize("config", ["ocelot", "ocelot-opt", "atomics"])
+def test_region_ending_at_main_return_is_a_checker_verdict(
+    config, source_file, capsys
+):
+    assert main(["build", source_file(FRESH_RETURN), "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert "checker     : FAIL" in captured.out
+    assert "operation (main, 1) executes outside any region" in captured.out
+    if config != "atomics":
+        assert "fresh@main:7: operation (main, 1)" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 class TestCheck:
     def test_good_manual_regions_pass(self, source_file, capsys):
         assert main(["check", source_file(GOOD_MANUAL)]) == 0

@@ -1987,3 +1987,88 @@ class TestGenericSupply:
                 lambda meta=meta: meta.env_factory(5),
             )
             assert [r.stats.completed for r in results] == [True, False, False]
+
+
+def _replayed_region_bound(regions, costs):
+    """The run entry bound as first written: every call replays the
+    run's region ops from the open depth and reads the nonvolatile
+    arrays' lengths off the machine.  The oracle of the memoized bound."""
+    inner = costs.region_inner
+    commit = costs.region_commit
+    per_word = costs.region_per_volatile_word
+    per_nv = costs.region_per_nv_word
+
+    def replay(natom):
+        fixed, outer = 0, []
+        for is_start, cyc, omega, grow in regions:
+            if is_start and natom < 0:
+                natom = 0
+                outer.append((grow, omega))
+                fixed += cyc + costs.region_base + per_nv * len(omega)
+            elif is_start:
+                natom += 1
+                fixed += cyc + inner
+            elif natom > 0:
+                natom -= 1
+                fixed += cyc + inner
+            elif natom == 0:
+                natom = -1
+                fixed += cyc + commit
+            else:
+                fixed += cyc
+        return fixed, outer
+
+    def bound(m):
+        ctx = m._atom_ctx
+        total, outer = replay(-1 if ctx is None else ctx.natom)
+        if outer:
+            words = 2 * len(m._frames)
+            for frame in m._frames:
+                words += len(frame.locals)
+            arrays = m.nv.arrays
+            for grow, omega in outer:
+                total += per_word * (words + grow)
+                for name in omega:
+                    if name in arrays:
+                        total += per_nv * len(arrays[name])
+        return total
+
+    return bound
+
+
+class TestRegionBound:
+    def test_memoized_bound_equals_the_replayed_one(self, monkeypatch):
+        """Intermittent runs of every app under each enforcing config and
+        JIT, every segment compiled: at each run entry the memoized
+        bound returns what replaying the regions at that entry gives."""
+        seen = collections.Counter()
+        memoized = engine._region_bound
+
+        def checked(regions, costs, arrays):
+            bound = memoized(regions, costs, arrays)
+            oracle = _replayed_region_bound(regions, costs)
+
+            def both(m):
+                value = bound(m)
+                assert value == oracle(m), regions
+                seen["open" if m._atom_ctx is not None else "closed"] += 1
+                seen["nv array"] += any(
+                    name in arrays for _, _, omega, _ in regions for name in omega
+                )
+                return value
+
+            return both
+
+        monkeypatch.setattr(engine, "_region_bound", checked)
+        monkeypatch.setattr(engine, "SEGMENT_COMPILE_THRESHOLD", _EAGER)
+        for meta in BENCHMARKS.values():
+            for config in ("ocelot", "jit", "atomics"):
+                compiled = compile_source(meta.source, config)
+                run_activations(
+                    compiled,
+                    meta.env_factory(5),
+                    _PARITY_PROFILE.make_supply(seed=7),
+                    budget_cycles=60_000,
+                    costs=meta.cost_model(),
+                )
+        assert seen["open"] and seen["closed"] and seen["nv array"], seen

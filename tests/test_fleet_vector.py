@@ -215,14 +215,14 @@ class TestMemoKeySoundness:
     def test_flipping_one_nv_bit_changes_token(self):
         codec, nv = _tire_codec()
         baseline = codec.encode(nv).token
-        chains = sorted(codec._bit_index)
+        chains = sorted(codec._chain_bit)
         assert chains, "tire/ocelot should have detector bit chains"
         nv.bits.set(chains[0])
         assert codec.encode(nv).token != baseline
 
     def test_each_bit_is_distinct(self):
         codec, nv = _tire_codec()
-        chains = sorted(codec._bit_index)
+        chains = sorted(codec._chain_bit)
         tokens = set()
         for chain in chains:
             fresh = NVState.initial(
@@ -284,7 +284,7 @@ class TestMemoKeySoundness:
         values = [-3, 2**40 + 5, 7, -(2**63), 2**63 - 1]
         for name, value in zip(sorted(nv.globals), values, strict=True):
             nv.globals[name] = TVal(value, frozenset())
-        nv.bits.set(sorted(codec._bit_index)[-1])
+        nv.bits.set(sorted(codec._chain_bit)[-1])
         packed = bytes.fromhex(
             "fdffffffffffffff" "0500000000010000" "0700000000000000"
             "0000000000000080" "ffffffffffffff7f"
@@ -513,6 +513,50 @@ class TestQuantizedSupplyTokens:
         assert fired_path.memo_token() != fresh_path.memo_token()
 
 
+class TestSupplyPrototypes:
+    """One prototype per supply geometry: a jittered device's supply is
+    the one its own spec would build and spawn."""
+
+    def test_device_supply_equals_its_own_spec_spawn(self):
+        devices = jittered_spec(count=6).expand()
+        assert len({d.supply.harvest_rate for d in devices}) == 6
+        factory = DeviceFactory()
+        for device in devices:
+            shape = device.supply
+            ours = factory.supply(device)
+            own = shape.build(0).spawn(device.seed + shape.seed_offset)
+            assert ours.harvester.rate_per_kilocycle == shape.harvest_rate
+            assert ours.memo_token() == own.memo_token()
+            assert ours.memo_capture() == own.memo_capture()
+            for _ in range(5):
+                # drain below the trip point, so boot draws are taken
+                ours.capacitor.level = own.capacitor.level = 0
+                assert ours.off_and_recharge() == own.off_and_recharge()
+            assert ours.memo_capture() == own.memo_capture()
+
+    def test_jittered_class_leaves_one_prototype(self):
+        devices = jittered_spec(count=100).expand()
+        assert len({d.supply for d in devices}) > 1
+        factory = DeviceFactory()
+        for device in devices:
+            factory.supply(device)
+        assert len(factory._supply_protos) == 1
+
+    def test_other_geometry_gets_its_own_prototype(self):
+        device = jittered_spec(count=1).expand()[0]
+        wider = replace(device, supply=replace(device.supply, capacity=6000))
+        factory = DeviceFactory()
+        assert factory.supply(wider).capacitor.capacity == 6000
+        assert factory.supply(device).capacitor.capacity == 3000
+        assert len(factory._supply_protos) == 2
+
+    def test_nonpositive_harvest_rate_is_a_spec_error(self):
+        with pytest.raises(ValueError, match="harvest_rate must be positive"):
+            SupplySpec(name="rf", harvest_rate=0)
+        # the rate of a supply that harvests nothing is not read
+        SupplySpec(name="wall", kind="continuous", harvest_rate=0)
+
+
 class TestMemoCapAndEviction:
     def test_lru_eviction_order_and_stats(self):
         memo = ActivationMemo(max_entries=2)
@@ -578,7 +622,7 @@ class TestPersistentMemo:
             )
         )
         assert store.load("token-a") == {}
-        assert MEMO_SCHEMA == "repro-memo-4"
+        assert MEMO_SCHEMA == "repro-memo-5"
 
     def test_interleaved_saves_of_one_shard(self, tmp_path, monkeypatch):
         """A second save landing between the first save's write and its

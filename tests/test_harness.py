@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import BENCHMARKS
+from repro.core.cache import GLOBAL_CACHE
 from repro.core.pipeline import compile_source
 from repro.eval.campaign import AggregateRow
 from repro.eval.profiles import EnergyProfile
 from repro.fleet.aggregate import ClassAggregate
+from repro.runtime.engine import create_machine
+from repro.runtime.executor import MachineConfig
 from repro.runtime.harness import (
     TOTALS,
     ActivationRecord,
@@ -109,6 +113,36 @@ class TestActivations:
 
     def test_empty_result_rate_is_zero(self):
         assert ActivationsResult().violation_rate == 0.0
+
+    def test_violations_only_record_equals_the_full_trace_record(self):
+        """One activation stream run twice, once violations-only: each
+        activation's record is equal and hashes alike, so a sink keyed
+        on records counts both runs' records in one slot."""
+        meta = BENCHMARKS["tire"]
+        compiled = GLOBAL_CACHE.get_or_compile(meta.source, "jit")
+        records = {}
+        for emit in (True, False):
+            machine = create_machine(
+                "fast",
+                compiled,
+                meta.env_factory(3),
+                EnergyProfile(capacity=2500, low_threshold=500).make_supply(0),
+                costs=meta.cost_model(),
+                config=MachineConfig(emit_observations=emit),
+            )
+            records[emit] = []
+            for index in range(12):
+                machine.begin_activation()
+                records[emit].append(
+                    ActivationRecord.from_run(index, machine.run())
+                )
+        full, lean = records[True], records[False]
+        assert lean == full
+        assert [hash(r) for r in lean] == [hash(r) for r in full]
+        assert len(set(lean) | set(full)) == len(set(full))
+        assert any(r.fresh_violations for r in full)
+        assert any(r.consistent_violations for r in full)
+        assert any(r.violations == 0 for r in full)
 
 
 _records = st.builds(

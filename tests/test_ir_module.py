@@ -90,6 +90,30 @@ class TestVerifier:
         with pytest.raises(IRError, match="open atomic region"):
             verify_module(module)
 
+    def test_end_just_before_ret_balances(self):
+        # Inference ends a region at the exit landing pad, just before
+        # ``ret``: the depth at ``ret`` is what must be zero.
+        module = lower("fn main() { if 1 < 2 { alarm(); } log(3); }")
+        func = module.function("main")
+        assert func.exit != func.entry
+        func.blocks[func.entry].instrs.insert(
+            0, func.stamp(ir.AtomicStart(region="r9"))
+        )
+        func.blocks[func.exit].instrs.append(
+            func.stamp(ir.AtomicEnd(region="r9"))
+        )
+        verify_module(module)
+
+    def test_detects_region_opened_in_exit_block(self):
+        module = lower("fn main() { skip; }")
+        func = module.function("main")
+        assert func.exit != func.entry
+        func.blocks[func.exit].instrs.append(
+            func.stamp(ir.AtomicStart(region="r9"))
+        )
+        with pytest.raises(IRError, match="open atomic region"):
+            verify_module(module)
+
     def test_detects_stray_end(self):
         module = lower("fn main() { skip; }")
         func = module.function("main")

@@ -79,6 +79,38 @@ class TestJsonRoundtrip:
             {"format": "repro-schedule-1", "activations": "abc"},
             {"format": "repro-schedule-1", "activations": 0},
             {"format": "repro-schedule-1", "target": ["tire"]},
+            # numbers and names are taken as written, never converted
+            {
+                "format": "repro-schedule-1",
+                "off_cycles": True,
+                "points": [{"func": ["main"], "label": 7.9, "occurrence": "3"}],
+            },
+            {"format": "repro-schedule-1", "off_cycles": True},
+            {"format": "repro-schedule-1", "off_cycles": 10.0},
+            {"format": "repro-schedule-1", "activations": 2.9},
+            {"format": "repro-schedule-1", "activations": "2"},
+            {"format": "repro-schedule-1", "activations": True},
+            {
+                "format": "repro-schedule-1",
+                "points": [{"func": ["main"], "label": 7}],
+            },
+            {"format": "repro-schedule-1", "points": [{"func": 3, "label": 7}]},
+            {
+                "format": "repro-schedule-1",
+                "points": [{"func": "main", "label": 7.9}],
+            },
+            {
+                "format": "repro-schedule-1",
+                "points": [{"func": "main", "label": True}],
+            },
+            {
+                "format": "repro-schedule-1",
+                "points": [{"func": "main", "label": 7, "occurrence": "3"}],
+            },
+            {
+                "format": "repro-schedule-1",
+                "points": [{"func": "main", "label": 7, "occurrence": True}],
+            },
         ],
     )
     def test_malformed_documents_rejected(self, doc):
